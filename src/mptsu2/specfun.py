@@ -202,18 +202,23 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]],
     a: float,
     b: float,
     rule: QuadratureRule,
     panels: int = 1,
-) -> float:
+) -> float | np.ndarray:
     """Composite Gauss-Legendre estimate of the integral of f over [a, b].
 
     The interval is split into ``panels`` equal subintervals and the rule
     applied on each; node placement is fully deterministic, so results are
     bit-reproducible for a fixed configuration.  ``f`` is called once on the
-    full array of abscissae and must evaluate elementwise.
+    full array of abscissae.  If it returns one array, that array must
+    evaluate elementwise and the result is a float.  If it returns a pair
+    (bra, ket) whose last axes run over the abscissae, the result is the
+    array of all integrals of bra[..., i] * ket[..., j], i.e.
+    (bra * w) @ ket^T for two-dimensional factors; the product of the two
+    factors is never formed.
     """
     if not a < b:
         raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
@@ -223,12 +228,18 @@ def integrate(
     ref = np.asarray(rule.nodes)
     offsets = a + h * (np.arange(panels)[:, None] + 0.5 * (ref[None, :] + 1.0))
     x = offsets.ravel()
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise EvaluationError("integrand did not evaluate elementwise on the node array")
-    bad = ~np.isfinite(y)
-    if np.any(bad):
-        where = float(x[np.argmax(bad)])
-        raise EvaluationError(f"integrand is non-finite at x = {where}", abscissa=where)
+    y = f(x)
+    pair = isinstance(y, tuple)
+    factors = [np.asarray(v, dtype=float) for v in (y if pair else (y,))]
+    for v in factors:
+        if (v.shape[-1:] if pair else v.shape) != x.shape:
+            raise EvaluationError("integrand did not evaluate on the node array")
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            where = float(x[np.nonzero(bad)[-1][0]])
+            raise EvaluationError(f"integrand is non-finite at x = {where}", abscissa=where)
     w = np.tile(np.asarray(rule.weights) * (0.5 * h), panels)
-    return float(w @ y)
+    if not pair:
+        return float(w @ factors[0])
+    bra, ket = factors
+    return np.tensordot(bra * w, ket, axes=(-1, -1))

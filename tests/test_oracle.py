@@ -48,6 +48,13 @@ class TestMatrixElement:
         with pytest.raises(EvaluationError):
             matrix_element(Q3, 0, 0, bad)
 
+    def test_non_finite_weight_reports_position(self):
+        # The grid runs in s with alpha x = sinh(s); the error names x itself.
+        bad = Observable.custom(lambda x: np.where(np.abs(x) > 3.0, np.nan, 1.0))
+        with pytest.raises(EvaluationError) as err:
+            matrix_element(Q3, 0, 0, bad)
+        assert abs(err.value.abscissa) > 3.0
+
     def test_custom_derivative_observable(self):
         from mptsu2.ladder import cosh_ddx_matrix
         weighted = Observable.custom(np.cosh, acts_on_derivative=True, parity=-1,
@@ -105,6 +112,18 @@ class TestObservableMatrix:
         clear_cache()
         assert observable_matrix(Q3, POSITION_X) is not first
 
+    def test_cache_never_hands_a_matrix_to_a_new_observable(self):
+        # A collected observable's id is reused by the next one created; a
+        # cache keyed on id(obs) gave most of these weights a stale matrix.
+        clear_cache()
+        stale = 0
+        for c in range(1, 201):
+            weight = Observable.custom(lambda x, c=c: c * np.ones_like(x), parity=+1)
+            gram = observable_matrix(Q3, weight).entries
+            stale += bool(np.max(np.abs(gram - c * np.eye(3))) > 1e-9 * c)
+        clear_cache()
+        assert stale == 0
+
 
 class TestDerivativeMatrix:
     def test_diagonal_zero(self):
@@ -147,6 +166,64 @@ class TestConvergence:
     def test_halfwidth_rejects_nondecaying_integrand(self):
         with pytest.raises(DomainError):
             OracleConfig().halfwidth(Q3, 1.0, exp_growth=1)
+
+
+class TestDeepWellsUnderDefaults:
+    @pytest.mark.parametrize("q", [30, 50])
+    def test_gram_and_closed_forms(self, q):
+        spec = PotentialSpec.for_integer_q(q)
+        nu = int(well_numbers(spec).nu)
+        gram = observable_matrix(spec, IDENTITY, OracleConfig()).entries
+        sinh = observable_matrix(spec, SINH_ALPHA_X, OracleConfig()).entries
+        coshd = observable_matrix(spec, COSH_DDX_OVER_ALPHA, OracleConfig()).entries
+        assert np.max(np.abs(gram - np.eye(q))) < 1e-12
+        assert np.max(np.abs(sinh - sinh_matrix(nu).entries)) < 1e-10
+        assert np.max(np.abs(coshd - cosh_ddx_matrix(nu).entries)) < 1e-10
+
+
+class TestMpmathReference:
+    """x and d/dx against mpmath quadrature of the closed-form states.
+
+    The states are built from mpmath's own gamma and Gegenbauer functions
+    and integrated with its tanh-sinh rule on the whole real line, so no
+    code path is shared with the oracle.
+    """
+
+    @staticmethod
+    def closed_form_state(mp, q, n):
+        """psi_n and d(psi_n)/dx for alpha = 1, in mpmath arithmetic."""
+        eps = q - n
+        lam = mp.mpf(eps) + mp.mpf(1) / 2
+        norm = mp.sqrt(mp.factorial(n) * mp.gamma(lam) * mp.gamma(2 * eps + 1)
+                       / (mp.sqrt(mp.pi) * mp.gamma(eps) * mp.gamma(2 * q - n + 1)))
+
+        def psi(x):
+            return norm * mp.sech(x) ** eps * mp.gegenbauer(n, lam, mp.tanh(x))
+
+        def dpsi(x):
+            u = mp.tanh(x)
+            poly = 2 * lam * mp.gegenbauer(n - 1, lam + 1, u) if n else 0
+            return norm * (mp.sech(x) ** (eps + 2) * poly
+                           - eps * u * mp.sech(x) ** eps * mp.gegenbauer(n, lam, u))
+
+        return psi, dpsi
+
+    @pytest.mark.parametrize("q", [30, 50])
+    def test_position_and_derivative(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        spec = PotentialSpec.for_integer_q(q)
+        x = observable_matrix(spec, POSITION_X).entries
+        r = derivative_matrix(spec).entries
+        breaks = [-mp.inf, -5, 0, 5, mp.inf]
+        with mpmath.workdps(20):
+            for n_prime, n in ((0, 1), (q - 2, q - 1)):
+                bra, _ = self.closed_form_state(mp, q, n_prime)
+                ket, dket = self.closed_form_state(mp, q, n)
+                ref_x = mp.quad(lambda t: bra(t) * t * ket(t), breaks)
+                ref_r = mp.quad(lambda t: bra(t) * dket(t), breaks)
+                assert abs(x[n_prime, n] - float(ref_x)) < 1e-11
+                assert abs(r[n_prime, n] - float(ref_r)) < 1e-11
 
 
 class TestResolutionDiagnostic:

@@ -219,3 +219,52 @@ class TestIntegrate:
                       gauss_legendre(4))
         assert err.value.abscissa is not None
         assert 0.5 < err.value.abscissa < 1.0
+
+
+class TestIntegratePairs:
+    """A (bra, ket) integrand: every product bra[i] * ket[j] in one contraction."""
+
+    @pytest.mark.parametrize("order", [3, 8, 24])
+    def test_polynomial_factors_exact_to_degree_2_order_minus_1(self, order):
+        rule = gauss_legendre(order)
+        bra_degrees = np.arange(order)
+        ket_degrees = np.arange(order)
+        got = integrate(lambda t: (t[None, :] ** bra_degrees[:, None],
+                                   t[None, :] ** ket_degrees[:, None]),
+                        -1.0, 1.0, rule, panels=2)
+        total = np.add.outer(bra_degrees, ket_degrees)
+        exact = np.where(total % 2 == 1, 0.0, 2.0 / (total + 1))
+        assert got.shape == (order, order)
+        assert np.max(np.abs(got - exact)) < 1e-13
+
+    def test_agrees_with_scalar_integrand(self):
+        rule = gauss_legendre(20)
+        got = integrate(lambda t: (np.stack([np.cos(t), t]), np.stack([np.exp(-t), t * t])),
+                        0.0, 2.0, rule, panels=3)
+        for i, bra in enumerate((np.cos, lambda t: t)):
+            for j, ket in enumerate((lambda t: np.exp(-t), lambda t: t * t)):
+                scalar = integrate(lambda t: bra(t) * ket(t), 0.0, 2.0, rule, panels=3)
+                assert got[i, j] == pytest.approx(scalar, abs=1e-14)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_reports_abscissa(self, side, bad):
+        def f(t):
+            factors = [np.ones((2, t.size)), np.ones((3, t.size))]
+            factors[side][-1] = np.where(t > 0.5, bad, 1.0)
+            return tuple(factors)
+
+        with pytest.raises(EvaluationError) as err:
+            integrate(f, 0.0, 1.0, gauss_legendre(4))
+        assert err.value.abscissa is not None
+        assert 0.5 < err.value.abscissa < 1.0
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_factor_without_node_last_axis_rejected(self, side):
+        def f(t):
+            factors = [np.ones((2, t.size)), np.ones((3, t.size))]
+            factors[side] = factors[side].T
+            return tuple(factors)
+
+        with pytest.raises(EvaluationError):
+            integrate(f, 0.0, 1.0, gauss_legendre(4))
