@@ -81,7 +81,6 @@ from .vibron import (
     exact_interaction,
     harmonic_interaction,
     harmonic_model,
-    jacobi_eigh,
     pair_basis,
     polyad_operator,
     spectro_from_potential,

@@ -12,14 +12,16 @@ Momentum convention: all matrices are real.  The derivative matrix R holds
 <n'| d/dx |n>; the physical momentum matrix is -i hbar R and is never
 stored in complex form.
 
-Everything is a pure function of its inputs and the result cache only
-ever receives idempotent writes, so concurrent use from multiple threads
-is safe.
+Everything is a pure function of its inputs.  The result cache is a
+bounded least-recently-used map guarded by a lock, and only ever receives
+idempotent writes, so concurrent use from multiple threads is safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,9 +65,9 @@ class Observable:
     exp(alpha |x|) factors in the weight's growth (1 for sinh and cosh,
     0 for anything at most cubic) and eats into the integrand's decay rate
     when the truncation window is sized.  Instances compare and hash by
-    identity.  The per-run result cache keys on the instance itself and so
-    holds a reference to it: an entry stays with its observable and is never
-    handed to a new one.
+    identity.  The result cache keys on the instance itself and so holds a
+    reference to it until the entry is evicted: an entry stays with its
+    observable and is never handed to a new one.
     """
 
     name: str
@@ -158,12 +160,17 @@ class OracleConfig:
         return min(hi / spec.alpha, self.max_halfwidth)
 
 
-_cache: dict = {}
+# Far above the handful of (spec, obs, cfg) keys one verify run reuses;
+# the bound keeps custom observables from piling up in a long-lived process.
+_CACHE_SIZE = 64
+_cache: OrderedDict = OrderedDict()
+_cache_lock = threading.Lock()
 
 
 def clear_cache() -> None:
     """Drop all cached oracle matrices (results are unaffected, only timing)."""
-    _cache.clear()
+    with _cache_lock:
+        _cache.clear()
 
 
 def _log_tail_amplitude(spec: PotentialSpec, nu: float, q: float, n: int) -> float:
@@ -265,12 +272,15 @@ def observable_matrix(spec: PotentialSpec, obs: Observable,
     widest per-pair window over the parity-allowed pairs.  Pairs whose
     parity forbids a nonzero element are written as exact zeros, so the
     characteristic zero patterns are noise-free.  Results are cached per
-    (spec, obs, cfg) within a run.
+    (spec, obs, cfg); the least recently used of more than 64 entries is
+    dropped.
     """
     key = (spec, obs, cfg)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    with _cache_lock:
+        hit = _cache.get(key)
+        if hit is not None:
+            _cache.move_to_end(key)
+            return hit
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 2:
         raise DomainError("observable_matrix requires an integer well parameter q >= 2")
@@ -282,7 +292,11 @@ def observable_matrix(spec: PotentialSpec, obs: Observable,
     if obs.parity != 0:
         m[(-1) ** np.add.outer(levels, levels) != obs.parity] = 0.0
     result = OperatorMatrix(m, bound_state_labels(spec), PHYSICAL_KIND)
-    _cache[key] = result
+    with _cache_lock:
+        _cache[key] = result
+        _cache.move_to_end(key)
+        while len(_cache) > _CACHE_SIZE:
+            _cache.popitem(last=False)
     return result
 
 

@@ -21,9 +21,10 @@ are left out.
 
 All four share the single-well bound-state energies on the diagonal, so
 differences in their spectra isolate the treatment of the interaction.
-Identical oscillators only; the spectrum solver is a cyclic Jacobi
-iteration for small dense symmetric matrices, operating on a private copy
-of its input (callers may share matrices freely across threads).
+Identical oscillators only.  Spectra come from LAPACK ``eigh`` run on the
+blocks into which each matrix decouples exactly (the connected components
+of its nonzero pattern); inputs are never modified, so callers may share
+matrices freely across threads.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "harmonic_interaction",
     "harmonic_model",
     "polyad_operator",
-    "jacobi_eigh",
     "spectrum",
     "compare_models",
     "INTERACTION_LEVELS",
@@ -283,78 +283,51 @@ def _combine(diag: OperatorMatrix, interaction: OperatorMatrix) -> OperatorMatri
     return OperatorMatrix(diag.entries + interaction.entries, diag.basis, diag.kind)
 
 
-def jacobi_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm falls below 1e-12 times
-    the initial Frobenius norm of the matrix.  Returns (values, vectors) in
-    the rotation order (unsorted); columns of ``vectors`` are eigenvectors.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    initial = np.linalg.norm(a)
-    if initial == 0.0 or n == 1:
-        return np.diag(a).copy(), vecs
-    target = 1e-12 * initial
-    for _ in range(60):
-        # Off-norm summed directly over off-diagonal entries; subtracting
-        # diagonal squares from the total norm cancels catastrophically near
-        # convergence and would stall the stopping test at ~sqrt(eps)||A||.
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        # Rotations below this threshold cannot move the off-norm past target.
-        skip = target / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = c * a[p, :] - s * a[q, :]
-                rq = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                cp = c * a[:, p] - s * a[:, q]
-                cq = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = cp, cq
-                vp = c * vecs[:, p] - s * vecs[:, q]
-                vq = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = vp, vq
-    else:
-        raise ArithmeticError("Jacobi iteration failed to converge")
-    return np.diag(a).copy(), vecs
-
-
 def _sorted_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi eigensystem sorted ascending; ties ordered by dominant basis index."""
-    vals, vecs = jacobi_eigh(matrix)
-    scale = max(float(np.max(np.abs(matrix))), 1e-300)
-    tie = 1e-9 * scale
-    dominant = np.argmax(np.abs(vecs), axis=0)
-    order = sorted(range(len(vals)), key=lambda i: (vals[i], dominant[i]))
-    # Within a degenerate cluster, reorder strictly by dominant component.
-    out = []
-    cluster = [order[0]]
-    for i in order[1:]:
-        if vals[i] - vals[cluster[-1]] <= tie:
-            cluster.append(i)
-        else:
-            out.extend(sorted(cluster, key=lambda k: dominant[k]))
-            cluster = [i]
-    out.extend(sorted(cluster, key=lambda k: dominant[k]))
-    idx = np.array(out)
-    return vals[idx], vecs[:, idx]
+    """LAPACK eigensystem of a symmetric matrix, solved block by block, sorted ascending.
+
+    The blocks are the connected components of the exact nonzero pattern
+    (polyads for su2 and crude, polyad parity for exact and zA-zB, single
+    levels at zero coupling).  Entries between blocks are exactly zero, so
+    the eigenvalues are those of the whole matrix.  Blocks of equal size go
+    to LAPACK as one stacked call; the sort is stable.
+    """
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    linked = a != 0.0
+    np.fill_diagonal(linked, False)
+    # Each component is labelled by its lowest index; isolated levels keep
+    # their own without a search, so a diagonal matrix costs no Python loop.
+    label = np.arange(n)
+    for seed in np.flatnonzero(linked.any(axis=1)):
+        if label[seed] != seed:
+            continue
+        reach = np.zeros(n, dtype=bool)
+        reach[seed] = True
+        frontier = reach.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reach
+            reach |= frontier
+        label[reach] = seed
+    size = np.bincount(label, minlength=n)[label]
+    order = np.lexsort((label, size))
+    vals, vecs = np.empty(n), np.zeros((n, n))
+    start = 0
+    for s, count in zip(*np.unique(size[order], return_counts=True)):
+        idx = order[start:start + count].reshape(-1, s)
+        start += count
+        w, v = np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])
+        vals[idx] = w
+        vecs[idx[:, :, None], idx[:, None, :]] = v
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
 
 
 def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
     The input must be symmetric within 1e-9 elementwise; it is symmetrized
-    exactly before the Jacobi iteration.
+    exactly and solved by LAPACK on its exactly decoupled blocks.
     """
     a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -364,9 +337,6 @@ def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
     sym = 0.5 * (a + a.T)
     vals, _ = _sorted_eigensystem(sym)
     return [float(v) for v in vals]
-
-
-MODEL_NAMES = ("su2", "exact", "crude", "zA-zB")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Quadrature oracle against closed forms, symmetry patterns, and convergence."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
+from mptsu2 import oracle
 from mptsu2.errors import DomainError, EvaluationError
 from mptsu2.ladder import cosh_ddx_matrix, sinh_matrix
 from mptsu2.oracle import (
@@ -115,14 +121,66 @@ class TestObservableMatrix:
     def test_cache_never_hands_a_matrix_to_a_new_observable(self):
         # A collected observable's id is reused by the next one created; a
         # cache keyed on id(obs) gave most of these weights a stale matrix.
+        # The cache is bounded, so evicted observables are released.
         clear_cache()
         stale = 0
+        largest = 0
+        first = None
         for c in range(1, 201):
             weight = Observable.custom(lambda x, c=c: c * np.ones_like(x), parity=+1)
+            if first is None:
+                first = weakref.ref(weight)
             gram = observable_matrix(Q3, weight).entries
             stale += bool(np.max(np.abs(gram - c * np.eye(3))) > 1e-9 * c)
+            largest = max(largest, len(oracle._cache))
+        del weight
+        gc.collect()
+        evicted_alive = first() is not None
         clear_cache()
         assert stale == 0
+        assert largest == oracle._CACHE_SIZE
+        assert not evicted_alive
+
+    def test_cache_keeps_recently_used_entries(self):
+        clear_cache()
+        kept = observable_matrix(Q3, POSITION_X)
+        for _ in range(oracle._CACHE_SIZE + 5):
+            observable_matrix(Q3, Observable.custom(np.cos, parity=+1))
+            assert observable_matrix(Q3, POSITION_X) is kept
+        clear_cache()
+
+    def test_cache_under_concurrent_eviction(self, monkeypatch):
+        # More threads than cores share three observables through a
+        # two-entry cache, so a hit is often on the entry another thread
+        # is about to evict.
+        monkeypatch.setattr(oracle, "_CACHE_SIZE", 2)
+        clear_cache()
+        shared = [Observable.custom(lambda x, s=s: s * np.ones_like(x), parity=+1)
+                  for s in (1.0, 2.0, 3.0)]
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for k in rng.integers(0, 3, size=300):
+                    gram = observable_matrix(Q3, shared[k]).entries
+                    assert np.max(np.abs(gram - (k + 1) * np.eye(3))) <= 1e-9
+            except Exception as err:  # a thread cannot fail the test itself
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_cache()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestDerivativeMatrix:

@@ -1,9 +1,11 @@
-"""Spectroscopic maps, coupled-oscillator models, and the Jacobi solver."""
+"""Spectroscopic maps, coupled-oscillator models, and the blocked LAPACK spectrum solver."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
@@ -17,7 +19,6 @@ from mptsu2.vibron import (
     diagonal_energies,
     exact_interaction,
     harmonic_model,
-    jacobi_eigh,
     pair_basis,
     polyad_operator,
     spectro_from_potential,
@@ -26,6 +27,7 @@ from mptsu2.vibron import (
     su2_hamiltonian,
     vibron_params_from_spectro,
 )
+from mptsu2.vibron import _sorted_eigensystem
 
 Q3 = PotentialSpec.for_integer_q(3)
 
@@ -122,6 +124,18 @@ class TestSu2Hamiltonian:
     def test_basis_larger_than_bound_count_rejected(self):
         with pytest.raises(DomainError):
             su2_hamiltonian(VibronParams(N=4, omega0=1.0), pair_basis(3))
+
+    @pytest.mark.parametrize("q", [3, 10, 15])
+    def test_coupling_is_the_crude_interaction(self, q):
+        # lam hbar omega0 / N = lam omega-tilde / nu, so the su(2) exchange
+        # and the crude boson coupling are one matrix.
+        spec = PotentialSpec.for_integer_q(q)
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=0.05)
+        h = su2_hamiltonian(vp, pair_basis(q)).entries
+        crude = approx_interaction(2 * q + 1, 0.05, interaction_frequency(spec),
+                                   spec.hbar, "crude").entries
+        scale = np.max(np.abs(crude))
+        assert np.max(np.abs(h - np.diag(np.diag(h)) - crude)) <= 1e-14 * scale
 
 
 class TestInteractions:
@@ -229,15 +243,52 @@ class TestSpectrumSolver:
         assert values[0] == pytest.approx(-1.0, abs=1e-12)
         assert values[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_residuals_on_random_symmetric(self):
+    def test_residuals_on_permuted_block_diagonal(self):
+        # Mixed block sizes, several of them equal, so both single and
+        # stacked LAPACK calls are exercised; the permutation scatters
+        # every block across the basis.
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(9, 9))
-        a = a + a.T
-        values, vectors = jacobi_eigh(a)
+        sizes = [1, 3, 2, 3, 1, 5, 3, 2, 1]
+        n = sum(sizes)
+        a = np.zeros((n, n))
+        start = 0
+        for s in sizes:
+            block = rng.normal(size=(s, s))
+            a[start:start + s, start:start + s] = block + block.T
+            start += s
+        perm = rng.permutation(n)
+        a = a[np.ix_(perm, perm)]
+        values, vectors = _sorted_eigensystem(a)
         norm = np.linalg.norm(a, 2)
-        for k in range(9):
-            residual = np.linalg.norm(a @ vectors[:, k] - values[k] * vectors[:, k])
-            assert residual <= 1e-9 * norm
+        assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-12 * norm
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-12
+        assert np.all(np.diff(values) >= 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_values_match_dense(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        keep = np.triu(rng.random((n, n)) < density)
+        a = np.where(keep | keep.T, a + a.T, 0.0)
+        values, _ = _sorted_eigensystem(a)
+        dense = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(values - dense)) <= 1e-12 * np.linalg.norm(a, 2)
+
+    def test_diagonal_returned_bit_for_bit(self):
+        d = np.random.default_rng(3).normal(size=40)
+        values, vectors = _sorted_eigensystem(np.diag(d))
+        assert np.array_equal(values, np.sort(d))
+        assert np.array_equal(vectors, np.eye(40)[:, np.argsort(d)])
+        assert spectrum(np.diag(d)) == sorted(d.tolist())
+
+    def test_su2_spectrum_is_ascending(self):
+        # Near-degenerate levels at q = 20 were once emitted in basis order.
+        spec = PotentialSpec.for_integer_q(20)
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=0.03)
+        values = spectrum(su2_hamiltonian(vp, pair_basis(20)))
+        assert np.all(np.diff(values) >= 0.0)
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(5)
