@@ -53,7 +53,6 @@ from .oracle import (
     Observable,
     OracleConfig,
     derivative_matrix,
-    matrix_element,
     observable_matrix,
 )
 from .expansion import (

@@ -2,7 +2,7 @@
 
 These drive the ``verify`` CLI command and are reused by the test suite.
 A check passes when measured <= tolerance; rows with an infinite tolerance
-are informational (sign-convention comparisons and similar diagnostics).
+are informational (diagnostics such as the narrow-well series step).
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def matelem_checks(spec: PotentialSpec,
 
 def expansion_checks(spec: PotentialSpec,
                      cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
-    """Order-1 identities, series convergence, and sign-convention diagnostics."""
+    """Order-1 identities, series convergence, and the parity pattern of x."""
     wn = well_numbers(spec)
     nu = int(round(wn.nu))
     if not wn.q_is_integer or nu < 7:
@@ -179,14 +179,6 @@ def expansion_checks(spec: PotentialSpec,
                           for i in range(x5.shape[0])])
     results.append(CheckResult("x expansion connects opposite parity only",
                                _max_abs(x5[even_mask]), 0.0))
-    r_oracle = derivative_matrix(spec, cfg).entries
-    for convention in ("series", "alternate", "alternate-mixed"):
-        dev = _max_abs(momentum_matrix_expansion(nu, alpha, spec.hbar, 3,
-                                                 convention).entries[sub]
-                       - r_oracle[sub])
-        results.append(CheckResult(
-            f"[info] momentum order-3 ({convention}) vs oracle, low levels",
-            dev, math.inf))
     return results
 
 

@@ -202,55 +202,25 @@ def position_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     return OperatorMatrix(total / alpha, basis, PHYSICAL_KIND)
 
 
-# The third-order momentum correction can be resolved with either overall
-# sign when reconstructed from the factored ordered-product form, and the
-# final lowering-lowering-lowering triple is ambiguous on its own; all three
-# readings are kept so the verify suite can show which one the oracle
-# supports.
-#   series           compose the sech series with the generator form of the
-#                    derivative: R = alpha (M - T^2 M / 2).  The oracle
-#                    comparison singles this one out; it is the default.
-#   alternate        correction with the opposite overall sign:
-#                    R = alpha (M + T^2 M / 2).
-#   alternate-mixed  as "alternate" but with the final lowering triple's
-#                    sign reverted.
-MOMENTUM_SIGN_CONVENTIONS = ("series", "alternate", "alternate-mixed")
-
-
 def momentum_matrix_expansion(nu: int, alpha: float, hbar: float = 1.0,
-                              order: int = 1,
-                              convention: str = "series") -> OperatorMatrix:
+                              order: int = 1) -> OperatorMatrix:
     """Real matrix R whose momentum matrix is -i hbar R.
 
     Order 1 is alpha times the closed-form cosh-derivative matrix; order 3
-    adds the sech-series correction under the chosen sign ``convention``.
+    composes the sech series with the generator form of the derivative,
+    R = alpha (M - T^2 M / 2), the sign the oracle comparison supports.
     ``hbar`` only fixes the documented -i hbar R convention; the returned
     entries are the derivative-representation and do not scale with it.
     """
     nu = _require_expansion_nu(nu, minimum=7)
     if order not in (1, 3):
         raise DomainError(f"momentum expansion order must be 1 or 3, got {order}")
-    if convention not in MOMENTUM_SIGN_CONVENTIONS:
-        raise DomainError(f"unknown momentum sign convention {convention!r}")
     up_x, down_x, up_p, down_p, basis = _expansion_pieces(nu)
     m = 0.5 * (down_p - up_p)
-    total = m.copy()
-    if order >= 3:
-        if convention == "alternate-mixed":
-            correction = np.zeros_like(m)
-            for first in (up_x, down_x):
-                for second in (up_x, down_x):
-                    correction += first @ second @ up_p
-                    sign = +1.0 if (first is down_x and second is down_x) else -1.0
-                    correction += sign * (first @ second @ down_p)
-            total -= correction / 16.0
-        elif convention == "alternate":
-            t = 0.5 * (up_x + down_x)
-            total += 0.5 * (t @ t @ m)
-        else:
-            t = 0.5 * (up_x + down_x)
-            total -= 0.5 * (t @ t @ m)
-    return OperatorMatrix(alpha * total, basis, PHYSICAL_KIND)
+    if order == 3:
+        t = 0.5 * (up_x + down_x)
+        m = m - 0.5 * (t @ t @ m)
+    return OperatorMatrix(alpha * m, basis, PHYSICAL_KIND)
 
 
 def _cross_weight(nu: int, n: int) -> float:

@@ -114,6 +114,25 @@ class TestMatelem:
                        "--method", "expansion")[0] == 2
 
 
+class TestOracleFlags:
+    @pytest.mark.parametrize("argv", [
+        ("matelem", "--q", "30", "--op", "x", "--method", "oracle"),
+        ("verify", "--q", "20", "--suite", "all"),
+    ], ids=["matelem", "verify"])
+    def test_panel_flag_changes_nothing(self, capsys, argv):
+        plain = run_cli(capsys, *argv, "--format", "json")
+        flagged = run_cli(capsys, *argv, "--format", "json", "--oracle-panels", "128")
+        assert plain[0] == 0
+        assert flagged == plain
+
+    @pytest.mark.parametrize("flag", ["--oracle-order", "--oracle-panels"])
+    def test_non_positive_oracle_flags_are_usage_errors(self, capsys, flag):
+        code, _, err = run_cli(capsys, "matelem", "--q", "3", "--op", "x",
+                               "--method", "oracle", flag, "0")
+        assert code == 2
+        assert "at least 1" in err
+
+
 class TestVerify:
     def test_algebra_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--nu", "7", "--suite", "algebra")

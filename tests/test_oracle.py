@@ -1,14 +1,10 @@
-"""Quadrature oracle against closed forms, symmetry patterns, and convergence."""
-
-import gc
-import sys
-import threading
-import weakref
+"""Quadrature oracle against closed forms, symmetry patterns, and exactness."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mptsu2 import oracle
 from mptsu2.errors import DomainError, EvaluationError
 from mptsu2.ladder import cosh_ddx_matrix, sinh_matrix
 from mptsu2.oracle import (
@@ -20,9 +16,7 @@ from mptsu2.oracle import (
     SINH_ALPHA_X,
     Observable,
     OracleConfig,
-    clear_cache,
     derivative_matrix,
-    matrix_element,
     observable_matrix,
 )
 from mptsu2.states import PotentialSpec, well_numbers
@@ -31,41 +25,34 @@ Q3 = PotentialSpec.for_integer_q(3)
 
 
 class TestMatrixElement:
+    """Single entries of whole oracle matrices."""
+
     def test_normalization(self):
         for q in (2, 3, 5):
             spec = PotentialSpec.for_integer_q(q)
-            assert matrix_element(spec, 0, 0, IDENTITY) == pytest.approx(1.0, abs=1e-10)
+            gram = observable_matrix(spec, IDENTITY).entries
+            assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_sinh_cross_element(self):
-        assert matrix_element(Q3, 0, 1, SINH_ALPHA_X) == pytest.approx(0.5, abs=1e-8)
+        assert observable_matrix(Q3, SINH_ALPHA_X).entries[0, 1] == pytest.approx(
+            0.5, abs=1e-8)
 
     def test_position_diagonal_vanishes_by_parity(self):
-        assert matrix_element(Q3, 0, 0, POSITION_X) == pytest.approx(0.0, abs=1e-10)
+        assert observable_matrix(Q3, POSITION_X).entries[0, 0] == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_potential_expectation_is_negative(self):
-        assert matrix_element(Q3, 0, 0, POTENTIAL) < -1.0
-
-    def test_out_of_range_state(self):
-        with pytest.raises(DomainError):
-            matrix_element(Q3, 0, 7, IDENTITY)
+        assert observable_matrix(Q3, POTENTIAL).entries[0, 0] < -1.0
 
     def test_non_finite_custom_observable(self):
-        bad = Observable.custom(lambda x: np.where(np.abs(x) > 1.0, np.nan, 1.0))
+        bad = Observable("bad", lambda x, spec: np.where(np.abs(x) > 1.0, np.nan, 1.0))
         with pytest.raises(EvaluationError):
-            matrix_element(Q3, 0, 0, bad)
-
-    def test_non_finite_weight_reports_position(self):
-        # The grid runs in s with alpha x = sinh(s); the error names x itself.
-        bad = Observable.custom(lambda x: np.where(np.abs(x) > 3.0, np.nan, 1.0))
-        with pytest.raises(EvaluationError) as err:
-            matrix_element(Q3, 0, 0, bad)
-        assert abs(err.value.abscissa) > 3.0
+            observable_matrix(Q3, bad)
 
     def test_custom_derivative_observable(self):
-        from mptsu2.ladder import cosh_ddx_matrix
-        weighted = Observable.custom(np.cosh, acts_on_derivative=True, parity=-1,
-                                     name="cosh_ddx")
-        got = matrix_element(Q3, 0, 1, weighted)
+        weighted = Observable("cosh_ddx", lambda x, spec: np.cosh(x),
+                              acts_on_derivative=True, parity=-1)
+        got = observable_matrix(Q3, weighted).entries[0, 1]
         assert got == pytest.approx(cosh_ddx_matrix(7).entries[0, 1], abs=1e-8)
 
 
@@ -111,77 +98,6 @@ class TestObservableMatrix:
         with pytest.raises(DomainError):
             observable_matrix(PotentialSpec.for_integer_q(1), IDENTITY)
 
-    def test_cache_returns_same_object(self):
-        clear_cache()
-        first = observable_matrix(Q3, POSITION_X)
-        assert observable_matrix(Q3, POSITION_X) is first
-        clear_cache()
-        assert observable_matrix(Q3, POSITION_X) is not first
-
-    def test_cache_never_hands_a_matrix_to_a_new_observable(self):
-        # A collected observable's id is reused by the next one created; a
-        # cache keyed on id(obs) gave most of these weights a stale matrix.
-        # The cache is bounded, so evicted observables are released.
-        clear_cache()
-        stale = 0
-        largest = 0
-        first = None
-        for c in range(1, 201):
-            weight = Observable.custom(lambda x, c=c: c * np.ones_like(x), parity=+1)
-            if first is None:
-                first = weakref.ref(weight)
-            gram = observable_matrix(Q3, weight).entries
-            stale += bool(np.max(np.abs(gram - c * np.eye(3))) > 1e-9 * c)
-            largest = max(largest, len(oracle._cache))
-        del weight
-        gc.collect()
-        evicted_alive = first() is not None
-        clear_cache()
-        assert stale == 0
-        assert largest == oracle._CACHE_SIZE
-        assert not evicted_alive
-
-    def test_cache_keeps_recently_used_entries(self):
-        clear_cache()
-        kept = observable_matrix(Q3, POSITION_X)
-        for _ in range(oracle._CACHE_SIZE + 5):
-            observable_matrix(Q3, Observable.custom(np.cos, parity=+1))
-            assert observable_matrix(Q3, POSITION_X) is kept
-        clear_cache()
-
-    def test_cache_under_concurrent_eviction(self, monkeypatch):
-        # More threads than cores share three observables through a
-        # two-entry cache, so a hit is often on the entry another thread
-        # is about to evict.
-        monkeypatch.setattr(oracle, "_CACHE_SIZE", 2)
-        clear_cache()
-        shared = [Observable.custom(lambda x, s=s: s * np.ones_like(x), parity=+1)
-                  for s in (1.0, 2.0, 3.0)]
-        errors = []
-
-        def work(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for k in rng.integers(0, 3, size=300):
-                    gram = observable_matrix(Q3, shared[k]).entries
-                    assert np.max(np.abs(gram - (k + 1) * np.eye(3))) <= 1e-9
-            except Exception as err:  # a thread cannot fail the test itself
-                errors.append(err)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-            clear_cache()
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-
 
 class TestDerivativeMatrix:
     def test_diagonal_zero(self):
@@ -204,30 +120,39 @@ class TestDerivativeMatrix:
 class TestConvergence:
     @pytest.mark.parametrize("obs", [IDENTITY, SINH_ALPHA_X, POSITION_X, DDX],
                              ids=["identity", "sinh", "x", "ddx"])
-    def test_panel_doubling_is_converged(self, obs):
-        spec = PotentialSpec.for_integer_q(10)
+    def test_node_count_doubling_is_invariant(self, obs):
+        # q + 2 nodes are already exact; 2q nodes change only the rounding.
+        q = 10
+        spec = PotentialSpec.for_integer_q(q)
         base = observable_matrix(spec, obs, OracleConfig()).entries
-        fine = observable_matrix(spec, obs, OracleConfig(panels=64)).entries
-        assert np.max(np.abs(base - fine)) < 1e-10
-
-    def test_halfwidth_respects_cap(self):
-        cfg = OracleConfig(max_halfwidth=5.0)
-        assert cfg.halfwidth(Q3, 2.0) == 5.0
+        fine = observable_matrix(spec, obs, OracleConfig(rule_order=2 * q)).entries
+        assert np.max(np.abs(base - fine)) < 1e-12
 
     def test_deep_well_with_finer_resolution(self):
-        # Default panels resolve q <= 10; a q = 60 edge state needs more.
+        # The default q + 2 nodes grow with the well; no setting is needed.
         spec = PotentialSpec.for_integer_q(60)
-        cfg = OracleConfig(rule_order=48, panels=64)
-        assert matrix_element(spec, 59, 59, IDENTITY, cfg) == pytest.approx(
-            1.0, abs=1e-10)
+        gram = observable_matrix(spec, IDENTITY).entries
+        assert gram[59, 59] == pytest.approx(1.0, abs=1e-10)
 
-    def test_halfwidth_rejects_nondecaying_integrand(self):
-        with pytest.raises(DomainError):
-            OracleConfig().halfwidth(Q3, 1.0, exp_growth=1)
+
+class TestScalingLaws:
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(0.25, 4.0), mu=st.floats(0.1, 10.0),
+           hbar=st.floats(0.1, 10.0), q=st.sampled_from([3, 10, 30]))
+    def test_alpha_scaling_laws(self, alpha, mu, hbar, q):
+        # In alpha x the states depend on q alone, so X scales as 1/alpha,
+        # R as alpha, and sinh and cosh-d/dx do not move; mu and hbar drop out.
+        spec = PotentialSpec.for_integer_q(q, alpha=alpha, mu=mu, hbar=hbar)
+        unit = PotentialSpec.for_integer_q(q)
+        for obs, scale in ((POSITION_X, alpha), (DDX, 1.0 / alpha),
+                           (SINH_ALPHA_X, 1.0), (COSH_DDX_OVER_ALPHA, 1.0)):
+            got = scale * observable_matrix(spec, obs).entries
+            ref = observable_matrix(unit, obs).entries
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDeepWellsUnderDefaults:
-    @pytest.mark.parametrize("q", [30, 50])
+    @pytest.mark.parametrize("q", [30, 50, 99, 150])
     def test_gram_and_closed_forms(self, q):
         spec = PotentialSpec.for_integer_q(q)
         nu = int(well_numbers(spec).nu)
@@ -282,15 +207,3 @@ class TestMpmathReference:
                 ref_r = mp.quad(lambda t: bra(t) * dket(t), breaks)
                 assert abs(x[n_prime, n] - float(ref_x)) < 1e-11
                 assert abs(r[n_prime, n] - float(ref_r)) < 1e-11
-
-
-class TestResolutionDiagnostic:
-    def test_incomplete_basis_closure_gap(self):
-        # Squaring the position matrix over the bound states alone cannot
-        # reproduce <0|x^2|0>; the q=5 gap is small but clearly nonzero.
-        spec = PotentialSpec.for_integer_q(5)
-        x = observable_matrix(spec, POSITION_X).entries
-        x_squared = Observable.custom(lambda t: t * t, parity=+1, name="x_squared")
-        direct = observable_matrix(spec, x_squared).entries
-        gap = abs((x @ x)[0, 0] - direct[0, 0])
-        assert 1e-7 < gap < 5e-2

@@ -367,7 +367,7 @@ class TestDeepWells:
         omega = interaction_frequency(spec)
         diag = diagonal_energies(spec, basis).entries
         exact = np.linalg.eigvalsh(
-            diag + exact_interaction(spec, basis, lam, OracleConfig(panels=128)).entries)
+            diag + exact_interaction(spec, basis, lam, OracleConfig()).entries)
         # At this coupling polyads 0, 1 and 2 are the six lowest levels.
         low_dev = {}
         for level in ("crude", "zA-zB"):
