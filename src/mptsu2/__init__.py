@@ -76,9 +76,9 @@ from .vibron import (
     VibronParams,
     approx_interaction,
     compare_models,
+    coupled_hamiltonian,
     diagonal_energies,
     exact_interaction,
-    harmonic_interaction,
     harmonic_model,
     pair_basis,
     polyad_operator,

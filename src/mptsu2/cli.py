@@ -20,11 +20,7 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, suite_for
 from .errors import DomainError, EvaluationError
-from .expansion import (
-    interaction_frequency,
-    momentum_matrix_expansion,
-    position_matrix_expansion,
-)
+from .expansion import momentum_matrix_expansion, position_matrix_expansion
 from .ladder import OperatorMatrix, cosh_ddx_matrix, sinh_matrix
 from .oracle import (
     COSH_DDX_OVER_ALPHA,
@@ -37,14 +33,10 @@ from .oracle import (
 from .states import PotentialSpec, bound_state_labels, energy, well_numbers
 from .vibron import (
     SpectroParams,
-    approx_interaction,
     compare_models,
-    diagonal_energies,
-    exact_interaction,
-    pair_basis,
+    coupled_hamiltonian,
     spectro_from_potential,
     spectrum,
-    su2_hamiltonian,
     vibron_params_from_spectro,
 )
 
@@ -67,6 +59,11 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default csv)")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--config", default=None,
+                        help="JSON config file; explicit flags override its values")
+
+
+def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle-order", type=int, default=None,
                         help="node count of the oracle's quadrature rule; the "
                              "default q + 2 is exact, smaller values "
@@ -75,8 +72,6 @@ def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
                         help="accepted (>= 1) and ignored: the oracle's rules "
                              "have no panels; kept only while the benchmark "
                              "passes it")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags override its values")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat = sub.add_parser("matelem", help="matrix elements of one operator")
     _add_well_arguments(p_mat)
     _add_output_arguments(p_mat)
+    _add_oracle_arguments(p_mat)
     p_mat.add_argument("--op", choices=("sinh", "coshd", "x", "p"), required=True)
     p_mat.add_argument("--method", choices=("closed", "oracle", "expansion"),
                        required=True)
@@ -103,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run invariant suites")
     _add_well_arguments(p_ver)
     _add_output_arguments(p_ver)
+    _add_oracle_arguments(p_ver)
     p_ver.add_argument("--suite", choices=SUITES, default="all")
     p_ver.add_argument("--nu", type=int, default=None,
                        help="multiplet dimension for the algebra suite")
@@ -112,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vib = sub.add_parser("vibron", help="coupled two-oscillator spectra")
     _add_well_arguments(p_vib)
     _add_output_arguments(p_vib)
+    _add_oracle_arguments(p_vib)
     p_vib.add_argument("--lambda", dest="lam", type=float, required=True)
     p_vib.add_argument("--model",
                        choices=("su2", "exact", "crude", "zA-zB", "compare"),
@@ -266,7 +264,7 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
         if op == "x":
             matrix = position_matrix_expansion(nu, spec.alpha, order)
         else:
-            matrix = momentum_matrix_expansion(nu, spec.alpha, spec.hbar, order)
+            matrix = momentum_matrix_expansion(nu, spec.alpha, order)
         reference = observable_matrix(spec, observables[op], cfg).entries
         rows = _matrix_rows(matrix, reference)
         meta["expansion_order"] = order
@@ -294,14 +292,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_vibron(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     cfg = _resolve_oracle(args)
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("coupled models need an integer well parameter q")
-    q = int(round(wn.q))
-    nu = int(round(wn.nu))
-    lam = args.lam
+    meta = _meta()
     if args.model == "compare":
-        report = compare_models(spec, lam, cfg)
+        report = compare_models(spec, args.lam, cfg)
         rows = []
         for i in range(report.dim):
             rows.append({
@@ -315,34 +308,15 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
                 "dev_crude": report.deviations["crude"][i],
                 "dev_zazb": report.deviations["zA-zB"][i],
             })
-        meta = _meta()
         meta["max_low_polyad_deviation"] = {
             k: report.max_low_polyad_deviation[k] for k in sorted(
                 report.max_low_polyad_deviation)}
-        _emit("vibron", _well_summary(spec), rows, meta, args)
-        return EXIT_OK
-    basis = pair_basis(wn.n_max + 1)
-    if args.model == "su2":
-        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
-                                        hbar=spec.hbar)
-        matrix = su2_hamiltonian(vp, basis).entries
     else:
-        diag = diagonal_energies(spec, basis).entries
-        if args.model == "exact":
-            if q < 3:
-                raise DomainError("the exact coupled model requires q >= 3")
-            matrix = diag + exact_interaction(spec, basis, lam, cfg).entries
-        else:
-            omega = interaction_frequency(spec)
-            matrix = diag + approx_interaction(nu, lam, omega, spec.hbar,
-                                               args.model).entries
-    values = spectrum(matrix)
-    polyads = basis.polyads
-    rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(values)]
-    meta = _meta()
-    meta["model"] = args.model
-    meta["lambda"] = lam
-    meta["basis_polyads"] = list(polyads)
+        matrix = coupled_hamiltonian(spec, args.model, args.lam, cfg)
+        rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(spectrum(matrix))]
+        meta["model"] = args.model
+        meta["lambda"] = args.lam
+        meta["basis_polyads"] = [n1 + n2 for n1, n2 in matrix.basis]
     _emit("vibron", _well_summary(spec), rows, meta, args)
     return EXIT_OK
 

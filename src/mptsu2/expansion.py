@@ -202,15 +202,13 @@ def position_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     return OperatorMatrix(total / alpha, basis, PHYSICAL_KIND)
 
 
-def momentum_matrix_expansion(nu: int, alpha: float, hbar: float = 1.0,
-                              order: int = 1) -> OperatorMatrix:
+def momentum_matrix_expansion(nu: int, alpha: float, order: int = 1) -> OperatorMatrix:
     """Real matrix R whose momentum matrix is -i hbar R.
 
     Order 1 is alpha times the closed-form cosh-derivative matrix; order 3
     composes the sech series with the generator form of the derivative,
     R = alpha (M - T^2 M / 2), the sign the oracle comparison supports.
-    ``hbar`` only fixes the documented -i hbar R convention; the returned
-    entries are the derivative-representation and do not scale with it.
+    R is the derivative representation and does not depend on hbar.
     """
     nu = _require_expansion_nu(nu, minimum=7)
     if order not in (1, 3):

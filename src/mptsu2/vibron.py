@@ -9,22 +9,25 @@ Four Hamiltonians over the same two-oscillator product basis are compared:
 * the extended ("zA-zB") approximation whose mixing weights add
   polyad-breaking pair-creation/annihilation blocks.
 
-The zA-zB coupling is built from ``consistent_boson_ops``, whose one-step
-channels match the x/p bosons to order 1/nu, not from the paper's
-first-order map ``approx_boson_ops``: that map drops arcsinh/sech series
-terms of the same order as the correction it keeps, overshoots the x/p
-boson elements (at n = 0 about twice as far as the crude model undershoots
-them) and degrades as the well deepens.  The three-step channels of the x/p
-bosons, <n+3|c+|n> = -sqrt((n+1)(n+2)(n+3))/(3 nu) and its n -> n-3
-partner, are also of order 1/nu but lie outside the two-channel form and
-are left out.
+Every coupling but the exact one has the exchange form
+s (c (x) c^T + c^T (x) c) for a single-oscillator creation matrix c, built
+by one Kronecker helper: su(2) takes <n+1|c|n> = sqrt(n+1) sqrt(1 - n/N)
+and s = lam hbar omega0, the harmonic reference the same c without the 1/N
+factor, crude and zA-zB the bosons of ``renormalized_generators`` /
+``consistent_boson_ops`` and s = lam hbar omega-tilde.  As hbar omega0 / N
+= hbar omega-tilde / nu, the su(2) coupling is the crude coupling, so
+``compare_models`` reports the crude solve as its su2 column.  The exact
+coupling stays apart: its oracle matrices of x and d/dx connect every
+pair of opposite-parity levels, not one step.
 
-All four share the single-well bound-state energies on the diagonal, so
-differences in their spectra isolate the treatment of the interaction.
-Identical oscillators only.  Spectra come from LAPACK ``eigh`` run on the
-blocks into which each matrix decouples exactly (the connected components
-of its nonzero pattern); inputs are never modified, so callers may share
-matrices freely across threads.
+The zA-zB bosons, and why the paper's first-order map is not used for
+them, are described at ``approx_interaction``.
+
+``coupled_hamiltonian`` assembles any one model from a well.  Identical
+oscillators only.  Spectra come from LAPACK ``eigh`` run on the blocks into
+which each matrix decouples exactly (the connected components of its
+nonzero pattern); inputs are never modified, so callers may share matrices
+freely across threads.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ __all__ = [
     "diagonal_energies",
     "exact_interaction",
     "approx_interaction",
-    "harmonic_interaction",
     "harmonic_model",
     "polyad_operator",
     "spectrum",
+    "coupled_hamiltonian",
     "compare_models",
     "INTERACTION_LEVELS",
 ]
@@ -159,10 +162,20 @@ def pair_basis(dim_single: int) -> TwoOscBasis:
     return TwoOscBasis(dim_single=dim_single, pairs=pairs)
 
 
-def _one_body_term(vp: VibronParams, n: int) -> float:
-    # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
-    # the normalization under which the spectroscopic map is exact.
-    return vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
+def _pair_sum(single: np.ndarray) -> np.ndarray:
+    """Diagonal matrix of e[n1] + e[n2] over the lexicographic pair basis."""
+    return np.diag(np.add.outer(single, single).ravel())
+
+
+def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
+    """Creation matrix <n+1|c|n> = sqrt(n+1) sqrt(1 - n/N); N = inf is harmonic."""
+    n = np.arange(dim - 1, dtype=float)
+    return np.diag(np.sqrt(n + 1.0) * np.sqrt(1.0 - n / n_boson), -1)
+
+
+def _exchange(create: np.ndarray, scale: float) -> np.ndarray:
+    """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c)."""
+    return scale * (np.kron(create, create.T) + np.kron(create.T, create))
 
 
 def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
@@ -175,25 +188,19 @@ def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
     if basis.dim_single > vp.N // 2:
         raise DomainError(
             f"basis dimension {basis.dim_single} exceeds the bound count {vp.N // 2}")
-    d = basis.dim
-    h = np.zeros((d, d))
-    index = {pair: i for i, pair in enumerate(basis.pairs)}
-    for i, (n1, n2) in enumerate(basis.pairs):
-        h[i, i] = _one_body_term(vp, n1) + _one_body_term(vp, n2)
-        if n2 >= 1 and (n1 + 1, n2 - 1) in index:
-            j = index[(n1 + 1, n2 - 1)]
-            elem = (vp.lam * vp.energy_quantum * math.sqrt(n2 * (n1 + 1))
-                    * math.sqrt((1.0 - (n2 - 1) / vp.N) * (1.0 - n1 / vp.N)))
-            h[j, i] = elem
-            h[i, j] = elem
+    n = np.arange(basis.dim_single, dtype=float)
+    # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
+    # the normalization under which the spectroscopic map is exact.
+    single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
+    h = _pair_sum(single) + _exchange(_creation(basis.dim_single, vp.N),
+                                      vp.lam * vp.energy_quantum)
     return OperatorMatrix(h, basis.pairs, TWO_OSC_KIND)
 
 
 def diagonal_energies(spec: PotentialSpec, basis: TwoOscBasis) -> OperatorMatrix:
     """Non-interacting two-well Hamiltonian: E_{n1} + E_{n2} on the diagonal."""
-    singles = [energy(spec, n) for n in range(basis.dim_single)]
-    diag = np.diag([singles[n1] + singles[n2] for n1, n2 in basis.pairs])
-    return OperatorMatrix(diag, basis.pairs, TWO_OSC_KIND)
+    singles = np.array([energy(spec, n) for n in range(basis.dim_single)])
+    return OperatorMatrix(_pair_sum(singles), basis.pairs, TWO_OSC_KIND)
 
 
 def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
@@ -237,25 +244,10 @@ def approx_interaction(nu: int, lam: float, omega_tilde: float,
     if level not in INTERACTION_LEVELS:
         raise DomainError(f"interaction level must be one of {INTERACTION_LEVELS}")
     ops = renormalized_generators(nu) if level == "crude" else consistent_boson_ops(nu)
-    create, destroy = ops.create.entries, ops.annihilate.entries
-    h = lam * hbar * omega_tilde * (np.kron(create, destroy) + np.kron(destroy, create))
+    create = ops.create.entries
     basis = pair_basis(create.shape[0])
-    return OperatorMatrix(h, basis.pairs, TWO_OSC_KIND)
-
-
-def harmonic_interaction(basis: TwoOscBasis, lam: float, omega_tilde: float,
-                         hbar: float = 1.0) -> OperatorMatrix:
-    """Pure harmonic exchange coupling lam hbar w sqrt(n2 (n1+1)), the N -> infinity limit."""
-    d = basis.dim
-    h = np.zeros((d, d))
-    index = {pair: i for i, pair in enumerate(basis.pairs)}
-    for i, (n1, n2) in enumerate(basis.pairs):
-        if n2 >= 1 and (n1 + 1, n2 - 1) in index:
-            j = index[(n1 + 1, n2 - 1)]
-            elem = lam * hbar * omega_tilde * math.sqrt(n2 * (n1 + 1))
-            h[j, i] = elem
-            h[i, j] = elem
-    return OperatorMatrix(h, basis.pairs, TWO_OSC_KIND)
+    return OperatorMatrix(_exchange(create, lam * hbar * omega_tilde), basis.pairs,
+                          TWO_OSC_KIND)
 
 
 def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> OperatorMatrix:
@@ -263,24 +255,20 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
 
     Each well is replaced by its bottom-of-well harmonic ladder
     -D + hbar w (n + 1/2) and the coupling by the harmonic exchange
-    elements; this is the traditional description the algebraic models are
+    lam hbar w sqrt(n2 (n1+1)), the N -> infinity limit of the su(2)
+    coupling; this is the traditional description the algebraic models are
     measured against.
     """
     omega = interaction_frequency(spec)
-    single = [-spec.D + spec.hbar * omega * (n + 0.5) for n in range(basis.dim_single)]
-    diag = np.diag([single[n1] + single[n2] for n1, n2 in basis.pairs])
-    coupling = harmonic_interaction(basis, lam, omega, spec.hbar)
-    return OperatorMatrix(diag + coupling.entries, basis.pairs, TWO_OSC_KIND)
+    single = -spec.D + spec.hbar * omega * (np.arange(basis.dim_single) + 0.5)
+    coupling = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
+    return OperatorMatrix(_pair_sum(single) + coupling, basis.pairs, TWO_OSC_KIND)
 
 
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     """Diagonal matrix of the polyad quantum number n1 + n2."""
     return OperatorMatrix(np.diag([float(p) for p in basis.polyads]),
                           basis.pairs, TWO_OSC_KIND)
-
-
-def _combine(diag: OperatorMatrix, interaction: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(diag.entries + interaction.entries, diag.basis, diag.kind)
 
 
 def _sorted_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +329,7 @@ def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Sorted spectra of the four coupled models and their deviations.
+    """Sorted spectra of the four coupled models and their deviations from exact.
 
     Eigenvalues are paired by sorted position; ``polyads`` carries the
     dominant-component polyad of the exact model's eigenvectors, which also
@@ -360,53 +348,60 @@ class ComparisonReport:
         return len(self.polyads)
 
 
+def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
+                        cfg: OracleConfig = OracleConfig()) -> OperatorMatrix:
+    """Two-oscillator Hamiltonian of one model for a well, over its bound pairs.
+
+    ``su2`` is ``su2_hamiltonian`` with its well-bottom diagonal; ``exact``,
+    ``crude`` and ``zA-zB`` add their coupling to the bound-state diagonal
+    ``diagonal_energies``.
+    """
+    wn = well_numbers(spec)
+    if not wn.q_is_integer:
+        raise DomainError("coupled models need an integer well parameter q")
+    basis = pair_basis(wn.n_max + 1)
+    if model == "su2":
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
+                                        hbar=spec.hbar)
+        return su2_hamiltonian(vp, basis)
+    if model == "exact":
+        if round(wn.q) < 3:
+            raise DomainError("the exact coupled model requires q >= 3")
+        coupling = exact_interaction(spec, basis, lam, cfg)
+    else:
+        coupling = approx_interaction(int(round(wn.nu)), lam, interaction_frequency(spec),
+                                      spec.hbar, model)
+    return OperatorMatrix(diagonal_energies(spec, basis).entries + coupling.entries,
+                          basis.pairs, TWO_OSC_KIND)
+
+
 def compare_models(spec: PotentialSpec, lam: float,
                    cfg: OracleConfig = OracleConfig()) -> ComparisonReport:
     """Spectra of the su(2), exact, crude, and zA-zB coupled models.
 
-    All four share the non-interacting bound-state diagonal, so at lam = 0
-    they coincide identically and at lam != 0 the comparison isolates the
-    interaction treatment.
+    All share the non-interacting bound-state diagonal, so at lam = 0 they
+    coincide identically and at lam != 0 the comparison isolates the
+    interaction treatment.  On that diagonal the su(2) exchange coupling is
+    the crude one (lam hbar omega0 / N = lam hbar omega-tilde / nu), so the
+    su2 column is the crude solve.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("model comparison requires an integer well parameter q >= 3")
-    nu = int(round(wn.nu))
-    basis = pair_basis(wn.n_max + 1)
-    diag = diagonal_energies(spec, basis)
-    omega = interaction_frequency(spec)
-    vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
-                                    hbar=spec.hbar)
-    su2_part = su2_hamiltonian(vp, basis)
-    su2_coupling = su2_part.entries - np.diag(np.diag(su2_part.entries))
-    models = {
-        "su2": diag.entries + su2_coupling,
-        "exact": _combine(diag, exact_interaction(spec, basis, lam, cfg)).entries,
-        "crude": _combine(diag, approx_interaction(nu, lam, omega, spec.hbar,
-                                                   "crude")).entries,
-        "zA-zB": _combine(diag, approx_interaction(nu, lam, omega, spec.hbar,
-                                                   "zA-zB")).entries,
-    }
-    exact_vals, exact_vecs = _sorted_eigensystem(0.5 * (models["exact"]
-                                                        + models["exact"].T))
-    polyads = tuple(basis.polyad(int(np.argmax(np.abs(exact_vecs[:, i]))))
-                    for i in range(basis.dim))
-    eigenvalues: dict[str, tuple[float, ...]] = {}
-    deviations: dict[str, tuple[float, ...]] = {}
-    max_low: dict[str, float] = {}
+    h = coupled_hamiltonian(spec, "exact", lam, cfg).entries
+    exact_vals, exact_vecs = _sorted_eigensystem(0.5 * (h + h.T))
+    pairs = pair_basis(wn.n_max + 1)
+    polyads = tuple(pairs.polyad(int(i)) for i in np.argmax(np.abs(exact_vecs), axis=0))
+    values = {name: np.asarray(spectrum(coupled_hamiltonian(spec, name, lam, cfg)))
+              for name in INTERACTION_LEVELS}
+    values = {"su2": values["crude"], "exact": exact_vals, **values}
     low = [i for i, p in enumerate(polyads) if p <= 2]
-    for name, h in models.items():
-        vals = (exact_vals if name == "exact"
-                else np.asarray(spectrum(h)))
-        eigenvalues[name] = tuple(float(v) for v in vals)
-        devs = tuple(float(abs(v - e)) for v, e in zip(vals, exact_vals))
-        deviations[name] = devs
-        max_low[name] = max((devs[i] for i in low), default=0.0)
+    deviations = {name: tuple(float(abs(v - e)) for v, e in zip(vals, exact_vals))
+                  for name, vals in values.items()}
     return ComparisonReport(
-        q=int(round(wn.q)),
-        lam=lam,
-        polyads=polyads,
-        eigenvalues=eigenvalues,
+        q=int(round(wn.q)), lam=lam, polyads=polyads,
+        eigenvalues={name: tuple(float(v) for v in vals) for name, vals in values.items()},
         deviations=deviations,
-        max_low_polyad_deviation=max_low,
+        max_low_polyad_deviation={name: max((devs[i] for i in low), default=0.0)
+                                  for name, devs in deviations.items()},
     )

@@ -168,7 +168,7 @@ def test_criterion_6_expansion_consistency():
             worst_first_order,
             np.max(np.abs(position_matrix_expansion(nu, alpha, 1).entries
                           - sinh_matrix(nu).entries / alpha)),
-            np.max(np.abs(momentum_matrix_expansion(nu, alpha, 1.0, 1).entries
+            np.max(np.abs(momentum_matrix_expansion(nu, alpha, 1).entries
                           - alpha * cosh_ddx_matrix(nu).entries)),
         )
     monotone = True

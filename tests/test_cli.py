@@ -132,6 +132,16 @@ class TestOracleFlags:
         assert code == 2
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--q", "2", "--oracle-order", "0", "--oracle-panels", "0"),
+        ("params", "--q", "3", "--oracle-panels", "0"),
+    ], ids=["spectrum", "params"])
+    def test_commands_without_an_oracle_reject_oracle_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_algebra_suite_passes(self, capsys):

@@ -141,21 +141,21 @@ class TestPositionExpansion:
 class TestMomentumExpansion:
     @pytest.mark.parametrize("nu", [7, 21, 41])
     def test_order_one_is_cosh_ddx_matrix(self, nu):
-        dev = (momentum_matrix_expansion(nu, 1.0, 1.0, 1).entries
+        dev = (momentum_matrix_expansion(nu, 1.0, 1).entries
                - cosh_ddx_matrix(nu).entries)
         assert np.max(np.abs(dev)) < 1e-12
 
     def test_order_one_against_oracle_lowest_transitions(self):
         r_oracle = derivative_matrix(spec_for(41)).entries
-        r1 = momentum_matrix_expansion(41, 1.0, 1.0, 1).entries
+        r1 = momentum_matrix_expansion(41, 1.0, 1).entries
         for i, j in ((0, 1), (1, 0)):
             assert abs((r1[i, j] - r_oracle[i, j]) / r_oracle[i, j]) < 0.05
 
     @pytest.mark.parametrize("nu", [21, 41])
     def test_order_three_reduces_antisymmetry_defect_low_levels(self, nu):
         sub = np.s_[:3, :3]
-        r1 = momentum_matrix_expansion(nu, 1.0, 1.0, 1).entries
-        r3 = momentum_matrix_expansion(nu, 1.0, 1.0, 3).entries
+        r1 = momentum_matrix_expansion(nu, 1.0, 1).entries
+        r3 = momentum_matrix_expansion(nu, 1.0, 3).entries
         defect1 = np.linalg.norm((r1 + r1.T)[sub])
         defect3 = np.linalg.norm((r3 + r3.T)[sub])
         assert defect3 < defect1
@@ -164,20 +164,20 @@ class TestMomentumExpansion:
     def test_order_three_improves_oracle_agreement(self, nu):
         r_oracle = derivative_matrix(spec_for(nu)).entries
         sub = np.s_[:3, :3]
-        dev1 = np.max(np.abs(momentum_matrix_expansion(nu, 1.0, 1.0, 1).entries[sub]
+        dev1 = np.max(np.abs(momentum_matrix_expansion(nu, 1.0, 1).entries[sub]
                              - r_oracle[sub]))
-        dev3 = np.max(np.abs(momentum_matrix_expansion(nu, 1.0, 1.0, 3).entries[sub]
+        dev3 = np.max(np.abs(momentum_matrix_expansion(nu, 1.0, 3).entries[sub]
                              - r_oracle[sub]))
         assert dev3 < dev1
 
     def test_harmonic_ratio_at_large_nu(self):
         # <1|d/dx|0> tends to -sqrt(mu omega / 2 hbar) in the harmonic limit.
-        entry = momentum_matrix_expansion(101, 1.0, 1.0, 1).entries[1, 0]
+        entry = momentum_matrix_expansion(101, 1.0, 1).entries[1, 0]
         harmonic = -math.sqrt(101.0 / 4.0)
         assert entry / harmonic == pytest.approx(1.0, abs=0.02)
 
     def test_parity_zeros(self):
-        r3 = momentum_matrix_expansion(21, 1.0, 1.0, 3).entries
+        r3 = momentum_matrix_expansion(21, 1.0, 3).entries
         for i in range(r3.shape[0]):
             for j in range(r3.shape[0]):
                 if (i + j) % 2 == 0:
@@ -185,9 +185,9 @@ class TestMomentumExpansion:
 
     def test_order_validation(self):
         with pytest.raises(DomainError):
-            momentum_matrix_expansion(21, 1.0, 1.0, 5)
+            momentum_matrix_expansion(21, 1.0, 5)
         with pytest.raises(DomainError):
-            momentum_matrix_expansion(5, 1.0, 1.0, 1)
+            momentum_matrix_expansion(5, 1.0, 1)
 
 
 class TestBosonMapWeights:

@@ -19,7 +19,7 @@ from mptsu2.oracle import (
     derivative_matrix,
     observable_matrix,
 )
-from mptsu2.states import PotentialSpec, well_numbers
+from mptsu2.states import PotentialSpec, energy, well_numbers
 
 Q3 = PotentialSpec.for_integer_q(3)
 
@@ -142,8 +142,12 @@ class TestScalingLaws:
     def test_alpha_scaling_laws(self, alpha, mu, hbar, q):
         # In alpha x the states depend on q alone, so X scales as 1/alpha,
         # R as alpha, and sinh and cosh-d/dx do not move; mu and hbar drop out.
+        # The energies scale as (alpha hbar)^2 / mu.
         spec = PotentialSpec.for_integer_q(q, alpha=alpha, mu=mu, hbar=hbar)
         unit = PotentialSpec.for_integer_q(q)
+        got = np.array([energy(spec, n) for n in range(q)]) * mu / (alpha * hbar) ** 2
+        ref = np.array([energy(unit, n) for n in range(q)])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         for obs, scale in ((POSITION_X, alpha), (DDX, 1.0 / alpha),
                            (SINH_ALPHA_X, 1.0), (COSH_DDX_OVER_ALPHA, 1.0)):
             got = scale * observable_matrix(spec, obs).entries

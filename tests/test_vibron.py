@@ -125,6 +125,33 @@ class TestSu2Hamiltonian:
         with pytest.raises(DomainError):
             su2_hamiltonian(VibronParams(N=4, omega0=1.0), pair_basis(3))
 
+    @pytest.mark.parametrize("q", [3, 10, 20])
+    def test_whole_matrix_matches_the_coupling_formula(self, q):
+        # Every off-diagonal entry, element by element; entries outside the
+        # one-step exchange pattern must be exact zeros, because the blocked
+        # eigensolver splits the matrix on them.
+        lam = 0.05
+        vp = vibron_params_from_spectro(spectro_from_potential(
+            PotentialSpec.for_integer_q(q)), lam=lam)
+        basis = pair_basis(q)
+        h = su2_hamiltonian(vp, basis).entries
+        n_boson = vp.N
+        for i, (a1, a2) in enumerate(basis.pairs):
+            for j, (b1, b2) in enumerate(basis.pairs):
+                if i == j:
+                    continue
+                if (b1, b2) == (a1 + 1, a2 - 1):
+                    n1, n2 = a1, a2
+                elif (a1, a2) == (b1 + 1, b2 - 1):
+                    n1, n2 = b1, b2
+                else:
+                    assert h[i, j] == 0.0
+                    continue
+                expected = (lam * vp.energy_quantum * math.sqrt(n2 * (n1 + 1))
+                            * math.sqrt((1.0 - (n2 - 1) / n_boson)
+                                        * (1.0 - n1 / n_boson)))
+                assert abs(h[i, j] - expected) <= 1e-14 * abs(expected)
+
     @pytest.mark.parametrize("q", [3, 10, 15])
     def test_coupling_is_the_crude_interaction(self, q):
         # lam hbar omega0 / N = lam omega-tilde / nu, so the su(2) exchange
@@ -314,12 +341,14 @@ class TestCompareModels:
                 for n1 in range(3) for n2 in range(3)]
         assert np.allclose(sorted(base), report.eigenvalues["exact"], atol=1e-12)
 
-    def test_su2_column_equals_crude_column(self):
+    @pytest.mark.parametrize("q", [3, 10])
+    def test_su2_column_equals_crude_column(self, q):
         # The omega0 sqrt(N)-normalized coupling and the omega-tilde
-        # sqrt(nu)-normalized one are algebraically identical.
-        report = compare_models(Q3, 0.05)
-        assert np.allclose(report.eigenvalues["su2"], report.eigenvalues["crude"],
-                           atol=1e-10)
+        # sqrt(nu)-normalized one are algebraically identical, so the su2
+        # column is the crude solve itself.
+        report = compare_models(PotentialSpec.for_integer_q(q), 0.05)
+        assert report.eigenvalues["su2"] == report.eigenvalues["crude"]
+        assert report.deviations["su2"] == report.deviations["crude"]
 
     def test_crude_beats_fully_harmonic_description(self):
         report = compare_models(Q3, 0.05)
