@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -165,6 +166,12 @@ def _resolve_oracle(args: argparse.Namespace) -> OracleConfig:
     return OracleConfig(getattr(args, "oracle_order", None))
 
 
+def _resolve_lambda(args: argparse.Namespace) -> float:
+    if not math.isfinite(args.lam):
+        raise DomainError(f"--lambda must be finite, got {args.lam}")
+    return args.lam
+
+
 def _well_summary(spec: PotentialSpec | None) -> dict[str, float]:
     if spec is None:
         return {}
@@ -278,7 +285,7 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args, required=False)
     cfg = _resolve_oracle(args)
-    results = suite_for(args.suite, spec, args.nu, lam=args.lam, cfg=cfg)
+    results = suite_for(args.suite, spec, args.nu, lam=_resolve_lambda(args), cfg=cfg)
     rows = [
         {"check": r.name, "measured": r.measured, "tolerance": r.tolerance,
          "status": "pass" if r.passed else "fail"}
@@ -292,9 +299,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_vibron(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     cfg = _resolve_oracle(args)
+    lam = _resolve_lambda(args)
     meta = _meta()
     if args.model == "compare":
-        report = compare_models(spec, args.lam, cfg)
+        report = compare_models(spec, lam, cfg)
         rows = []
         for i in range(report.dim):
             rows.append({
@@ -312,10 +320,10 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
             k: report.max_low_polyad_deviation[k] for k in sorted(
                 report.max_low_polyad_deviation)}
     else:
-        matrix = coupled_hamiltonian(spec, args.model, args.lam, cfg)
+        matrix = coupled_hamiltonian(spec, args.model, lam, cfg)
         rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(spectrum(matrix))]
         meta["model"] = args.model
-        meta["lambda"] = args.lam
+        meta["lambda"] = lam
         meta["basis_polyads"] = [n1 + n2 for n1, n2 in matrix.basis]
     _emit("vibron", _well_summary(spec), rows, meta, args)
     return EXIT_OK

@@ -35,7 +35,7 @@ from .ladder import (
     build_su2_matrices,
     project_physical,
 )
-from .oracle import POSITION_X, OracleConfig, derivative_matrix, observable_matrix
+from .oracle import OracleConfig, derivative_matrix, position_from_derivative
 from .states import PotentialSpec, StateLabel, well_numbers
 
 __all__ = [
@@ -346,15 +346,15 @@ def physical_boson_ops(spec: PotentialSpec,
         raise DomainError("physical boson operators require an integer q >= 3")
     nu = int(round(wn.nu))
     omega = interaction_frequency(spec)
-    x_mat = observable_matrix(spec, POSITION_X, cfg)
     r_mat = derivative_matrix(spec, cfg)
+    x = position_from_derivative(spec, r_mat.entries)
     a = math.sqrt(spec.mu * omega / (2.0 * spec.hbar))
     b = math.sqrt(spec.hbar / (2.0 * spec.mu * omega))
-    create = a * x_mat.entries - b * r_mat.entries
-    annihilate = a * x_mat.entries + b * r_mat.entries
+    create = a * x - b * r_mat.entries
+    annihilate = a * x + b * r_mat.entries
     return BosonPair(
-        create=OperatorMatrix(create, x_mat.basis, PHYSICAL_KIND),
-        annihilate=OperatorMatrix(annihilate, x_mat.basis, PHYSICAL_KIND),
+        create=OperatorMatrix(create, r_mat.basis, PHYSICAL_KIND),
+        annihilate=OperatorMatrix(annihilate, r_mat.basis, PHYSICAL_KIND),
         nu=nu,
         kind=PHYSICAL_BOSON,
     )

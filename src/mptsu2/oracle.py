@@ -51,6 +51,7 @@ __all__ = [
     "POTENTIAL",
     "observable_matrix",
     "derivative_matrix",
+    "position_from_derivative",
 ]
 
 
@@ -142,11 +143,7 @@ def observable_matrix(spec: PotentialSpec, obs: Observable,
     alpha = spec.alpha
     levels = np.arange(wn.n_max + 1)
     if obs is POSITION_X:
-        # E_n' - E_n = (alpha hbar)^2 / (2 mu) (n' - n)(2q - n' - n): hbar and mu
-        # cancel.  The diagonal, where X vanishes by parity, is masked below.
-        gap = np.subtract.outer(levels, levels) * (2 * q - np.add.outer(levels, levels))
-        np.fill_diagonal(gap, 1)
-        m = -2.0 * observable_matrix(spec, DDX, cfg).entries / (alpha ** 2 * gap)
+        m = position_from_derivative(spec, observable_matrix(spec, DDX, cfg).entries)
     elif obs is DDX:
         m = _contract(spec, obs, lambda t: (-np.log(np.tan(0.5 * t)) / alpha,
                                             1.0 / (alpha * np.sin(t))),
@@ -158,6 +155,23 @@ def observable_matrix(spec: PotentialSpec, obs: Observable,
     if obs.parity != 0:
         m[(-1) ** np.add.outer(levels, levels) != obs.parity] = 0.0
     return OperatorMatrix(m, bound_state_labels(spec), PHYSICAL_KIND)
+
+
+def position_from_derivative(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
+    """The x matrix from a built R by (E_n' - E_n) X_n'n = -(hbar^2 / mu) R_n'n.
+
+    With E_n' - E_n = (alpha hbar)^2 / (2 mu) (n' - n)(2q - n' - n), hbar and
+    mu cancel.  Entries between levels of equal parity, the diagonal
+    included, are exact zeros.  This is the x of ``observable_matrix``
+    for the R of ``derivative_matrix``, bit for bit.
+    """
+    q = round(well_numbers(spec).q)
+    levels = np.arange(r.shape[0])
+    gap = np.subtract.outer(levels, levels) * (2 * q - np.add.outer(levels, levels))
+    np.fill_diagonal(gap, 1)
+    x = -2.0 * r / (spec.alpha ** 2 * gap)
+    x[np.add.outer(levels, levels) % 2 == 0] = 0.0
+    return x
 
 
 def derivative_matrix(spec: PotentialSpec,

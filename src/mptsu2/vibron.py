@@ -28,12 +28,22 @@ oscillators only.  Spectra come from LAPACK ``eigh`` run on the blocks into
 which each matrix decouples exactly (the connected components of its
 nonzero pattern); inputs are never modified, so callers may share matrices
 freely across threads.
+
+Every dense temporary of the d = q^2 pair space costs q^4 doubles (48 MiB
+at q = 50), so the models are built in place: one Kronecker product per
+exchange coupling, the exact coupling accumulated from one R, the
+bound-state diagonal added into the coupling.  No d x d eigenvector matrix
+is formed: ``spectrum`` keeps only eigenvalues, and ``compare_models``
+takes each exact eigenvector's dominant basis index inside its block and
+drops each Hamiltonian before LAPACK runs.  Building a model or comparing
+all four holds at most about two dense d x d arrays at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +54,7 @@ from .expansion import (
     renormalized_generators,
 )
 from .ladder import OperatorMatrix, TWO_OSC_KIND
-from .oracle import POSITION_X, OracleConfig, derivative_matrix, observable_matrix
+from .oracle import OracleConfig, derivative_matrix, position_from_derivative
 from .states import PotentialSpec, energy, well_numbers
 
 __all__ = [
@@ -162,9 +172,22 @@ def pair_basis(dim_single: int) -> TwoOscBasis:
     return TwoOscBasis(dim_single=dim_single, pairs=pairs)
 
 
-def _pair_sum(single: np.ndarray) -> np.ndarray:
-    """Diagonal matrix of e[n1] + e[n2] over the lexicographic pair basis."""
-    return np.diag(np.add.outer(single, single).ravel())
+def _add_pair_diagonal(h: np.ndarray, single: np.ndarray) -> np.ndarray:
+    """Add e[n1] + e[n2] to the diagonal of h in place, over the lexicographic pair basis.
+
+    Adding +0.0 first turns each -0.0 of h into +0.0 (-0.0 + 0.0 = +0.0), as
+    a sum with a dense diagonal matrix would: LAPACK's Householder steps take
+    the sign of a zero entry, so the eigenvalues' last bits would otherwise
+    depend on how the coupling's products rounded to zero.
+    """
+    h += 0.0
+    i = np.arange(h.shape[0])
+    h[i, i] += np.add.outer(single, single).ravel()
+    return h
+
+
+def _level_energies(spec: PotentialSpec, dim: int) -> np.ndarray:
+    return np.array([energy(spec, n) for n in range(dim)])
 
 
 def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
@@ -174,8 +197,15 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
 
 
 def _exchange(create: np.ndarray, scale: float) -> np.ndarray:
-    """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c)."""
-    return scale * (np.kron(create, create.T) + np.kron(create.T, create))
+    """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c).
+
+    c^T (x) c is (c (x) c^T)^T entry for entry (the same products), so one
+    Kronecker product K gives the coupling as scale (K + K^T).
+    """
+    k = np.kron(create, create.T)
+    h = k + k.T
+    h *= scale
+    return h
 
 
 def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
@@ -192,15 +222,15 @@ def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
     # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
     # the normalization under which the spectroscopic map is exact.
     single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
-    h = _pair_sum(single) + _exchange(_creation(basis.dim_single, vp.N),
-                                      vp.lam * vp.energy_quantum)
-    return OperatorMatrix(h, basis.pairs, TWO_OSC_KIND)
+    h = _exchange(_creation(basis.dim_single, vp.N), vp.lam * vp.energy_quantum)
+    return OperatorMatrix(_add_pair_diagonal(h, single), basis.pairs, TWO_OSC_KIND)
 
 
 def diagonal_energies(spec: PotentialSpec, basis: TwoOscBasis) -> OperatorMatrix:
     """Non-interacting two-well Hamiltonian: E_{n1} + E_{n2} on the diagonal."""
-    singles = np.array([energy(spec, n) for n in range(basis.dim_single)])
-    return OperatorMatrix(_pair_sum(singles), basis.pairs, TWO_OSC_KIND)
+    h = np.zeros((basis.dim, basis.dim))
+    return OperatorMatrix(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
+                          basis.pairs, TWO_OSC_KIND)
 
 
 def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
@@ -215,12 +245,20 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
         raise DomainError("the exact coupled model requires an integer well parameter q")
     if basis.dim_single != wn.n_max + 1:
         raise DomainError("basis dimension must equal the bound-state count")
-    omega = interaction_frequency(spec)
-    x = observable_matrix(spec, POSITION_X, cfg).entries
+    return OperatorMatrix(_exact_coupling(spec, lam, cfg), basis.pairs, TWO_OSC_KIND)
+
+
+def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> np.ndarray:
+    """The matrix of ``exact_interaction``, accumulated in place from one R."""
     r = derivative_matrix(spec, cfg).entries
-    h = lam * (-spec.hbar ** 2 / spec.mu * np.kron(r, r)
-               + spec.mu * omega ** 2 * np.kron(x, x))
-    return OperatorMatrix(h, basis.pairs, TWO_OSC_KIND)
+    x = position_from_derivative(spec, r)
+    h = np.kron(r, r)
+    h *= -spec.hbar ** 2 / spec.mu
+    k = np.kron(x, x)
+    k *= spec.mu * interaction_frequency(spec) ** 2
+    h += k
+    h *= lam
+    return h
 
 
 def approx_interaction(nu: int, lam: float, omega_tilde: float,
@@ -241,13 +279,17 @@ def approx_interaction(nu: int, lam: float, omega_tilde: float,
     order-1/nu three-step channel -sqrt((n+1)(n+2)(n+3))/(3 nu) (and its
     n -> n-3 partner) lies outside the two-channel form and is left out.
     """
-    if level not in INTERACTION_LEVELS:
-        raise DomainError(f"interaction level must be one of {INTERACTION_LEVELS}")
-    ops = renormalized_generators(nu) if level == "crude" else consistent_boson_ops(nu)
-    create = ops.create.entries
+    create = _boson_creation(nu, level)
     basis = pair_basis(create.shape[0])
     return OperatorMatrix(_exchange(create, lam * hbar * omega_tilde), basis.pairs,
                           TWO_OSC_KIND)
+
+
+def _boson_creation(nu: int, level: str) -> np.ndarray:
+    if level not in INTERACTION_LEVELS:
+        raise DomainError(f"interaction level must be one of {INTERACTION_LEVELS}")
+    ops = renormalized_generators(nu) if level == "crude" else consistent_boson_ops(nu)
+    return ops.create.entries
 
 
 def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> OperatorMatrix:
@@ -261,8 +303,8 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
     """
     omega = interaction_frequency(spec)
     single = -spec.D + spec.hbar * omega * (np.arange(basis.dim_single) + 0.5)
-    coupling = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
-    return OperatorMatrix(_pair_sum(single) + coupling, basis.pairs, TWO_OSC_KIND)
+    h = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
+    return OperatorMatrix(_add_pair_diagonal(h, single), basis.pairs, TWO_OSC_KIND)
 
 
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
@@ -271,21 +313,16 @@ def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
                           basis.pairs, TWO_OSC_KIND)
 
 
-def _sorted_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigensystem of a symmetric matrix, solved block by block, sorted ascending.
+def _block_labels(a: np.ndarray) -> np.ndarray:
+    """Label each index by the lowest index of its connected component.
 
-    The blocks are the connected components of the exact nonzero pattern
-    (polyads for su2 and crude, polyad parity for exact and zA-zB, single
-    levels at zero coupling).  Entries between blocks are exactly zero, so
-    the eigenvalues are those of the whole matrix.  Blocks of equal size go
-    to LAPACK as one stacked call; the sort is stable.
+    The components are those of the exact nonzero pattern off the diagonal;
+    isolated levels keep their own label without a search, so a diagonal
+    matrix costs no Python loop.
     """
-    a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     linked = a != 0.0
     np.fill_diagonal(linked, False)
-    # Each component is labelled by its lowest index; isolated levels keep
-    # their own without a search, so a diagonal matrix costs no Python loop.
     label = np.arange(n)
     for seed in np.flatnonzero(linked.any(axis=1)):
         if label[seed] != seed:
@@ -297,34 +334,74 @@ def _sorted_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             frontier = linked[frontier].any(axis=0) & ~reach
             reach |= frontier
         label[reach] = seed
-    size = np.bincount(label, minlength=n)[label]
+    return label
+
+
+def _eigh_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """LAPACK ``eigh`` of a symmetric matrix on the blocks into which it decouples exactly.
+
+    The blocks are the connected components of the exact nonzero pattern
+    (polyads for su2 and crude, polyad parity for exact and zA-zB, single
+    levels at zero coupling).  Entries between blocks are exactly zero, so
+    the eigenpairs of the blocks are those of the whole matrix.  Blocks of
+    equal size s go to LAPACK as one stacked call, which yields
+    ``(idx, w, v)``: row b of ``idx`` (k, s) lists one block's basis indices
+    ascending, ``w[b]`` its eigenvalues ascending and the columns of
+    ``v[b]`` (s, s) its eigenvectors.  No d x d eigenvector matrix is formed.
+    """
+    label = _block_labels(a)
+    size = np.bincount(label, minlength=a.shape[0])[label]
     order = np.lexsort((label, size))
-    vals, vecs = np.empty(n), np.zeros((n, n))
     start = 0
     for s, count in zip(*np.unique(size[order], return_counts=True)):
         idx = order[start:start + count].reshape(-1, s)
         start += count
         w, v = np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])
-        vals[idx] = w
-        vecs[idx[:, :, None], idx[:, None, :]] = v
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+        yield idx, w, v
+
+
+def _symmetrized(matrix: OperatorMatrix | np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 in one new buffer, once a is finite and symmetric within 1e-9.
+
+    The same buffer first holds |a - a^T| for the symmetry gate.
+    """
+    a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("spectrum requires a square matrix")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has a non-finite entry")
+    buf = np.subtract(a, a.T)
+    if np.abs(buf, out=buf).max() > 1e-9:
+        raise DomainError("matrix is not symmetric within 1e-9")
+    np.add(a, a.T, out=buf)
+    buf *= 0.5
+    return buf
+
+
+def _solve(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues, each with its eigenvector's dominant basis index.
+
+    The dominant index is the largest |component|, the first in basis order
+    on ties; it is found per block, where the eigenvectors live.  The sort
+    is stable.
+    """
+    values = np.empty(sym.shape[0])
+    dominant = np.empty(sym.shape[0], dtype=int)
+    for idx, w, v in _eigh_blocks(sym):
+        values[idx] = w
+        dominant[idx] = np.take_along_axis(idx, np.abs(v, out=v).argmax(axis=1), axis=1)
+    order = np.argsort(values, kind="stable")
+    return values[order], dominant[order]
 
 
 def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
-    The input must be symmetric within 1e-9 elementwise; it is symmetrized
-    exactly and solved by LAPACK on its exactly decoupled blocks.
+    The input must be finite and symmetric within 1e-9 elementwise
+    (``DomainError`` otherwise); it is symmetrized exactly and solved by
+    LAPACK on its exactly decoupled blocks.  Eigenvectors are not kept.
     """
-    a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("spectrum requires a square matrix")
-    if np.max(np.abs(a - a.T)) > 1e-9:
-        raise DomainError("matrix is not symmetric within 1e-9")
-    sym = 0.5 * (a + a.T)
-    vals, _ = _sorted_eigensystem(sym)
-    return [float(v) for v in vals]
+    return _solve(_symmetrized(matrix))[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -332,8 +409,10 @@ class ComparisonReport:
     """Sorted spectra of the four coupled models and their deviations from exact.
 
     Eigenvalues are paired by sorted position; ``polyads`` carries the
-    dominant-component polyad of the exact model's eigenvectors, which also
-    defines the low-polyad (n1 + n2 <= 2) deviation summary.
+    polyad of each exact eigenvector's dominant component (its largest
+    |component|, found within the eigenvector's block; the first in basis
+    order on ties), which also defines the low-polyad (n1 + n2 <= 2)
+    deviation summary.
     """
 
     q: int
@@ -367,11 +446,11 @@ def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
     if model == "exact":
         if round(wn.q) < 3:
             raise DomainError("the exact coupled model requires q >= 3")
-        coupling = exact_interaction(spec, basis, lam, cfg)
+        h = _exact_coupling(spec, lam, cfg)
     else:
-        coupling = approx_interaction(int(round(wn.nu)), lam, interaction_frequency(spec),
-                                      spec.hbar, model)
-    return OperatorMatrix(diagonal_energies(spec, basis).entries + coupling.entries,
+        h = _exchange(_boson_creation(int(round(wn.nu)), model),
+                      lam * spec.hbar * interaction_frequency(spec))
+    return OperatorMatrix(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
                           basis.pairs, TWO_OSC_KIND)
 
 
@@ -383,16 +462,19 @@ def compare_models(spec: PotentialSpec, lam: float,
     coincide identically and at lam != 0 the comparison isolates the
     interaction treatment.  On that diagonal the su(2) exchange coupling is
     the crude one (lam hbar omega0 / N = lam hbar omega-tilde / nu), so the
-    su2 column is the crude solve.
+    su2 column is the crude solve.  The exact eigenvectors are never
+    gathered into one matrix: each one's dominant basis index is read off
+    inside its block, which is all the polyad labels need.  Each
+    Hamiltonian is dropped before the next is built.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("model comparison requires an integer well parameter q >= 3")
-    h = coupled_hamiltonian(spec, "exact", lam, cfg).entries
-    exact_vals, exact_vecs = _sorted_eigensystem(0.5 * (h + h.T))
+    # Each Hamiltonian is dropped once symmetrized, before LAPACK runs.
+    exact_vals, dominant = _solve(_symmetrized(coupled_hamiltonian(spec, "exact", lam, cfg)))
     pairs = pair_basis(wn.n_max + 1)
-    polyads = tuple(pairs.polyad(int(i)) for i in np.argmax(np.abs(exact_vecs), axis=0))
-    values = {name: np.asarray(spectrum(coupled_hamiltonian(spec, name, lam, cfg)))
+    polyads = tuple(pairs.polyad(int(i)) for i in dominant)
+    values = {name: _solve(_symmetrized(coupled_hamiltonian(spec, name, lam, cfg)))[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}
     low = [i for i, p in enumerate(polyads) if p <= 2]

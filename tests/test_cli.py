@@ -204,6 +204,21 @@ class TestVibron:
         assert len(rows) == 9
 
 
+class TestNonFiniteCoupling:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("vibron", "--q", "3", "--model", "exact"),
+        ("vibron", "--q", "3", "--model", "compare"),
+        ("verify", "--q", "3", "--suite", "vibron"),
+        ("verify", "--q", "3", "--suite", "all"),
+    ])
+    def test_rejected_as_usage_error(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv, f"--lambda={value}")
+        assert code == 2
+        assert out == ""
+        assert "--lambda must be finite" in err
+
+
 class TestParams:
     def test_from_well(self, capsys):
         code, out, _ = run_cli(capsys, "params", "--q", "2")

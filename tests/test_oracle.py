@@ -18,6 +18,7 @@ from mptsu2.oracle import (
     OracleConfig,
     derivative_matrix,
     observable_matrix,
+    position_from_derivative,
 )
 from mptsu2.states import PotentialSpec, energy, well_numbers
 
@@ -115,6 +116,14 @@ class TestDerivativeMatrix:
     def test_cosh_weighted_variant_matches_closed_form(self):
         got = observable_matrix(Q3, COSH_DDX_OVER_ALPHA).entries
         assert np.max(np.abs(got - cosh_ddx_matrix(7).entries)) < 1e-8
+
+
+class TestPositionFromDerivative:
+    @pytest.mark.parametrize("q", [2, 3, 10, 31])
+    def test_is_the_oracle_x_bit_for_bit(self, q):
+        spec = PotentialSpec.for_integer_q(q, alpha=1.3, mu=0.7, hbar=1.1)
+        x = position_from_derivative(spec, derivative_matrix(spec).entries)
+        assert x.tobytes() == observable_matrix(spec, POSITION_X).entries.tobytes()
 
 
 class TestConvergence:

@@ -1,12 +1,15 @@
 """Spectroscopic maps, coupled-oscillator models, and the blocked LAPACK spectrum solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mptsu2 import oracle
+from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
 from mptsu2.oracle import OracleConfig
@@ -27,9 +30,17 @@ from mptsu2.vibron import (
     su2_hamiltonian,
     vibron_params_from_spectro,
 )
-from mptsu2.vibron import _sorted_eigensystem
+from mptsu2.vibron import _eigh_blocks
 
 Q3 = PotentialSpec.for_integer_q(3)
+
+
+def block_values(a):
+    """Ascending eigenvalues gathered from the block solver."""
+    values = np.full(a.shape[0], np.nan)
+    for idx, w, _ in _eigh_blocks(a):
+        values[idx] = w
+    return np.sort(values, kind="stable")
 
 
 class TestSpectroMaps:
@@ -285,11 +296,20 @@ class TestSpectrumSolver:
             start += s
         perm = rng.permutation(n)
         a = a[np.ix_(perm, perm)]
-        values, vectors = _sorted_eigensystem(a)
         norm = np.linalg.norm(a, 2)
-        assert np.max(np.abs(a @ vectors - vectors * values)) <= 1e-12 * norm
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-12
-        assert np.all(np.diff(values) >= 0.0)
+        seen, found_sizes = [], []
+        for idx, w, v in _eigh_blocks(a):
+            block = a[idx[:, :, None], idx[:, None, :]]
+            eye = np.eye(idx.shape[1])
+            assert np.max(np.abs(block @ v - v * w[:, None, :])) <= 1e-12 * norm
+            assert np.max(np.abs(v.transpose(0, 2, 1) @ v - eye)) <= 1e-12
+            assert np.all(np.diff(idx, axis=1) > 0)
+            seen.extend(idx.ravel().tolist())
+            found_sizes.extend([idx.shape[1]] * idx.shape[0])
+        # The blocks are the planted ones and partition the basis.
+        assert sorted(seen) == list(range(n))
+        assert sorted(found_sizes) == sorted(sizes)
+        assert np.all(np.diff(spectrum(a)) >= 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 14), density=st.floats(0.0, 1.0),
@@ -299,15 +319,17 @@ class TestSpectrumSolver:
         a = rng.normal(size=(n, n))
         keep = np.triu(rng.random((n, n)) < density)
         a = np.where(keep | keep.T, a + a.T, 0.0)
-        values, _ = _sorted_eigensystem(a)
         dense = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(values - dense)) <= 1e-12 * np.linalg.norm(a, 2)
+        assert np.max(np.abs(block_values(a) - dense)) <= 1e-12 * np.linalg.norm(a, 2)
 
     def test_diagonal_returned_bit_for_bit(self):
         d = np.random.default_rng(3).normal(size=40)
-        values, vectors = _sorted_eigensystem(np.diag(d))
-        assert np.array_equal(values, np.sort(d))
-        assert np.array_equal(vectors, np.eye(40)[:, np.argsort(d)])
+        # Forty 1 x 1 blocks in one stacked call: each eigenvector is exactly 1.
+        (idx, w, v), = _eigh_blocks(np.diag(d))
+        assert idx.shape == (40, 1)
+        assert np.array_equal(w[:, 0], d[idx[:, 0]])
+        assert np.array_equal(v, np.ones((40, 1, 1)))
+        assert np.array_equal(block_values(np.diag(d)), np.sort(d))
         assert spectrum(np.diag(d)) == sorted(d.tolist())
 
     def test_su2_spectrum_is_ascending(self):
@@ -327,6 +349,14 @@ class TestSpectrumSolver:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected(self, value, where):
+        a = np.array([[0.0, 0.0], [0.0, 1.0]])
+        a[where] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            spectrum(a)
 
     def test_degenerate_eigenvalues_ordered_stably(self):
         values = spectrum(np.diag([2.0, 2.0, -1.0]))
@@ -385,6 +415,47 @@ class TestCompareModels:
     def test_requires_q_at_least_three(self):
         with pytest.raises(DomainError):
             compare_models(PotentialSpec.for_integer_q(2), 0.05)
+
+
+class TestResourceUse:
+    """Each d/dx contraction and each dense d x d temporary costs q^2 or q^4."""
+
+    @staticmethod
+    def count_ddx(monkeypatch):
+        calls = []
+        contract = oracle._contract
+        monkeypatch.setattr(oracle, "_contract",
+                            lambda spec, obs, *rest: calls.append(obs.name)
+                            or contract(spec, obs, *rest))
+        return calls
+
+    def test_exact_interaction_builds_one_derivative_matrix(self, monkeypatch):
+        calls = self.count_ddx(monkeypatch)
+        exact_interaction(Q3, pair_basis(3), 0.05)
+        assert calls == ["ddx"]
+
+    def test_full_verify_suite_builds_four_derivative_matrices(self, monkeypatch):
+        # matelem, expansion (x), and the exact model at lambda = 0 and at lambda.
+        calls = self.count_ddx(monkeypatch)
+        suite_for("all", PotentialSpec.for_integer_q(8), None)
+        assert calls.count("ddx") == 4
+
+    @pytest.mark.parametrize("run", ["compare_models", "vibron_checks"])
+    def test_peak_memory_is_at_most_four_dense_matrices(self, run):
+        spec = PotentialSpec.for_integer_q(20)
+        call = {"compare_models": lambda: compare_models(spec, 0.03),
+                "vibron_checks": lambda: vibron_checks(spec)}[run]
+        call()
+        dense = (20 * 20) ** 2 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * dense
 
 
 class TestDeepWells:
