@@ -35,6 +35,7 @@ from .oracle import (
 )
 from .states import PotentialSpec, energy, wavefunction, well_numbers
 from .vibron import (
+    _slabs,
     approx_interaction,
     compare_models,
     exact_interaction,
@@ -166,10 +167,8 @@ def expansion_checks(spec: PotentialSpec,
     x_oracle = observable_matrix(spec, POSITION_X, cfg).entries
     k = min(3, x_oracle.shape[0])
     sub = np.s_[:k, :k]
-    devs = [
-        _max_abs(position_matrix_expansion(nu, alpha, order).entries[sub] - x_oracle[sub])
-        for order in (1, 3, 5)
-    ]
+    series = [position_matrix_expansion(nu, alpha, order).entries for order in (1, 3, 5)]
+    devs = [_max_abs(x[sub] - x_oracle[sub]) for x in series]
     worst_step = max(devs[1] - devs[0], devs[2] - devs[1])
     if nu >= 15:
         results.append(CheckResult(
@@ -179,9 +178,9 @@ def expansion_checks(spec: PotentialSpec,
         # converge on the compared block; report without gating.
         results.append(CheckResult(
             "[info] x expansion order-to-order step (narrow well)", worst_step, math.inf))
-    x5 = position_matrix_expansion(nu, alpha, 5).entries
-    even_mask = np.array([[(i + j) % 2 == 0 for j in range(x5.shape[0])]
-                          for i in range(x5.shape[0])])
+    x5 = series[-1]
+    i = np.arange(x5.shape[0])
+    even_mask = np.add.outer(i, i) % 2 == 0
     results.append(CheckResult("x expansion connects opposite parity only",
                                _max_abs(x5[even_mask]), 0.0))
     return results
@@ -191,8 +190,9 @@ def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
                   cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
     """Coupled-model structure: coincidence at zero coupling, symmetries, polyad.
 
-    Each coupling is built, checked and dropped before the next, so at most
-    two d x d matrices are alive at once.
+    Each coupling is built, checked and dropped before the next, and every
+    defect is a max over row slabs (``vibron._slabs``), so one d x d matrix
+    and slab-sized temporaries are alive at once.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
@@ -202,23 +202,23 @@ def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
     coincide = max(max(d) for d in report0.deviations.values())
     basis = pair_basis(wn.n_max + 1)
     n = basis.dim_single
+    slabs = _slabs(n * n, n * n)
     omega = interaction_frequency(spec)
 
     def exchange_defect(h: np.ndarray) -> float:
         # Swapping the oscillators maps entry ((i1, i2), (j1, j2)) to ((i2, i1), (j2, j1)).
         h4 = h.reshape(n, n, n, n)
-        return _max_abs_diff(h4.transpose(1, 0, 3, 2), h4)
+        return max(_max_abs_diff(h4[:, i1].transpose(1, 0, 3, 2), h4[i1])
+                   for i1 in _slabs(n * n, n))
 
     h = exact_interaction(spec, basis, lam, cfg).entries
-    symmetry = _max_abs_diff(h, h.T)
+    symmetry = max(_max_abs_diff(h[s], h[:, s].T) for s in slabs)
     exchange = [exchange_defect(h)]
     del h
     h = approx_interaction(nu, lam, omega, spec.hbar, "crude").entries
     polyads = np.array(basis.polyads, dtype=float)
-    commutator = np.subtract.outer(polyads, polyads)
-    commutator *= h
-    polyad_defect = float(np.abs(commutator, out=commutator).max())
-    del commutator
+    polyad_defect = max(_max_abs(np.subtract.outer(polyads[s], polyads) * h[s])
+                        for s in slabs)
     exchange.append(exchange_defect(h))
     del h
     exchange.append(exchange_defect(

@@ -125,21 +125,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from an optional JSON config file."""
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill unset options from an optional JSON config file.
+
+    Each value goes through its option's ``type`` and ``choices`` as the
+    same text on the command line would; a value that fails is a usage
+    error.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
     with open(path, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise DomainError("config file must hold a JSON object")
+    command = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in command.choices[args.command]._actions
+               if hasattr(args, a.dest)}
     for key, value in values.items():
         attr = key.replace("-", "_")
         if attr == "lambda":
             attr = "lam"
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        action = actions.get(attr)
+        if action is None or getattr(args, attr) is not None:
+            continue
+        try:
+            converted = action.type(str(value)) if action.type else str(value)
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise DomainError(f"config value {key} = {value!r} is not a valid "
+                              f"{action.option_strings[0]} argument") from None
+        setattr(args, attr, converted)
 
 
 def _resolve_spec(args: argparse.Namespace, required: bool = True) -> PotentialSpec | None:
@@ -375,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")

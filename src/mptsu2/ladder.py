@@ -56,6 +56,11 @@ class OperatorMatrix:
     physical bound-state branch (dim (nu - 1)/2), or a two-oscillator
     product space.  ``basis`` lists StateLabel values ascending in n for the
     single-well kinds, or (n1, n2) pairs for the product kind.
+
+    ``entries`` is copied into a read-only float64 array, unless it already
+    is a read-only float64 ndarray that owns its data: such an array is
+    adopted as is, so a builder that freezes its new matrix hands it over
+    without a second d x d copy.
     """
 
     entries: np.ndarray
@@ -63,7 +68,10 @@ class OperatorMatrix:
     kind: str
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        m = self.entries
+        if not (type(m) is np.ndarray and m.dtype == np.float64
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("operator matrix must be square")
         if len(self.basis) != m.shape[0]:

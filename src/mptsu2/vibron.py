@@ -30,13 +30,17 @@ nonzero pattern); inputs are never modified, so callers may share matrices
 freely across threads.
 
 Every dense temporary of the d = q^2 pair space costs q^4 doubles (48 MiB
-at q = 50), so the models are built in place: one Kronecker product per
-exchange coupling, the exact coupling accumulated from one R, the
-bound-state diagonal added into the coupling.  No d x d eigenvector matrix
-is formed: ``spectrum`` keeps only eigenvalues, and ``compare_models``
-takes each exact eigenvector's dominant basis index inside its block and
-drops each Hamiltonian before LAPACK runs.  Building a model or comparing
-all four holds at most about two dense d x d arrays at once.
+at q = 50), so each model is built, symmetrized and checked in one d x d
+array: the Kronecker products are written into its (n, n, n, n) view slab
+by slab, the bound-state diagonal is added into it, and the exact
+symmetrization works on it in row slabs.  Frozen, that array is adopted
+by ``OperatorMatrix`` without a copy.  No d x d eigenvector matrix is
+formed: ``spectrum`` keeps only eigenvalues, and ``compare_models`` takes
+each exact eigenvector's dominant basis index inside its block.  Every
+other temporary is one slab of about max(2^14, d^1.5) entries
+(``_slabs``), so building a model, or comparing all four at zero
+coupling, holds one dense d x d array at a time; at nonzero coupling
+LAPACK's stacked blocks add about one more.
 """
 
 from __future__ import annotations
@@ -196,16 +200,48 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
     return np.diag(np.sqrt(n + 1.0) * np.sqrt(1.0 - n / n_boson), -1)
 
 
+def _slabs(d: int, count: int) -> list[slice]:
+    """Group the ``count`` equal row blocks of a d x d array into consecutive slabs.
+
+    A slab spans about max(2^14, d^1.5) entries: d^1.5 keeps each
+    temporary a 1/sqrt(d) share of one d x d array, and the 2^14 floor
+    keeps numpy's per-call cost small next to the arithmetic when d is
+    small.
+    """
+    step = max(1, max(2 ** 14, d * math.isqrt(d)) * count // (d * d or 1))
+    return [slice(r, r + step) for r in range(0, count, step)]
+
+
+def _kron_rows(a: np.ndarray, b: np.ndarray, rows: slice,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The i1 in ``rows`` of np.kron(a, b), in its (n, n, n, n) view.
+
+    Each entry is the product a[i1, j1] * b[i2, j2] that ``np.kron`` forms.
+    """
+    return np.multiply(a[rows, None, :, None], b[None, :, None, :], out=out)
+
+
 def _exchange(create: np.ndarray, scale: float) -> np.ndarray:
     """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c).
 
-    c^T (x) c is (c (x) c^T)^T entry for entry (the same products), so one
-    Kronecker product K gives the coupling as scale (K + K^T).
+    c^T (x) c is (c (x) c^T)^T entry for entry (the same products), so the
+    result is symmetric bit for bit.  Both products are formed slab by slab
+    into the one d x d result.
     """
-    k = np.kron(create, create.T)
-    h = k + k.T
-    h *= scale
+    n = create.shape[0]
+    h = np.empty((n * n, n * n))
+    h4 = h.reshape(n, n, n, n)
+    for rows in _slabs(n * n, n):
+        slab = _kron_rows(create, create.T, rows, out=h4[rows])
+        slab += _kron_rows(create.T, create, rows)
+        slab *= scale
     return h
+
+
+def _pair_operator(h: np.ndarray, pairs: tuple) -> OperatorMatrix:
+    """Freeze a newly built pair-space matrix, so ``OperatorMatrix`` adopts it uncopied."""
+    h.setflags(write=False)
+    return OperatorMatrix(h, pairs, TWO_OSC_KIND)
 
 
 def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
@@ -223,14 +259,14 @@ def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
     # the normalization under which the spectroscopic map is exact.
     single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
     h = _exchange(_creation(basis.dim_single, vp.N), vp.lam * vp.energy_quantum)
-    return OperatorMatrix(_add_pair_diagonal(h, single), basis.pairs, TWO_OSC_KIND)
+    return _pair_operator(_add_pair_diagonal(h, single), basis.pairs)
 
 
 def diagonal_energies(spec: PotentialSpec, basis: TwoOscBasis) -> OperatorMatrix:
     """Non-interacting two-well Hamiltonian: E_{n1} + E_{n2} on the diagonal."""
     h = np.zeros((basis.dim, basis.dim))
-    return OperatorMatrix(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
-                          basis.pairs, TWO_OSC_KIND)
+    return _pair_operator(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
+                          basis.pairs)
 
 
 def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
@@ -245,19 +281,29 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
         raise DomainError("the exact coupled model requires an integer well parameter q")
     if basis.dim_single != wn.n_max + 1:
         raise DomainError("basis dimension must equal the bound-state count")
-    return OperatorMatrix(_exact_coupling(spec, lam, cfg), basis.pairs, TWO_OSC_KIND)
+    return _pair_operator(_exact_coupling(spec, lam, cfg), basis.pairs)
 
 
 def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> np.ndarray:
-    """The matrix of ``exact_interaction``, accumulated in place from one R."""
+    """The matrix of ``exact_interaction``, formed slab by slab from one R.
+
+    Each entry is lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)), rounded as
+    the whole-matrix Kronecker products would be.
+    """
     r = derivative_matrix(spec, cfg).entries
     x = position_from_derivative(spec, r)
-    h = np.kron(r, r)
-    h *= -spec.hbar ** 2 / spec.mu
-    k = np.kron(x, x)
-    k *= spec.mu * interaction_frequency(spec) ** 2
-    h += k
-    h *= lam
+    rr_scale = -spec.hbar ** 2 / spec.mu
+    xx_scale = spec.mu * interaction_frequency(spec) ** 2
+    n = r.shape[0]
+    h = np.empty((n * n, n * n))
+    h4 = h.reshape(n, n, n, n)
+    for rows in _slabs(n * n, n):
+        slab = _kron_rows(r, r, rows, out=h4[rows])
+        slab *= rr_scale
+        xx = _kron_rows(x, x, rows)
+        xx *= xx_scale
+        slab += xx
+        slab *= lam
     return h
 
 
@@ -281,8 +327,7 @@ def approx_interaction(nu: int, lam: float, omega_tilde: float,
     """
     create = _boson_creation(nu, level)
     basis = pair_basis(create.shape[0])
-    return OperatorMatrix(_exchange(create, lam * hbar * omega_tilde), basis.pairs,
-                          TWO_OSC_KIND)
+    return _pair_operator(_exchange(create, lam * hbar * omega_tilde), basis.pairs)
 
 
 def _boson_creation(nu: int, level: str) -> np.ndarray:
@@ -304,13 +349,12 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
     omega = interaction_frequency(spec)
     single = -spec.D + spec.hbar * omega * (np.arange(basis.dim_single) + 0.5)
     h = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
-    return OperatorMatrix(_add_pair_diagonal(h, single), basis.pairs, TWO_OSC_KIND)
+    return _pair_operator(_add_pair_diagonal(h, single), basis.pairs)
 
 
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     """Diagonal matrix of the polyad quantum number n1 + n2."""
-    return OperatorMatrix(np.diag([float(p) for p in basis.polyads]),
-                          basis.pairs, TWO_OSC_KIND)
+    return _pair_operator(np.diag([float(p) for p in basis.polyads]), basis.pairs)
 
 
 def _block_labels(a: np.ndarray) -> np.ndarray:
@@ -360,22 +404,29 @@ def _eigh_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
         yield idx, w, v
 
 
-def _symmetrized(matrix: OperatorMatrix | np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2 in one new buffer, once a is finite and symmetric within 1e-9.
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Overwrite a with (a + a^T) / 2, once a is finite and symmetric within 1e-9.
 
-    The same buffer first holds |a - a^T| for the symmetry gate.
+    Works on row slabs (``_slabs``), pairing each slab's rows with the
+    matching columns; entries (i, j) and (j, i) of the result are equal bit
+    for bit because IEEE addition commutes.  If the symmetry gate fails, a
+    is left part-way.
     """
-    a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("spectrum requires a square matrix")
-    if not np.isfinite(a).all():
+    slabs = _slabs(a.shape[0], a.shape[0])
+    if not all(np.isfinite(a[s]).all() for s in slabs):
         raise DomainError("matrix has a non-finite entry")
-    buf = np.subtract(a, a.T)
-    if np.abs(buf, out=buf).max() > 1e-9:
-        raise DomainError("matrix is not symmetric within 1e-9")
-    np.add(a, a.T, out=buf)
-    buf *= 0.5
-    return buf
+    for s in slabs:
+        upper, lower = a[s, s.start:], a[s.start:, s].T
+        t = np.subtract(upper, lower)
+        if np.abs(t, out=t).max() > 1e-9:
+            raise DomainError("matrix is not symmetric within 1e-9")
+        np.add(upper, lower, out=t)
+        t *= 0.5
+        upper[...] = t
+        lower[...] = t
+    return a
 
 
 def _solve(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,10 +449,12 @@ def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
     """Ascending eigenvalues of a (nearly) symmetric matrix.
 
     The input must be finite and symmetric within 1e-9 elementwise
-    (``DomainError`` otherwise); it is symmetrized exactly and solved by
-    LAPACK on its exactly decoupled blocks.  Eigenvectors are not kept.
+    (``DomainError`` otherwise).  It is copied once and never modified; the
+    copy is symmetrized exactly in place and solved by LAPACK on its exactly
+    decoupled blocks.  Eigenvectors are not kept.
     """
-    return _solve(_symmetrized(matrix))[0].tolist()
+    a = matrix.entries if isinstance(matrix, OperatorMatrix) else matrix
+    return _solve(_symmetrize(np.array(a, dtype=float)))[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -443,6 +496,13 @@ def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
         vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
                                         hbar=spec.hbar)
         return su2_hamiltonian(vp, basis)
+    return _pair_operator(_coupled_matrix(spec, model, lam, cfg), basis.pairs)
+
+
+def _coupled_matrix(spec: PotentialSpec, model: str, lam: float,
+                    cfg: OracleConfig) -> np.ndarray:
+    """The new, writeable matrix of ``coupled_hamiltonian`` for any model but su2."""
+    wn = well_numbers(spec)
     if model == "exact":
         if round(wn.q) < 3:
             raise DomainError("the exact coupled model requires q >= 3")
@@ -450,8 +510,7 @@ def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
     else:
         h = _exchange(_boson_creation(int(round(wn.nu)), model),
                       lam * spec.hbar * interaction_frequency(spec))
-    return OperatorMatrix(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
-                          basis.pairs, TWO_OSC_KIND)
+    return _add_pair_diagonal(h, _level_energies(spec, wn.n_max + 1))
 
 
 def compare_models(spec: PotentialSpec, lam: float,
@@ -465,16 +524,16 @@ def compare_models(spec: PotentialSpec, lam: float,
     su2 column is the crude solve.  The exact eigenvectors are never
     gathered into one matrix: each one's dominant basis index is read off
     inside its block, which is all the polyad labels need.  Each
-    Hamiltonian is dropped before the next is built.
+    Hamiltonian is built and symmetrized in its own one d x d array, which
+    is dropped before the next is built.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("model comparison requires an integer well parameter q >= 3")
-    # Each Hamiltonian is dropped once symmetrized, before LAPACK runs.
-    exact_vals, dominant = _solve(_symmetrized(coupled_hamiltonian(spec, "exact", lam, cfg)))
+    exact_vals, dominant = _solve(_symmetrize(_coupled_matrix(spec, "exact", lam, cfg)))
     pairs = pair_basis(wn.n_max + 1)
     polyads = tuple(pairs.polyad(int(i)) for i in dominant)
-    values = {name: _solve(_symmetrized(coupled_hamiltonian(spec, name, lam, cfg)))[0]
+    values = {name: _solve(_symmetrize(_coupled_matrix(spec, name, lam, cfg)))[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}
     low = [i for i, p in enumerate(polyads) if p <= 2]

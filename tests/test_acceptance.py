@@ -12,10 +12,13 @@ order 1/nu, and the sub-check passes as stated.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import mptsu2
 from mptsu2.expansion import (
     boson_map_weights,
     interaction_frequency,
@@ -245,9 +248,14 @@ def test_criterion_8_vibron_comparison():
 
 
 def test_criterion_9_cli_contract(tmp_path):
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(mptsu2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
     def run(*argv):
         proc = subprocess.run([sys.executable, "-m", "mptsu2.cli", *argv],
-                              capture_output=True)
+                              capture_output=True, env=env)
         return proc.returncode, proc.stdout
 
     # Determinism: byte-identical reruns across separate processes.

@@ -306,6 +306,26 @@ class TestOutputContract:
         assert code == 2
         assert "config" in err
 
+    def test_config_values_convert_like_flags(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"q": "3", "alpha": "0.5", "format": "json"}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(config))
+        assert code == 0
+        assert out == run_cli(capsys, "spectrum", "--q", "3", "--alpha", "0.5",
+                              "--format", "json")[1]
+
+    @pytest.mark.parametrize("text", [
+        '{"q": "three"}', '{"q": 3.5}', '{"q": true}', '{"q": [3]}',
+        '{"q": 3, "format": "xml"}', '{"q": 3',
+    ])
+    def test_mistyped_config_is_usage_error(self, capsys, tmp_path, text):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "config" in err
+
 
 class TestExitCodes:
     def test_success_is_zero(self, capsys):

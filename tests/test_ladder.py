@@ -7,6 +7,8 @@ import pytest
 
 from mptsu2.errors import DomainError
 from mptsu2.ladder import (
+    TWO_OSC_KIND,
+    OperatorMatrix,
     apply_lowering,
     apply_raising,
     build_su2_matrices,
@@ -22,6 +24,37 @@ from mptsu2.ladder import (
 from mptsu2.states import PotentialSpec, energy, wavefunction, well_numbers
 
 ALL_NU = tuple(range(3, 43, 2))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestOperatorMatrix:
+    PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def test_frozen_owned_float64_is_adopted(self):
+        a = _frozen(np.arange(16.0).reshape(4, 4).copy())
+        assert OperatorMatrix(a, self.PAIRS, TWO_OSC_KIND).entries is a
+
+    @pytest.mark.parametrize("source", [
+        np.arange(16.0).reshape(4, 4).copy(),  # writeable: its owner could change it
+        _frozen(np.arange(16.0).reshape(4, 4).copy()).T,  # a view owns no data
+        _frozen(np.arange(16, dtype=np.float32).reshape(4, 4).copy()),
+        np.arange(16.0).reshape(4, 4).tolist(),
+    ], ids=["writeable", "view", "float32", "list"])
+    def test_anything_else_is_copied_read_only(self, source):
+        m = OperatorMatrix(source, self.PAIRS, TWO_OSC_KIND)
+        assert m.entries is not source
+        assert m.entries.dtype == np.float64
+        assert not m.entries.flags.writeable
+        assert np.array_equal(m.entries, np.asarray(source, dtype=float))
+
+    def test_writeable_input_is_not_frozen(self):
+        a = np.arange(16.0).reshape(4, 4)
+        OperatorMatrix(a, self.PAIRS, TWO_OSC_KIND)
+        assert a.flags.writeable
 
 
 class TestCoefficients:

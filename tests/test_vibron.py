@@ -12,7 +12,8 @@ from mptsu2 import oracle
 from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
-from mptsu2.oracle import OracleConfig
+from mptsu2.ladder import OperatorMatrix, TWO_OSC_KIND
+from mptsu2.oracle import OracleConfig, derivative_matrix, position_from_derivative
 from mptsu2.states import PotentialSpec, energy
 from mptsu2.vibron import (
     SpectroParams,
@@ -30,7 +31,14 @@ from mptsu2.vibron import (
     su2_hamiltonian,
     vibron_params_from_spectro,
 )
-from mptsu2.vibron import _eigh_blocks
+from mptsu2.vibron import (
+    _boson_creation,
+    _creation,
+    _eigh_blocks,
+    _exact_coupling,
+    _exchange,
+    _symmetrize,
+)
 
 Q3 = PotentialSpec.for_integer_q(3)
 
@@ -272,6 +280,33 @@ class TestInteractions:
             approx_interaction(7, 0.05, 3.5, 1.0, "other")
 
 
+class TestInPlaceBuilders:
+    """The slab-wise builders against the whole-matrix np.kron formulas, bit for bit."""
+
+    @pytest.mark.parametrize("q", [3, 10, 17])
+    def test_exchange_is_the_kron_formula(self, q):
+        for create, scale in [(_creation(q, 2 * q), 0.037),
+                              (_boson_creation(2 * q + 1, "zA-zB"), -0.021)]:
+            k = np.kron(create, create.T)
+            expected = k + k.T
+            expected *= scale
+            assert _exchange(create, scale).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("q", [3, 10, 17])
+    def test_exact_coupling_is_the_kron_formula(self, q):
+        spec = PotentialSpec.for_integer_q(q, alpha=0.7, mu=1.9, hbar=1.3)
+        cfg = OracleConfig()
+        r = derivative_matrix(spec, cfg).entries
+        x = position_from_derivative(spec, r)
+        expected = np.kron(r, r)
+        expected *= -spec.hbar ** 2 / spec.mu
+        k = np.kron(x, x)
+        k *= spec.mu * interaction_frequency(spec) ** 2
+        expected += k
+        expected *= 0.037
+        assert _exact_coupling(spec, 0.037, cfg).tobytes() == expected.tobytes()
+
+
 class TestSpectrumSolver:
     def test_diagonal_input(self):
         assert spectrum(np.diag([3.0, -1.0, 2.0])) == [-1.0, 2.0, 3.0]
@@ -349,6 +384,39 @@ class TestSpectrumSolver:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 200, 900])
+    def test_symmetrize_is_the_whole_matrix_formula(self, d):
+        # d = 200 and 900 take three and thirty row slabs; 200 ends on a short one.
+        a = np.random.default_rng(d).normal(size=(d, d))
+        a += a.T
+        a += 1e-11 * np.random.default_rng(d + 1).normal(size=(d, d))
+        expected = (a + a.T) * 0.5
+        assert _symmetrize(a.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("where",
+                             [(0, 199), (199, 0), (90, 150), (170, 199), (199, 170)])
+    def test_asymmetry_found_in_every_slab(self, where):
+        # Row slabs of d = 200 start at 0, 81 and 162.
+        a = np.eye(200)
+        a[where] += 2e-9
+        with pytest.raises(DomainError, match="not symmetric"):
+            spectrum(a)
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(12, 12))
+        a += a.T
+        a[2, 5] += 1e-12  # symmetrizing would change this entry
+        before = a.tobytes()
+        spectrum(a)
+        assert a.tobytes() == before
+        assert a.flags.writeable
+        matrix = OperatorMatrix(a, tuple((i, j) for i in range(3) for j in range(4)),
+                                TWO_OSC_KIND)
+        spectrum(matrix)
+        assert matrix.entries.tobytes() == before
+        assert not matrix.entries.flags.writeable
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -456,6 +524,25 @@ class TestResourceUse:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * dense
+
+    @pytest.mark.parametrize("run", ["compare_models", "vibron_checks"])
+    def test_one_dense_matrix_at_zero_coupling(self, run):
+        # Builders, symmetrization and checks each keep one d x d array
+        # alive; every other temporary is one slab (vibron._slabs).
+        spec = PotentialSpec.for_integer_q(20)
+        call = {"compare_models": lambda: compare_models(spec, 0.0),
+                "vibron_checks": lambda: vibron_checks(spec)}[run]
+        call()
+        dense = (20 * 20) ** 2 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * dense
 
 
 class TestDeepWells:
