@@ -71,12 +71,15 @@ from .expansion import (
 )
 from .vibron import (
     ComparisonReport,
+    PairModel,
     SpectroParams,
     TwoOscBasis,
     VibronParams,
     approx_interaction,
     compare_models,
     coupled_hamiltonian,
+    coupled_model,
+    coupling,
     diagonal_energies,
     exact_interaction,
     harmonic_model,

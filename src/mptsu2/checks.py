@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expansion import (
-    interaction_frequency,
-    momentum_matrix_expansion,
-    position_matrix_expansion,
-)
+from .expansion import momentum_matrix_expansion, position_matrix_expansion
 from .ladder import (
     build_su2_matrices,
     casimir,
@@ -34,13 +30,7 @@ from .oracle import (
     observable_matrix,
 )
 from .states import PotentialSpec, energy, wavefunction, well_numbers
-from .vibron import (
-    _slabs,
-    approx_interaction,
-    compare_models,
-    exact_interaction,
-    pair_basis,
-)
+from .vibron import PairModel, compare_models, coupling
 
 __all__ = [
     "CheckResult",
@@ -186,48 +176,74 @@ def expansion_checks(spec: PotentialSpec,
     return results
 
 
+def _slab_defect(form: PairModel, other: PairModel, cut: str) -> float:
+    """max |form - other| over the row slabs, each cut from its first i1 on (``cut``).
+
+    With cut ``first`` the columns j1 >= the slab's first i1 are compared,
+    with ``low`` the rows i2 >= it.
+    """
+    h, g = form.slab_buffer(), form.slab_buffer()
+    return max(_max_abs_diff(form.rows(r, out=h, **{cut: r.start}),
+                             other.rows(r, out=g, **{cut: r.start}))
+               for r in form.slabs())
+
+
+def _symmetry_defect(form: PairModel) -> float:
+    """max |H - H^T| of a factor form.
+
+    |H_ij - H_ji| is the same at (j, i), so each slab is compared from its
+    first row's column on, which covers every pair once.
+    """
+    return _slab_defect(form, form.transposed(), "first")
+
+
+def _exchange_defect(form: PairModel) -> float:
+    """max |H - H swapped| of a factor form, H swapped mapping (i1, i2) to (i2, i1).
+
+    The defect at (i, j) recurs at the swapped (i', j'), so the rows with
+    i2 >= the slab's first i1 (every row with i2 >= i1, or its swap)
+    cover every value.
+    """
+    return _slab_defect(form, form.swapped(), "low")
+
+
+def _polyad_defect(form: PairModel) -> float:
+    """max |[H, P]| = max |(P_i - P_j) H_ij| for the polyad operator P = n1 + n2."""
+    n = form.n
+    polyads = np.array(form.basis.polyads, dtype=float)
+    h, t = form.slab_buffer(), form.slab_buffer()
+
+    def slab(r: slice) -> float:
+        p = polyads[r.start * n:r.stop * n]
+        d = np.subtract.outer(p, polyads, out=t[:p.size * polyads.size].reshape(p.size, -1))
+        d *= form.rows(r, out=h)
+        return float(np.abs(d, out=d).max())
+
+    return max(map(slab, form.slabs()))
+
+
 def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
                   cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
     """Coupled-model structure: coincidence at zero coupling, symmetries, polyad.
 
-    Each coupling is built, checked and dropped before the next, and every
-    defect is a max over row slabs (``vibron._slabs``), so one d x d matrix
-    and slab-sized temporaries are alive at once.
+    Each coupling is read in factor form (``vibron.PairModel``) and compared
+    slab by slab with its transposed or oscillator-swapped form, so no
+    d x d matrix is formed; every defect is a max over row slabs.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("vibron checks need an integer well parameter q >= 3")
-    nu = int(round(wn.nu))
     report0 = compare_models(spec, 0.0, cfg)
     coincide = max(max(d) for d in report0.deviations.values())
-    basis = pair_basis(wn.n_max + 1)
-    n = basis.dim_single
-    slabs = _slabs(n * n, n * n)
-    omega = interaction_frequency(spec)
-
-    def exchange_defect(h: np.ndarray) -> float:
-        # Swapping the oscillators maps entry ((i1, i2), (j1, j2)) to ((i2, i1), (j2, j1)).
-        h4 = h.reshape(n, n, n, n)
-        return max(_max_abs_diff(h4[:, i1].transpose(1, 0, 3, 2), h4[i1])
-                   for i1 in _slabs(n * n, n))
-
-    h = exact_interaction(spec, basis, lam, cfg).entries
-    symmetry = max(_max_abs_diff(h[s], h[:, s].T) for s in slabs)
-    exchange = [exchange_defect(h)]
-    del h
-    h = approx_interaction(nu, lam, omega, spec.hbar, "crude").entries
-    polyads = np.array(basis.polyads, dtype=float)
-    polyad_defect = max(_max_abs(np.subtract.outer(polyads[s], polyads) * h[s])
-                        for s in slabs)
-    exchange.append(exchange_defect(h))
-    del h
-    exchange.append(exchange_defect(
-        approx_interaction(nu, lam, omega, spec.hbar, "zA-zB").entries))
+    exact = coupling(spec, "exact", lam, cfg)
+    crude = coupling(spec, "crude", lam, cfg)
     return [
         CheckResult("all model spectra coincide at lambda = 0", coincide, 1e-9),
-        CheckResult("crude interaction commutes with polyad", polyad_defect, 1e-12),
-        CheckResult("exact interaction is symmetric", symmetry, 1e-10),
-        CheckResult("models invariant under oscillator exchange", max(exchange), 1e-10),
+        CheckResult("crude interaction commutes with polyad", _polyad_defect(crude), 1e-12),
+        CheckResult("exact interaction is symmetric", _symmetry_defect(exact), 1e-10),
+        CheckResult("models invariant under oscillator exchange",
+                    max(_exchange_defect(form) for form in
+                        (exact, crude, coupling(spec, "zA-zB", lam, cfg))), 1e-10),
     ]
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .states import PotentialSpec, bound_state_labels, energy, well_numbers
 from .vibron import (
     SpectroParams,
     compare_models,
-    coupled_hamiltonian,
+    coupled_model,
     spectro_from_potential,
     spectrum,
     vibron_params_from_spectro,
@@ -91,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_well_arguments(p_mat)
     _add_output_arguments(p_mat)
     _add_oracle_arguments(p_mat)
-    p_mat.add_argument("--op", choices=("sinh", "coshd", "x", "p"), required=True)
+    p_mat.add_argument("--op", choices=("sinh", "coshd", "x", "p"),
+                       help="operator (required)")
     p_mat.add_argument("--method", choices=("closed", "oracle", "expansion"),
-                       required=True)
+                       help="how the matrix is computed (required)")
     p_mat.add_argument("--order", type=int, default=None,
                        help="expansion order (x: 1/3/5, p: 1/3)")
 
@@ -101,20 +103,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_well_arguments(p_ver)
     _add_output_arguments(p_ver)
     _add_oracle_arguments(p_ver)
-    p_ver.add_argument("--suite", choices=SUITES, default="all")
+    p_ver.add_argument("--suite", choices=SUITES, help="suite to run (default all)")
     p_ver.add_argument("--nu", type=int, default=None,
                        help="multiplet dimension for the algebra suite")
-    p_ver.add_argument("--lambda", dest="lam", type=float, default=0.05,
-                       help="coupling used by the vibron suite")
+    p_ver.add_argument("--lambda", dest="lam", type=float,
+                       help="coupling used by the vibron suite (default 0.05)")
 
     p_vib = sub.add_parser("vibron", help="coupled two-oscillator spectra")
     _add_well_arguments(p_vib)
     _add_output_arguments(p_vib)
     _add_oracle_arguments(p_vib)
-    p_vib.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_vib.add_argument("--lambda", dest="lam", type=float, help="coupling (required)")
     p_vib.add_argument("--model",
                        choices=("su2", "exact", "crude", "zA-zB", "compare"),
-                       required=True)
+                       help="model to solve, or compare all four (required)")
 
     p_par = sub.add_parser("params", help="well / spectroscopic / algebraic maps")
     _add_well_arguments(p_par)
@@ -125,23 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill unset options from an optional JSON config file.
+# Every option parses to None when it is not on the command line, so that a
+# config file can supply it; these defaults and requirements apply after the
+# config file is merged.
+_DEFAULTS = {"verify": {"suite": "all", "lam": 0.05}}
+_REQUIRED = {"matelem": ("op", "method"), "vibron": ("lam", "model")}
 
-    Each value goes through its option's ``type`` and ``choices`` as the
-    same text on the command line would; a value that fails is a usage
-    error.
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Fill the options not on the command line from a JSON config file, then defaults.
+
+    Each config value goes through its option's ``type`` and ``choices`` as
+    the same text on the command line would; a value that fails, or a
+    required option that is still unset, is a usage error.
     """
     path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(values, dict):
-        raise DomainError("config file must hold a JSON object")
+    values = _read_config(path) if path else {}
     command = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in command.choices[args.command]._actions
                if hasattr(args, a.dest)}
@@ -160,6 +161,24 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             raise DomainError(f"config value {key} = {value!r} is not a valid "
                               f"{action.option_strings[0]} argument") from None
         setattr(args, attr, converted)
+    for attr, value in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
+    missing = [actions[a].option_strings[0] for a in _REQUIRED.get(args.command, ())
+               if getattr(args, a) is None]
+    if missing:
+        raise DomainError(f"the following arguments are required: {', '.join(missing)}")
+
+
+def _read_config(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise DomainError("config file must hold a JSON object")
+    return values
 
 
 def _resolve_spec(args: argparse.Namespace, required: bool = True) -> PotentialSpec | None:
@@ -210,12 +229,25 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _write_batched(fh, chunks: Iterable[str], count: int = 8192) -> None:
+    """Write text chunks joined ``count`` at a time; 8192 JSON chunks are 40-60 KiB."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, count)):
+        fh.write(batch)
+
+
 def _emit(command: str, well: dict, rows: list[dict], meta: dict,
           args: argparse.Namespace) -> None:
+    """Write the rows as CSV or JSON to --out or stdout.
+
+    JSON is the text of ``json.dumps(payload, indent=2)`` plus a newline,
+    encoded chunk by chunk and written in batches, so the whole document is
+    never held as one string.
+    """
     fmt = args.format if args.format is not None else "csv"
     if fmt == "json":
         payload = {"command": command, "well": well, "rows": rows, "meta": meta}
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
     else:
         columns = list(rows[0].keys()) if rows else []
         buffer = io.StringIO()
@@ -223,12 +255,12 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_cell(row[c]) for c in columns])
-        text = buffer.getvalue()
+        chunks = [buffer.getvalue()]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_batched(fh, chunks)
     else:
-        sys.stdout.write(text)
+        _write_batched(sys.stdout, chunks)
 
 
 def _meta(**tolerances: float) -> dict:
@@ -317,6 +349,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_vibron(args: argparse.Namespace) -> int:
+    """Spectrum of one coupled model, or the four-model comparison.
+
+    Both paths solve the models from their factor form
+    (``vibron.coupled_model``), so neither forms a d x d float array.
+    """
     spec = _resolve_spec(args)
     cfg = _resolve_oracle(args)
     lam = _resolve_lambda(args)
@@ -340,11 +377,11 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
             k: report.max_low_polyad_deviation[k] for k in sorted(
                 report.max_low_polyad_deviation)}
     else:
-        matrix = coupled_hamiltonian(spec, args.model, lam, cfg)
-        rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(spectrum(matrix))]
+        model = coupled_model(spec, args.model, lam, cfg)
+        rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(spectrum(model))]
         meta["model"] = args.model
         meta["lambda"] = lam
-        meta["basis_polyads"] = [n1 + n2 for n1, n2 in matrix.basis]
+        meta["basis_polyads"] = list(model.basis.polyads)
     _emit("vibron", _well_summary(spec), rows, meta, args)
     return EXIT_OK
 

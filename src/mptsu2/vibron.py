@@ -23,31 +23,34 @@ pair of opposite-parity levels, not one step.
 The zA-zB bosons, and why the paper's first-order map is not used for
 them, are described at ``approx_interaction``.
 
-``coupled_hamiltonian`` assembles any one model from a well.  Identical
+``coupled_model`` assembles any one model from a well.  Identical
 oscillators only.  Spectra come from LAPACK ``eigh`` run on the blocks into
 which each matrix decouples exactly (the connected components of its
 nonzero pattern); inputs are never modified, so callers may share matrices
 freely across threads.
 
-Every dense temporary of the d = q^2 pair space costs q^4 doubles (48 MiB
-at q = 50), so each model is built, symmetrized and checked in one d x d
-array: the Kronecker products are written into its (n, n, n, n) view slab
-by slab, the bound-state diagonal is added into it, and the exact
-symmetrization works on it in row slabs.  Frozen, that array is adopted
-by ``OperatorMatrix`` without a copy.  No d x d eigenvector matrix is
-formed: ``spectrum`` keeps only eigenvalues, and ``compare_models`` takes
-each exact eigenvector's dominant basis index inside its block.  Every
-other temporary is one slab of about max(2^14, d^1.5) entries
-(``_slabs``), so building a model, or comparing all four at zero
-coupling, holds one dense d x d array at a time; at nonzero coupling
-LAPACK's stacked blocks add about one more.
+A dense array of the d = q^2 pair space costs q^4 doubles (48 MiB at
+q = 50), so every model is kept in factor form (``PairModel``): the pair
+diagonal plus a short sum of Kronecker products, exchange couplings as
+s (c (x) c^T + c^T (x) c) and the exact coupling as
+lam (-hbar^2/mu R (x) R + mu w^2 X (x) X).  The compare, check and CLI
+paths (``compare_models``, ``checks.vibron_checks``, ``spectrum`` of a
+``coupled_model``) form no d x d float array: they read the factor form
+one row slab of about max(2^13, d^1.5) entries (``_slabs``) at a time, or
+gather each exactly decoupled block from it.  The solver keeps a d x d
+boolean pattern (1/8 of a dense array), then the stacked blocks and
+LAPACK's eigenvectors of them; no d x d eigenvector matrix is formed.
+Only the public builders (``su2_hamiltonian``, ``exact_interaction``,
+``coupled_hamiltonian`` and the rest) materialise a d x d array, filled
+slab by slab with the same entries bit for bit and adopted by
+``OperatorMatrix`` without a copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,7 +79,10 @@ __all__ = [
     "approx_interaction",
     "harmonic_model",
     "polyad_operator",
+    "PairModel",
     "spectrum",
+    "coupling",
+    "coupled_model",
     "coupled_hamiltonian",
     "compare_models",
     "INTERACTION_LEVELS",
@@ -176,20 +182,6 @@ def pair_basis(dim_single: int) -> TwoOscBasis:
     return TwoOscBasis(dim_single=dim_single, pairs=pairs)
 
 
-def _add_pair_diagonal(h: np.ndarray, single: np.ndarray) -> np.ndarray:
-    """Add e[n1] + e[n2] to the diagonal of h in place, over the lexicographic pair basis.
-
-    Adding +0.0 first turns each -0.0 of h into +0.0 (-0.0 + 0.0 = +0.0), as
-    a sum with a dense diagonal matrix would: LAPACK's Householder steps take
-    the sign of a zero entry, so the eigenvalues' last bits would otherwise
-    depend on how the coupling's products rounded to zero.
-    """
-    h += 0.0
-    i = np.arange(h.shape[0])
-    h[i, i] += np.add.outer(single, single).ravel()
-    return h
-
-
 def _level_energies(spec: PotentialSpec, dim: int) -> np.ndarray:
     return np.array([energy(spec, n) for n in range(dim)])
 
@@ -200,48 +192,195 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
     return np.diag(np.sqrt(n + 1.0) * np.sqrt(1.0 - n / n_boson), -1)
 
 
-def _slabs(d: int, count: int) -> list[slice]:
-    """Group the ``count`` equal row blocks of a d x d array into consecutive slabs.
+def _slab_entries(d: int) -> int:
+    """Entries in one slab or gathered block chunk of a d x d matrix: max(2^13, d^1.5).
 
-    A slab spans about max(2^14, d^1.5) entries: d^1.5 keeps each
-    temporary a 1/sqrt(d) share of one d x d array, and the 2^14 floor
-    keeps numpy's per-call cost small next to the arithmetic when d is
-    small.
+    d^1.5 keeps each temporary a 1/sqrt(d) share of one d x d array, and
+    the 2^13 floor keeps numpy's per-call cost small next to the arithmetic
+    when d is small.
     """
-    step = max(1, max(2 ** 14, d * math.isqrt(d)) * count // (d * d or 1))
+    return max(2 ** 13, d * math.isqrt(d))
+
+
+def _slabs(d: int, count: int) -> list[slice]:
+    """Group the ``count`` equal row blocks of a d x d array into slabs (``_slab_entries``)."""
+    step = max(1, _slab_entries(d) * count // (d * d or 1))
     return [slice(r, r + step) for r in range(0, count, step)]
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray, rows: slice,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """The i1 in ``rows`` of np.kron(a, b), in its (n, n, n, n) view.
+class PairModel:
+    """A two-oscillator matrix in factor form; no d x d array is stored.
 
-    Each entry is the product a[i1, j1] * b[i2, j2] that ``np.kron`` forms.
+    H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
+    |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
+    when ``single`` (e) is set.  Consumers read H by row slabs (``rows``,
+    ``half_slabs``) or gathered blocks (``block``).  Each
+    entry is the product A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms,
+    combined in the same order everywhere, so slabs, blocks and the dense
+    ``operator`` agree bit for bit.  The transpose (A_k^T (x) B_k^T) and the
+    oscillator exchange (B_k (x) A_k) permute the factors and form the same
+    products, so they hold exactly the entries of H^T and of the swapped H.
+
+    Before the diagonal is added, +0.0 turns each -0.0 into +0.0 (-0.0 +
+    0.0 = +0.0), as a sum with a dense diagonal matrix would: LAPACK's
+    Householder steps take the sign of a zero entry, so the eigenvalues'
+    last bits would otherwise depend on how the coupling's products rounded
+    to zero.
     """
-    return np.multiply(a[rows, None, :, None], b[None, :, None, :], out=out)
+
+    __slots__ = ("terms", "scale", "single")
+
+    def __init__(self, terms: tuple[tuple[float, np.ndarray, np.ndarray], ...],
+                 scale: float = 1.0, single: np.ndarray | None = None):
+        self.terms, self.scale, self.single = terms, scale, single
+
+    @property
+    def n(self) -> int:
+        """Single-oscillator dimension."""
+        return len(self.single) if self.single is not None else self.terms[0][1].shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.n ** 2
+
+    @property
+    def basis(self) -> TwoOscBasis:
+        return pair_basis(self.n)
+
+    def with_diagonal(self, single: np.ndarray) -> PairModel:
+        return PairModel(self.terms, self.scale, single)
+
+    def transposed(self) -> PairModel:
+        terms = tuple((w, a.T, b.T) for w, a, b in self.terms)
+        return PairModel(terms, self.scale, self.single)
+
+    def swapped(self) -> PairModel:
+        """H with the oscillators exchanged: ((i2, i1), (j2, j1)) for ((i1, i2), (j1, j2))."""
+        terms = tuple((w, b, a) for w, a, b in self.terms)
+        return PairModel(terms, self.scale, self.single)
+
+    def _combine(self, product: Callable[..., np.ndarray], shape: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """scale sum_k w_k product(A_k, B_k, out), or zeros without terms.
+
+        The first term is formed in ``out`` (a new array if None), each
+        later one in a temporary, so a loop of slabs that passes reused
+        buffers allocates one slab at a time.
+        """
+        if not self.terms:
+            h = np.empty(shape) if out is None else out
+            h.fill(0.0)
+            return h
+        h = None
+        for w, a, b in self.terms:
+            t = product(a, b, out if h is None else None)
+            if w != 1.0:
+                t *= w
+            h = t if h is None else np.add(h, t, out=h)
+        h *= self.scale
+        return h
+
+    def slabs(self) -> list[slice]:
+        """The i1 ranges of the row slabs (``_slabs``), in order."""
+        return _slabs(self.dim, self.n)
+
+    def slab_buffer(self) -> np.ndarray:
+        """A flat array that holds any slab of ``rows``, for loops to reuse as ``out``.
+
+        Reusing buffers matters for speed as well as memory: when two or
+        more fresh slab-sized arrays are freed together, the C allocator
+        hands their pages back to the system and faults them in again on
+        the next slab, which can double a slab's cost.
+        """
+        return np.empty(len(range(self.n)[self.slabs()[0]]) * self.n ** 3)
+
+    def rows(self, rows: slice, first: int = 0, low: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """H at the pair rows (i1, i2), i1 in ``rows``, i2 >= ``low``, and columns j1 >= ``first``.
+
+        ``first`` must not exceed ``rows.start``, so that each row's
+        diagonal entry lies in the slab.  The result is a new array, or a
+        view of the flat buffer ``out`` (see ``slab_buffer``).
+        """
+        n = self.n
+        i1 = np.arange(n)[rows]
+        shape = (len(i1), n - low, n - first, n)
+        if out is not None:
+            out = out[:math.prod(shape)].reshape(shape)
+        h = self._combine(
+            lambda a, b, o: np.multiply(a[rows, None, first:, None], b[None, low:, None, :],
+                                        out=o),
+            shape, out)
+        if self.single is not None:
+            h += 0.0
+            i2 = np.arange(low, n)
+            h[np.arange(len(i1))[:, None], i2 - low, (i1 - first)[:, None], i2] += \
+                np.add.outer(self.single[i1], self.single[i2])
+        return h.reshape(len(i1) * (n - low), (n - first) * n)
+
+    def half_slabs(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """(pair rows s, H[s, s.start:], H^T[s, s.start:]) for each slab: H once over.
+
+        The two slabs are views of buffers that the next slab overwrites.
+        """
+        n = self.n
+        t = self.transposed()
+        upper, lower = self.slab_buffer(), self.slab_buffer()
+        for r in self.slabs():
+            yield (slice(r.start * n, r.stop * n), self.rows(r, r.start, out=upper),
+                   t.rows(r, r.start, out=lower))
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """H[idx[b], idx[b]] for each row b of idx (k, s), as a new (k, s, s) array."""
+        i1, i2 = np.divmod(idx, self.n)
+        stack = np.arange(len(idx))[:, None]
+
+        def gather(m: np.ndarray, i: np.ndarray) -> np.ndarray:
+            # m[i[b, :, None], i[b, None, :]] for each block b, copied row by
+            # row from m[:, i], several times faster than the 2-d fancy index.
+            return m[:, i].transpose(1, 0, 2)[stack, i]
+
+        def product(a: np.ndarray, b: np.ndarray, out: None) -> np.ndarray:
+            t = gather(a, i1)
+            t *= gather(b, i2)
+            return t
+
+        h = self._combine(product, idx.shape + idx.shape[-1:])
+        if self.single is not None:
+            h += 0.0
+            k = np.arange(idx.shape[1])
+            h[:, k, k] += self.single[i1] + self.single[i2]
+        return h
+
+    def operator(self) -> OperatorMatrix:
+        """The dense, frozen matrix, filled slab by slab and adopted uncopied."""
+        n = self.n
+        h = np.empty((self.dim, self.dim))
+        for r in self.slabs():
+            self.rows(r, out=h[r.start * n:r.stop * n].reshape(-1))
+        h.setflags(write=False)
+        return OperatorMatrix(h, self.basis.pairs, TWO_OSC_KIND)
 
 
-def _exchange(create: np.ndarray, scale: float) -> np.ndarray:
+def _exchange(create: np.ndarray, scale: float) -> PairModel:
     """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c).
 
-    c^T (x) c is (c (x) c^T)^T entry for entry (the same products), so the
-    result is symmetric bit for bit.  Both products are formed slab by slab
-    into the one d x d result.
+    The transpose swaps the two terms, whose products are the same, so the
+    coupling is symmetric bit for bit.
     """
-    n = create.shape[0]
-    h = np.empty((n * n, n * n))
-    h4 = h.reshape(n, n, n, n)
-    for rows in _slabs(n * n, n):
-        slab = _kron_rows(create, create.T, rows, out=h4[rows])
-        slab += _kron_rows(create.T, create, rows)
-        slab *= scale
-    return h
+    return PairModel(((1.0, create, create.T), (1.0, create.T, create)), scale)
 
 
-def _pair_operator(h: np.ndarray, pairs: tuple) -> OperatorMatrix:
-    """Freeze a newly built pair-space matrix, so ``OperatorMatrix`` adopts it uncopied."""
-    h.setflags(write=False)
-    return OperatorMatrix(h, pairs, TWO_OSC_KIND)
+def _su2_model(vp: VibronParams, dim_single: int) -> PairModel:
+    if dim_single > vp.N // 2:
+        raise DomainError(
+            f"basis dimension {dim_single} exceeds the bound count {vp.N // 2}")
+    n = np.arange(dim_single, dtype=float)
+    # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
+    # the normalization under which the spectroscopic map is exact.
+    single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
+    exchange = _exchange(_creation(dim_single, vp.N), vp.lam * vp.energy_quantum)
+    return exchange.with_diagonal(single)
 
 
 def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
@@ -251,22 +390,12 @@ def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
     lam hbar omega0 sqrt(n2 (n1+1)) sqrt((1 - (n2-1)/N)(1 - n1/N)); energies
     on the diagonal are referenced to the well bottom.
     """
-    if basis.dim_single > vp.N // 2:
-        raise DomainError(
-            f"basis dimension {basis.dim_single} exceeds the bound count {vp.N // 2}")
-    n = np.arange(basis.dim_single, dtype=float)
-    # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
-    # the normalization under which the spectroscopic map is exact.
-    single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
-    h = _exchange(_creation(basis.dim_single, vp.N), vp.lam * vp.energy_quantum)
-    return _pair_operator(_add_pair_diagonal(h, single), basis.pairs)
+    return _su2_model(vp, basis.dim_single).operator()
 
 
 def diagonal_energies(spec: PotentialSpec, basis: TwoOscBasis) -> OperatorMatrix:
     """Non-interacting two-well Hamiltonian: E_{n1} + E_{n2} on the diagonal."""
-    h = np.zeros((basis.dim, basis.dim))
-    return _pair_operator(_add_pair_diagonal(h, _level_energies(spec, basis.dim_single)),
-                          basis.pairs)
+    return PairModel((), single=_level_energies(spec, basis.dim_single)).operator()
 
 
 def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
@@ -281,30 +410,15 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
         raise DomainError("the exact coupled model requires an integer well parameter q")
     if basis.dim_single != wn.n_max + 1:
         raise DomainError("basis dimension must equal the bound-state count")
-    return _pair_operator(_exact_coupling(spec, lam, cfg), basis.pairs)
+    return _exact_coupling(spec, lam, cfg).operator()
 
 
-def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> np.ndarray:
-    """The matrix of ``exact_interaction``, formed slab by slab from one R.
-
-    Each entry is lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)), rounded as
-    the whole-matrix Kronecker products would be.
-    """
+def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> PairModel:
+    """lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)) from one R; x is derived from it."""
     r = derivative_matrix(spec, cfg).entries
     x = position_from_derivative(spec, r)
-    rr_scale = -spec.hbar ** 2 / spec.mu
-    xx_scale = spec.mu * interaction_frequency(spec) ** 2
-    n = r.shape[0]
-    h = np.empty((n * n, n * n))
-    h4 = h.reshape(n, n, n, n)
-    for rows in _slabs(n * n, n):
-        slab = _kron_rows(r, r, rows, out=h4[rows])
-        slab *= rr_scale
-        xx = _kron_rows(x, x, rows)
-        xx *= xx_scale
-        slab += xx
-        slab *= lam
-    return h
+    return PairModel(((-spec.hbar ** 2 / spec.mu, r, r),
+                      (spec.mu * interaction_frequency(spec) ** 2, x, x)), lam)
 
 
 def approx_interaction(nu: int, lam: float, omega_tilde: float,
@@ -325,9 +439,7 @@ def approx_interaction(nu: int, lam: float, omega_tilde: float,
     order-1/nu three-step channel -sqrt((n+1)(n+2)(n+3))/(3 nu) (and its
     n -> n-3 partner) lies outside the two-channel form and is left out.
     """
-    create = _boson_creation(nu, level)
-    basis = pair_basis(create.shape[0])
-    return _pair_operator(_exchange(create, lam * hbar * omega_tilde), basis.pairs)
+    return _exchange(_boson_creation(nu, level), lam * hbar * omega_tilde).operator()
 
 
 def _boson_creation(nu: int, level: str) -> np.ndarray:
@@ -348,24 +460,23 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
     """
     omega = interaction_frequency(spec)
     single = -spec.D + spec.hbar * omega * (np.arange(basis.dim_single) + 0.5)
-    h = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
-    return _pair_operator(_add_pair_diagonal(h, single), basis.pairs)
+    exchange = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
+    return exchange.with_diagonal(single).operator()
 
 
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     """Diagonal matrix of the polyad quantum number n1 + n2."""
-    return _pair_operator(np.diag([float(p) for p in basis.polyads]), basis.pairs)
+    return PairModel((), single=np.arange(basis.dim_single, dtype=float)).operator()
 
 
-def _block_labels(a: np.ndarray) -> np.ndarray:
+def _block_labels(linked: np.ndarray) -> np.ndarray:
     """Label each index by the lowest index of its connected component.
 
-    The components are those of the exact nonzero pattern off the diagonal;
-    isolated levels keep their own label without a search, so a diagonal
-    matrix costs no Python loop.
+    ``linked`` is the exact nonzero pattern; its diagonal is cleared in
+    place.  Isolated levels keep their own label without a search, so a
+    diagonal matrix costs no Python loop.
     """
-    n = a.shape[0]
-    linked = a != 0.0
+    n = linked.shape[0]
     np.fill_diagonal(linked, False)
     label = np.arange(n)
     for seed in np.flatnonzero(linked.any(axis=1)):
@@ -381,80 +492,126 @@ def _block_labels(a: np.ndarray) -> np.ndarray:
     return label
 
 
-def _eigh_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """LAPACK ``eigh`` of a symmetric matrix on the blocks into which it decouples exactly.
+class _Dense:
+    """A dense square matrix as a solver source: slabs are views, blocks a gather."""
 
-    The blocks are the connected components of the exact nonzero pattern
-    (polyads for su2 and crude, polyad parity for exact and zA-zB, single
-    levels at zero coupling).  Entries between blocks are exactly zero, so
-    the eigenpairs of the blocks are those of the whole matrix.  Blocks of
-    equal size s go to LAPACK as one stacked call, which yields
-    ``(idx, w, v)``: row b of ``idx`` (k, s) lists one block's basis indices
-    ascending, ``w[b]`` its eigenvalues ascending and the columns of
-    ``v[b]`` (s, s) its eigenvectors.  No d x d eigenvector matrix is formed.
+    __slots__ = ("a", "dim")
+
+    def __init__(self, a: np.ndarray):
+        self.a, self.dim = a, a.shape[0]
+
+    def half_slabs(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        for s in _slabs(self.dim, self.dim):
+            yield s, self.a[s, s.start:], self.a[s.start:, s].T
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        return self.a[idx[:, :, None], idx[:, None, :]]
+
+
+def _source(matrix: OperatorMatrix | np.ndarray | PairModel) -> PairModel | _Dense:
+    if isinstance(matrix, PairModel):
+        return matrix
+    a = np.asarray(matrix.entries if isinstance(matrix, OperatorMatrix) else matrix,
+                   dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("spectrum requires a square matrix")
+    return _Dense(a)
+
+
+def _symmetric_blocks(source: PairModel | _Dense
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
+
+    One pass over the source's half slabs rejects a non-finite entry, then
+    an asymmetry |H - H^T| above 1e-9 (``DomainError``), and records the
+    exact nonzero pattern of (H + H^T) / 2 in a d x d boolean array.  The
+    blocks are the connected components of that pattern (polyads for su2
+    and crude, polyad parity for exact and zA-zB, single levels at zero
+    coupling); entries between blocks are exactly zero.  Blocks of equal
+    size s come as ``(idx, stack)``: row b of ``idx`` (k, s) lists one
+    block's basis indices ascending, and ``stack[b]`` is that block,
+    gathered from the source about ``_slab_entries(d)`` entries (at least
+    one block) at a time and symmetrized as (b + b^T) * 0.5, bit for bit
+    the entries a whole-matrix symmetrization gives.
     """
-    label = _block_labels(a)
-    size = np.bincount(label, minlength=a.shape[0])[label]
+    d = source.dim
+    linked = np.empty((d, d), dtype=bool)
+    defect = 0.0
+    for rows, upper, lower in source.half_slabs():
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise DomainError("matrix has a non-finite entry")
+        t = np.subtract(upper, lower)
+        defect = max(defect, float(np.abs(t, out=t).max()))
+        np.add(upper, lower, out=t)
+        t *= 0.5
+        np.not_equal(t, 0.0, out=linked[rows, rows.start:])
+        linked[rows.start:, rows] = linked[rows, rows.start:].T
+        del upper, lower, t  # before the next slab is formed
+    if defect > 1e-9:
+        raise DomainError("matrix is not symmetric within 1e-9")
+    label = _block_labels(linked)
+    del linked
+    size = np.bincount(label, minlength=d)[label]
     order = np.lexsort((label, size))
     start = 0
     for s, count in zip(*np.unique(size[order], return_counts=True)):
         idx = order[start:start + count].reshape(-1, s)
         start += count
-        w, v = np.linalg.eigh(a[idx[:, :, None], idx[:, None, :]])
+        stack = np.empty((count // s, s, s))
+        step = max(1, _slab_entries(d) // (s * s))
+        for b in range(0, len(idx), step):
+            g = source.block(idx[b:b + step])
+            np.add(g, g.transpose(0, 2, 1), out=stack[b:b + step])
+            del g
+        stack *= 0.5
+        yield idx, stack
+
+
+def _eigh_blocks(source: PairModel | _Dense
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """LAPACK ``eigh`` of a (nearly) symmetric source on the blocks into which it decouples.
+
+    Blocks of equal size go to LAPACK as one stacked call (``_symmetric_blocks``),
+    which yields ``(idx, w, v)``: ``w[b]`` holds the eigenvalues of block
+    ``idx[b]`` ascending and the columns of ``v[b]`` its eigenvectors.  No
+    d x d eigenvector matrix is formed, nor, from a ``PairModel``, any other
+    d x d float array.
+    """
+    for idx, stack in _symmetric_blocks(source):
+        w, v = np.linalg.eigh(stack)
         yield idx, w, v
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """Overwrite a with (a + a^T) / 2, once a is finite and symmetric within 1e-9.
-
-    Works on row slabs (``_slabs``), pairing each slab's rows with the
-    matching columns; entries (i, j) and (j, i) of the result are equal bit
-    for bit because IEEE addition commutes.  If the symmetry gate fails, a
-    is left part-way.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("spectrum requires a square matrix")
-    slabs = _slabs(a.shape[0], a.shape[0])
-    if not all(np.isfinite(a[s]).all() for s in slabs):
-        raise DomainError("matrix has a non-finite entry")
-    for s in slabs:
-        upper, lower = a[s, s.start:], a[s.start:, s].T
-        t = np.subtract(upper, lower)
-        if np.abs(t, out=t).max() > 1e-9:
-            raise DomainError("matrix is not symmetric within 1e-9")
-        np.add(upper, lower, out=t)
-        t *= 0.5
-        upper[...] = t
-        lower[...] = t
-    return a
-
-
-def _solve(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve(source: PairModel | _Dense) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues, each with its eigenvector's dominant basis index.
 
     The dominant index is the largest |component|, the first in basis order
     on ties; it is found per block, where the eigenvectors live.  The sort
     is stable.
     """
-    values = np.empty(sym.shape[0])
-    dominant = np.empty(sym.shape[0], dtype=int)
-    for idx, w, v in _eigh_blocks(sym):
+    values = np.empty(source.dim)
+    dominant = np.empty(source.dim, dtype=int)
+    for idx, w, v in _eigh_blocks(source):
         values[idx] = w
-        dominant[idx] = np.take_along_axis(idx, np.abs(v, out=v).argmax(axis=1), axis=1)
+        # argmax along axis 1 would copy v to make that axis contiguous; the
+        # first entry equal to the column maximum is the same index.
+        size = np.abs(v, out=v)
+        top = (size == size.max(axis=1, keepdims=True)).argmax(axis=1)
+        dominant[idx] = np.take_along_axis(idx, top, axis=1)
     order = np.argsort(values, kind="stable")
     return values[order], dominant[order]
 
 
-def spectrum(matrix: OperatorMatrix | np.ndarray) -> list[float]:
-    """Ascending eigenvalues of a (nearly) symmetric matrix.
+def spectrum(matrix: OperatorMatrix | np.ndarray | PairModel) -> list[float]:
+    """Ascending eigenvalues of a (nearly) symmetric matrix, dense or in factor form.
 
     The input must be finite and symmetric within 1e-9 elementwise
-    (``DomainError`` otherwise).  It is copied once and never modified; the
-    copy is symmetrized exactly in place and solved by LAPACK on its exactly
-    decoupled blocks.  Eigenvectors are not kept.
+    (``DomainError`` otherwise).  It is neither copied nor modified: the
+    solver reads it by slabs and gathers each exactly decoupled block of
+    (H + H^T) / 2 for LAPACK.  A ``PairModel`` is solved without any d x d
+    array.  Eigenvectors are not kept.
     """
-    a = matrix.entries if isinstance(matrix, OperatorMatrix) else matrix
-    return _solve(_symmetrize(np.array(a, dtype=float)))[0].tolist()
+    return _solve(_source(matrix))[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -480,37 +637,47 @@ class ComparisonReport:
         return len(self.polyads)
 
 
-def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
-                        cfg: OracleConfig = OracleConfig()) -> OperatorMatrix:
-    """Two-oscillator Hamiltonian of one model for a well, over its bound pairs.
+def coupling(spec: PotentialSpec, model: str, lam: float,
+             cfg: OracleConfig = OracleConfig()) -> PairModel:
+    """The bare coupling of a well's ``exact``, ``crude`` or ``zA-zB`` model, in factor form.
 
-    ``su2`` is ``su2_hamiltonian`` with its well-bottom diagonal; ``exact``,
-    ``crude`` and ``zA-zB`` add their coupling to the bound-state diagonal
-    ``diagonal_energies``.
+    ``exact`` is ``exact_interaction``'s matrix and the other two
+    ``approx_interaction``'s at nu = 2q + 1 and omega-tilde of the well.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer:
         raise DomainError("coupled models need an integer well parameter q")
-    basis = pair_basis(wn.n_max + 1)
-    if model == "su2":
-        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
-                                        hbar=spec.hbar)
-        return su2_hamiltonian(vp, basis)
-    return _pair_operator(_coupled_matrix(spec, model, lam, cfg), basis.pairs)
-
-
-def _coupled_matrix(spec: PotentialSpec, model: str, lam: float,
-                    cfg: OracleConfig) -> np.ndarray:
-    """The new, writeable matrix of ``coupled_hamiltonian`` for any model but su2."""
-    wn = well_numbers(spec)
     if model == "exact":
         if round(wn.q) < 3:
             raise DomainError("the exact coupled model requires q >= 3")
-        h = _exact_coupling(spec, lam, cfg)
-    else:
-        h = _exchange(_boson_creation(int(round(wn.nu)), model),
-                      lam * spec.hbar * interaction_frequency(spec))
-    return _add_pair_diagonal(h, _level_energies(spec, wn.n_max + 1))
+        return _exact_coupling(spec, lam, cfg)
+    return _exchange(_boson_creation(int(round(wn.nu)), model),
+                     lam * spec.hbar * interaction_frequency(spec))
+
+
+def coupled_model(spec: PotentialSpec, model: str, lam: float,
+                  cfg: OracleConfig = OracleConfig()) -> PairModel:
+    """Two-oscillator Hamiltonian of one model for a well, over its bound pairs, factored.
+
+    ``su2`` is ``su2_hamiltonian``'s model with its well-bottom diagonal;
+    ``exact``, ``crude`` and ``zA-zB`` add their ``coupling`` to the
+    bound-state diagonal of ``diagonal_energies``.
+    """
+    wn = well_numbers(spec)
+    if not wn.q_is_integer:
+        raise DomainError("coupled models need an integer well parameter q")
+    if model == "su2":
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
+                                        hbar=spec.hbar)
+        return _su2_model(vp, wn.n_max + 1)
+    levels = _level_energies(spec, wn.n_max + 1)
+    return coupling(spec, model, lam, cfg).with_diagonal(levels)
+
+
+def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
+                        cfg: OracleConfig = OracleConfig()) -> OperatorMatrix:
+    """The dense matrix of ``coupled_model``."""
+    return coupled_model(spec, model, lam, cfg).operator()
 
 
 def compare_models(spec: PotentialSpec, lam: float,
@@ -521,19 +688,19 @@ def compare_models(spec: PotentialSpec, lam: float,
     coincide identically and at lam != 0 the comparison isolates the
     interaction treatment.  On that diagonal the su(2) exchange coupling is
     the crude one (lam hbar omega0 / N = lam hbar omega-tilde / nu), so the
-    su2 column is the crude solve.  The exact eigenvectors are never
-    gathered into one matrix: each one's dominant basis index is read off
-    inside its block, which is all the polyad labels need.  Each
-    Hamiltonian is built and symmetrized in its own one d x d array, which
-    is dropped before the next is built.
+    su2 column is the crude solve.  Each model is solved from its factor
+    form (``coupled_model``), so no d x d array is formed: the solver keeps
+    a d x d boolean pattern and the gathered blocks.  The exact
+    eigenvectors stay in their blocks, where each one's dominant basis
+    index is read off for the polyad labels.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("model comparison requires an integer well parameter q >= 3")
-    exact_vals, dominant = _solve(_symmetrize(_coupled_matrix(spec, "exact", lam, cfg)))
+    exact_vals, dominant = _solve(coupled_model(spec, "exact", lam, cfg))
     pairs = pair_basis(wn.n_max + 1)
     polyads = tuple(pairs.polyad(int(i)) for i in dominant)
-    values = {name: _solve(_symmetrize(_coupled_matrix(spec, name, lam, cfg)))[0]
+    values = {name: _solve(coupled_model(spec, name, lam, cfg))[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}
     low = [i for i, p in enumerate(polyads) if p <= 2]

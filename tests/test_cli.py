@@ -327,6 +327,59 @@ class TestOutputContract:
         assert "config" in err
 
 
+    def test_config_sets_options_that_have_defaults(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("mptsu2.cli.suite_for",
+                            lambda name, spec, nu, lam, cfg: seen.append((name, lam)) or [])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lambda": 0.02, "suite": "states"}))
+        assert run_cli(capsys, "verify", "--q", "3", "--config", str(config))[0] == 0
+        assert run_cli(capsys, "verify", "--q", "3")[0] == 0
+        assert seen == [("states", 0.02), ("all", 0.05)]
+
+    def test_flags_override_config_options_with_defaults(self, capsys, tmp_path,
+                                                        monkeypatch):
+        seen = []
+        monkeypatch.setattr("mptsu2.cli.suite_for",
+                            lambda name, spec, nu, lam, cfg: seen.append((name, lam)) or [])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lambda": 0.02, "suite": "states"}))
+        code, _, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "matelem",
+                             "--lambda", "0.03", "--config", str(config))
+        assert code == 0
+        assert seen == [("matelem", 0.03)]
+
+    @pytest.mark.parametrize("values, argv, flags", [
+        ({"lambda": 0.02, "model": "su2"}, ("vibron",),
+         ("vibron", "--lambda", "0.02", "--model", "su2")),
+        ({"model": "crude"}, ("vibron", "--lambda", "0.02"),
+         ("vibron", "--lambda", "0.02", "--model", "crude")),
+        ({"op": "sinh", "method": "closed"}, ("matelem",),
+         ("matelem", "--op", "sinh", "--method", "closed")),
+    ])
+    def test_config_sets_required_options(self, capsys, tmp_path, values, argv, flags):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        code, out, _ = run_cli(capsys, *argv, "--q", "3", "--config", str(config))
+        assert code == 0
+        assert out == run_cli(capsys, *flags, "--q", "3")[1]
+
+    @pytest.mark.parametrize("values, argv, missing", [
+        ({"lambda": 0.02}, ("vibron",), "--model"),
+        ({}, ("vibron", "--model", "su2"), "--lambda"),
+        ({"op": "sinh"}, ("matelem",), "--method"),
+    ])
+    def test_required_option_missing_after_merge_is_usage_error(
+            self, capsys, tmp_path, values, argv, missing):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        for extra in ([], ["--config", str(config)]):
+            code, out, err = run_cli(capsys, *argv, "--q", "3", *extra)
+            assert code == 2
+            assert out == ""
+            assert missing in err
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert run_cli(capsys, "spectrum", "--q", "2")[0] == 0

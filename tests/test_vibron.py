@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptsu2 import oracle
+from mptsu2 import cli, oracle
 from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
@@ -20,6 +20,8 @@ from mptsu2.vibron import (
     VibronParams,
     approx_interaction,
     compare_models,
+    coupled_hamiltonian,
+    coupled_model,
     diagonal_energies,
     exact_interaction,
     harmonic_model,
@@ -37,7 +39,8 @@ from mptsu2.vibron import (
     _eigh_blocks,
     _exact_coupling,
     _exchange,
-    _symmetrize,
+    _source,
+    _symmetric_blocks,
 )
 
 Q3 = PotentialSpec.for_integer_q(3)
@@ -46,7 +49,7 @@ Q3 = PotentialSpec.for_integer_q(3)
 def block_values(a):
     """Ascending eigenvalues gathered from the block solver."""
     values = np.full(a.shape[0], np.nan)
-    for idx, w, _ in _eigh_blocks(a):
+    for idx, w, _ in _eigh_blocks(_source(a)):
         values[idx] = w
     return np.sort(values, kind="stable")
 
@@ -281,7 +284,7 @@ class TestInteractions:
 
 
 class TestInPlaceBuilders:
-    """The slab-wise builders against the whole-matrix np.kron formulas, bit for bit."""
+    """Factor forms, filled slab by slab or gathered by block, against whole matrices."""
 
     @pytest.mark.parametrize("q", [3, 10, 17])
     def test_exchange_is_the_kron_formula(self, q):
@@ -290,7 +293,8 @@ class TestInPlaceBuilders:
             k = np.kron(create, create.T)
             expected = k + k.T
             expected *= scale
-            assert _exchange(create, scale).tobytes() == expected.tobytes()
+            dense = _exchange(create, scale).operator().entries
+            assert dense.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("q", [3, 10, 17])
     def test_exact_coupling_is_the_kron_formula(self, q):
@@ -304,7 +308,36 @@ class TestInPlaceBuilders:
         k *= spec.mu * interaction_frequency(spec) ** 2
         expected += k
         expected *= 0.037
-        assert _exact_coupling(spec, 0.037, cfg).tobytes() == expected.tobytes()
+        assert (_exact_coupling(spec, 0.037, cfg).operator().entries.tobytes()
+                == expected.tobytes())
+
+    @pytest.mark.parametrize("model", ["su2", "exact"])
+    def test_partial_rows_are_the_dense_entries(self, model):
+        # q = 10 takes two row slabs, the second one short; the diagonal
+        # must land in place however the rows and columns are cut.
+        spec = PotentialSpec.for_integer_q(10, alpha=0.7, mu=1.9, hbar=1.3)
+        form = coupled_model(spec, model, 0.037)
+        h4 = form.operator().entries.reshape(10, 10, 10, 10)
+        for r in form.slabs():
+            for first, low in [(0, 0), (r.start, 0), (0, r.start), (r.start, r.start)]:
+                expected = h4[r, low:, first:].reshape(-1, (10 - first) * 10)
+                assert form.rows(r, first, low).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
+    @pytest.mark.parametrize("q", [3, 10, 17])
+    def test_gathered_blocks_are_the_symmetrized_builder_blocks(self, q, model):
+        # q = 10 ends on a short row slab; q = 17 takes seventeen slabs.
+        spec = PotentialSpec.for_integer_q(q, alpha=0.7, mu=1.9, hbar=1.3)
+        form = coupled_model(spec, model, 0.037)
+        dense = coupled_hamiltonian(spec, model, 0.037).entries
+        sym = (dense + dense.T) * 0.5
+        blocks = list(_symmetric_blocks(form))
+        dense_blocks = list(_symmetric_blocks(_source(dense)))
+        assert len(blocks) == len(dense_blocks) > 0
+        for (idx, stack), (dense_idx, dense_stack) in zip(blocks, dense_blocks):
+            assert np.array_equal(idx, dense_idx)
+            expected = sym[idx[:, :, None], idx[:, None, :]]
+            assert stack.tobytes() == expected.tobytes() == dense_stack.tobytes()
 
 
 class TestSpectrumSolver:
@@ -333,7 +366,7 @@ class TestSpectrumSolver:
         a = a[np.ix_(perm, perm)]
         norm = np.linalg.norm(a, 2)
         seen, found_sizes = [], []
-        for idx, w, v in _eigh_blocks(a):
+        for idx, w, v in _eigh_blocks(_source(a)):
             block = a[idx[:, :, None], idx[:, None, :]]
             eye = np.eye(idx.shape[1])
             assert np.max(np.abs(block @ v - v * w[:, None, :])) <= 1e-12 * norm
@@ -360,7 +393,7 @@ class TestSpectrumSolver:
     def test_diagonal_returned_bit_for_bit(self):
         d = np.random.default_rng(3).normal(size=40)
         # Forty 1 x 1 blocks in one stacked call: each eigenvector is exactly 1.
-        (idx, w, v), = _eigh_blocks(np.diag(d))
+        (idx, w, v), = _eigh_blocks(_source(np.diag(d)))
         assert idx.shape == (40, 1)
         assert np.array_equal(w[:, 0], d[idx[:, 0]])
         assert np.array_equal(v, np.ones((40, 1, 1)))
@@ -385,19 +418,24 @@ class TestSpectrumSolver:
         with pytest.raises(DomainError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 7, 200, 900])
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 200, 210, 900])
     def test_symmetrize_is_the_whole_matrix_formula(self, d):
-        # d = 200 and 900 take three and thirty row slabs; 200 ends on a short one.
+        # d = 200, 210 and 900 take five, six and thirty row slabs; 210 ends
+        # on a short one.  A dense random matrix is one block, gathered whole.
         a = np.random.default_rng(d).normal(size=(d, d))
         a += a.T
         a += 1e-11 * np.random.default_rng(d + 1).normal(size=(d, d))
         expected = (a + a.T) * 0.5
-        assert _symmetrize(a.copy()).tobytes() == expected.tobytes()
+        blocks = list(_symmetric_blocks(_source(a)))
+        assert len(blocks) == (d > 0)
+        for idx, stack in blocks:
+            assert np.array_equal(idx, np.arange(d)[None, :])
+            assert stack.tobytes() == expected[None].tobytes()
 
     @pytest.mark.parametrize("where",
                              [(0, 199), (199, 0), (90, 150), (170, 199), (199, 170)])
     def test_asymmetry_found_in_every_slab(self, where):
-        # Row slabs of d = 200 start at 0, 81 and 162.
+        # Row slabs of d = 200 start at 0, 40, 80, 120 and 160.
         a = np.eye(200)
         a[where] += 2e-9
         with pytest.raises(DomainError, match="not symmetric"):
@@ -417,6 +455,21 @@ class TestSpectrumSolver:
         spectrum(matrix)
         assert matrix.entries.tobytes() == before
         assert not matrix.entries.flags.writeable
+
+    def test_input_is_not_copied(self):
+        # Blocks of 4 along the diagonal: a copy of the input would cost
+        # a.nbytes, the gathered blocks and the d x d pattern far less.
+        a = np.kron(np.eye(200), np.ones((4, 4)))
+        spectrum(a)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spectrum(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * a.nbytes
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -485,6 +538,19 @@ class TestCompareModels:
             compare_models(PotentialSpec.for_integer_q(2), 0.05)
 
 
+def traced_peak(call) -> int:
+    """tracemalloc peak above the start of a warm second call."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestResourceUse:
     """Each d/dx contraction and each dense d x d temporary costs q^2 or q^4."""
 
@@ -543,6 +609,28 @@ class TestResourceUse:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * dense
+
+
+    @pytest.mark.parametrize("run, bound", [
+        ("compare_models lam=0", 0.5),
+        ("vibron_checks", 0.5),
+        ("compare_models lam=0.03", 1.5),
+        ("cli vibron exact", 1.5),
+    ])
+    def test_factor_forms_build_no_dense_matrix(self, run, bound, capsys):
+        # Measured in dense q = 20 arrays: the solver holds a d x d boolean
+        # pattern (1/8 of one) and slabs, then the stacked parity blocks of
+        # the exact model and LAPACK's eigenvectors of them.
+        spec = PotentialSpec.for_integer_q(20)
+        argv = ["vibron", "--q", "20", "--model", "exact", "--lambda", "0.03",
+                "--format", "json"]
+        call = {"compare_models lam=0": lambda: compare_models(spec, 0.0),
+                "vibron_checks": lambda: vibron_checks(spec),
+                "compare_models lam=0.03": lambda: compare_models(spec, 0.03),
+                "cli vibron exact": lambda: cli.main(argv)}[run]
+        peak = traced_peak(call)
+        capsys.readouterr()
+        assert peak <= bound * (20 * 20) ** 2 * 8
 
 
 class TestDeepWells:
