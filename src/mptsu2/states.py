@@ -66,10 +66,6 @@ class WellNumbers:
     n_max: int
 
     @property
-    def n_states(self) -> int:
-        return self.n_max + 1
-
-    @property
     def q_is_integer(self) -> bool:
         return abs(self.q - round(self.q)) <= INTEGER_Q_TOL
 

@@ -25,24 +25,19 @@ them, are described at ``approx_interaction``.
 
 ``coupled_model`` assembles any one model from a well.  Identical
 oscillators only.  Spectra come from LAPACK ``eigh`` run on the blocks into
-which each matrix decouples exactly (the connected components of its
-nonzero pattern); inputs are never modified, so callers may share matrices
-freely across threads.
+which each matrix decouples exactly; inputs are never modified, so callers
+may share matrices freely across threads.
 
 A dense array of the d = q^2 pair space costs q^4 doubles (48 MiB at
 q = 50), so every model is kept in factor form (``PairModel``): the pair
-diagonal plus a short sum of Kronecker products, exchange couplings as
-s (c (x) c^T + c^T (x) c) and the exact coupling as
-lam (-hbar^2/mu R (x) R + mu w^2 X (x) X).  The compare, check and CLI
-paths (``compare_models``, ``checks.vibron_checks``, ``spectrum`` of a
-``coupled_model``) form no d x d float array: they read the factor form
-one row slab of about max(2^13, d^1.5) entries (``_slabs``) at a time, or
-gather each exactly decoupled block from it.  The solver keeps a d x d
-boolean pattern (1/8 of a dense array), then the stacked blocks and
-LAPACK's eigenvectors of them; no d x d eigenvector matrix is formed.
-Only the public builders (``su2_hamiltonian``, ``exact_interaction``,
-``coupled_hamiltonian`` and the rest) materialise a d x d array, filled
-slab by slab with the same entries bit for bit and adopted by
+diagonal plus a short sum of Kronecker products of n x n factors.  The
+solver reads a model's blocks off the factors (``PairModel.labels``:
+polyads, polyad parities or single levels) and gathers each block from
+them; the checks read it one row slab of about max(2^13, d^1.5) entries
+(``_slabs``) at a time.  So the compare, check and CLI paths form no d x d
+array of any dtype.  Only the public builders (``su2_hamiltonian``,
+``exact_interaction``, ``coupled_hamiltonian`` and the rest) materialise
+one, filled slab by slab with the same entries bit for bit and adopted by
 ``OperatorMatrix`` without a copy.
 """
 
@@ -166,10 +161,6 @@ class TwoOscBasis:
     def dim(self) -> int:
         return self.dim_single ** 2
 
-    def polyad(self, index: int) -> int:
-        n1, n2 = self.pairs[index]
-        return n1 + n2
-
     @property
     def polyads(self) -> tuple[int, ...]:
         return tuple(n1 + n2 for n1, n2 in self.pairs)
@@ -213,8 +204,8 @@ class PairModel:
 
     H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
     |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
-    when ``single`` (e) is set.  Consumers read H by row slabs (``rows``,
-    ``half_slabs``) or gathered blocks (``block``).  Each
+    when ``single`` (e) is set.  Consumers read H by row slabs (``rows``)
+    or gathered blocks (``block``), whose layout ``labels`` proves.  Each
     entry is the product A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms,
     combined in the same order everywhere, so slabs, blocks and the dense
     ``operator`` agree bit for bit.  The transpose (A_k^T (x) B_k^T) and the
@@ -318,17 +309,36 @@ class PairModel:
                 np.add.outer(self.single[i1], self.single[i2])
         return h.reshape(len(i1) * (n - low), (n - first) * n)
 
-    def half_slabs(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """(pair rows s, H[s, s.start:], H^T[s, s.start:]) for each slab: H once over.
+    def labels(self) -> np.ndarray:
+        """Each pair index's block label, the lowest index in its block, proven in O(n^2).
 
-        The two slabs are views of buffers that the next slab overwrites.
+        A product A_k[i1, j1] B_k[i2, j2] moves the polyad n1 + n2 by
+        (i1 - j1) + (i2 - j2).  With g the gcd of these steps over the
+        nonzero products of live terms, H and H^T are zero between pairs
+        whose polyads differ modulo g: the blocks are polyads (g = 0),
+        polyad parities (g = 2), or single levels without a live term.
+        Non-finite factors, weights, scale or diagonal are rejected
+        (``DomainError``): inf * 0 would put NaN between the blocks.
         """
-        n = self.n
-        t = self.transposed()
-        upper, lower = self.slab_buffer(), self.slab_buffer()
-        for r in self.slabs():
-            yield (slice(r.start * n, r.stop * n), self.rows(r, r.start, out=upper),
-                   t.rows(r, r.start, out=lower))
+        parts = [] if self.single is None else [self.single]
+        if self.terms:
+            parts += [self.scale, *(x for term in self.terms for x in term)]
+        if not all(np.isfinite(p).all() for p in parts):
+            raise DomainError("matrix has a non-finite entry")
+        live = [(a, b) for w, a, b in self.terms if w != 0.0 and self.scale != 0.0]
+        if not live:
+            return np.arange(self.dim)
+
+        def offsets(m: np.ndarray) -> np.ndarray:
+            # A set, as a flagless np.unique would import numpy.ma (~10 ms).
+            return np.array(sorted(set(np.subtract(*np.nonzero(m)).tolist())), dtype=int)
+
+        g = np.gcd.reduce(np.concatenate(
+            [np.add.outer(offsets(a), offsets(b)).ravel() for a, b in live]))
+        polyad = np.add.outer(np.arange(self.n), np.arange(self.n)).ravel()
+        _, first, key = np.unique(polyad % g if g else polyad,
+                                  return_index=True, return_inverse=True)
+        return first[key]
 
     def block(self, idx: np.ndarray) -> np.ndarray:
         """H[idx[b], idx[b]] for each row b of idx (k, s), as a new (k, s, s) array."""
@@ -469,40 +479,41 @@ def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     return PairModel((), single=np.arange(basis.dim_single, dtype=float)).operator()
 
 
-def _block_labels(linked: np.ndarray) -> np.ndarray:
-    """Label each index by the lowest index of its connected component.
-
-    ``linked`` is the exact nonzero pattern; its diagonal is cleared in
-    place.  Isolated levels keep their own label without a search, so a
-    diagonal matrix costs no Python loop.
-    """
-    n = linked.shape[0]
-    np.fill_diagonal(linked, False)
-    label = np.arange(n)
-    for seed in np.flatnonzero(linked.any(axis=1)):
-        if label[seed] != seed:
-            continue
-        reach = np.zeros(n, dtype=bool)
-        reach[seed] = True
-        frontier = reach.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~reach
-            reach |= frontier
-        label[reach] = seed
-    return label
-
-
 class _Dense:
-    """A dense square matrix as a solver source: slabs are views, blocks a gather."""
+    """A dense square matrix as a solver source: blocks are a gather from it."""
 
     __slots__ = ("a", "dim")
 
     def __init__(self, a: np.ndarray):
         self.a, self.dim = a, a.shape[0]
 
-    def half_slabs(self) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        for s in _slabs(self.dim, self.dim):
-            yield s, self.a[s, s.start:], self.a[s.start:, s].T
+    def labels(self) -> np.ndarray:
+        """Label each index by the lowest index of its connected component.
+
+        Indices are linked by the nonzero entries of H or H^T, recorded slab
+        by slab in a d x d boolean array.  Isolated levels keep their own
+        label without a search, so a diagonal matrix costs no Python loop.
+        """
+        d = self.dim
+        linked = np.empty((d, d), dtype=bool)
+        for s in _slabs(d, d):
+            upper = linked[s, s.start:]
+            np.not_equal(self.a[s, s.start:], 0.0, out=upper)
+            upper |= self.a[s.start:, s].T != 0.0
+            linked[s.start:, s] = upper.T
+        np.fill_diagonal(linked, False)
+        label = np.arange(d)
+        for seed in np.flatnonzero(linked.any(axis=1)):
+            if label[seed] != seed:
+                continue
+            reach = np.zeros(d, dtype=bool)
+            reach[seed] = True
+            frontier = reach.copy()
+            while frontier.any():
+                frontier = linked[frontier].any(axis=0) & ~reach
+                reach |= frontier
+            label[reach] = seed
+        return label
 
     def block(self, idx: np.ndarray) -> np.ndarray:
         return self.a[idx[:, :, None], idx[:, None, :]]
@@ -518,39 +529,20 @@ def _source(matrix: OperatorMatrix | np.ndarray | PairModel) -> PairModel | _Den
     return _Dense(a)
 
 
-def _symmetric_blocks(source: PairModel | _Dense
-                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _symmetric_blocks(source: PairModel | _Dense) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
 
-    One pass over the source's half slabs rejects a non-finite entry, then
-    an asymmetry |H - H^T| above 1e-9 (``DomainError``), and records the
-    exact nonzero pattern of (H + H^T) / 2 in a d x d boolean array.  The
-    blocks are the connected components of that pattern (polyads for su2
-    and crude, polyad parity for exact and zA-zB, single levels at zero
-    coupling); entries between blocks are exactly zero.  Blocks of equal
-    size s come as ``(idx, stack)``: row b of ``idx`` (k, s) lists one
-    block's basis indices ascending, and ``stack[b]`` is that block,
-    gathered from the source about ``_slab_entries(d)`` entries (at least
-    one block) at a time and symmetrized as (b + b^T) * 0.5, bit for bit
-    the entries a whole-matrix symmetrization gives.
+    The blocks are the source's ``labels``.  H and H^T are exactly zero
+    between them, so each gathered block is checked for a non-finite entry,
+    then for an asymmetry |H - H^T| above 1e-9 (``DomainError``).  Blocks
+    of equal size s come as ``(idx, stack)``: row b of ``idx`` (k, s) lists
+    one block's basis indices ascending, and ``stack[b]`` is that block,
+    gathered about ``_slab_entries(d)`` entries (at least one block) at a
+    time and symmetrized as (b + b^T) * 0.5, bit for bit the entries a
+    whole-matrix symmetrization gives.
     """
     d = source.dim
-    linked = np.empty((d, d), dtype=bool)
-    defect = 0.0
-    for rows, upper, lower in source.half_slabs():
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise DomainError("matrix has a non-finite entry")
-        t = np.subtract(upper, lower)
-        defect = max(defect, float(np.abs(t, out=t).max()))
-        np.add(upper, lower, out=t)
-        t *= 0.5
-        np.not_equal(t, 0.0, out=linked[rows, rows.start:])
-        linked[rows.start:, rows] = linked[rows, rows.start:].T
-        del upper, lower, t  # before the next slab is formed
-    if defect > 1e-9:
-        raise DomainError("matrix is not symmetric within 1e-9")
-    label = _block_labels(linked)
-    del linked
+    label = source.labels()
     size = np.bincount(label, minlength=d)[label]
     order = np.lexsort((label, size))
     start = 0
@@ -561,37 +553,29 @@ def _symmetric_blocks(source: PairModel | _Dense
         step = max(1, _slab_entries(d) // (s * s))
         for b in range(0, len(idx), step):
             g = source.block(idx[b:b + step])
-            np.add(g, g.transpose(0, 2, 1), out=stack[b:b + step])
+            # NaN propagates through min and max, which need no temporary.
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+                raise DomainError("matrix has a non-finite entry")
+            t = np.subtract(g, g.transpose(0, 2, 1), out=stack[b:b + step])
+            if np.abs(t, out=t).max() > 1e-9:
+                raise DomainError("matrix is not symmetric within 1e-9")
+            np.add(g, g.transpose(0, 2, 1), out=t)
             del g
         stack *= 0.5
         yield idx, stack
 
 
-def _eigh_blocks(source: PairModel | _Dense
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """LAPACK ``eigh`` of a (nearly) symmetric source on the blocks into which it decouples.
-
-    Blocks of equal size go to LAPACK as one stacked call (``_symmetric_blocks``),
-    which yields ``(idx, w, v)``: ``w[b]`` holds the eigenvalues of block
-    ``idx[b]`` ascending and the columns of ``v[b]`` its eigenvectors.  No
-    d x d eigenvector matrix is formed, nor, from a ``PairModel``, any other
-    d x d float array.
-    """
-    for idx, stack in _symmetric_blocks(source):
-        w, v = np.linalg.eigh(stack)
-        yield idx, w, v
-
-
 def _solve(source: PairModel | _Dense) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues, each with its eigenvector's dominant basis index.
 
-    The dominant index is the largest |component|, the first in basis order
-    on ties; it is found per block, where the eigenvectors live.  The sort
-    is stable.
+    Each stack of ``_symmetric_blocks`` is one LAPACK ``eigh`` call.  The
+    dominant index is the largest |component|, the first in basis order on
+    ties, found per block, where the eigenvectors live.  The sort is stable.
     """
     values = np.empty(source.dim)
     dominant = np.empty(source.dim, dtype=int)
-    for idx, w, v in _eigh_blocks(source):
+    for idx, stack in _symmetric_blocks(source):
+        w, v = np.linalg.eigh(stack)
         values[idx] = w
         # argmax along axis 1 would copy v to make that axis contiguous; the
         # first entry equal to the column maximum is the same index.
@@ -607,9 +591,10 @@ def spectrum(matrix: OperatorMatrix | np.ndarray | PairModel) -> list[float]:
 
     The input must be finite and symmetric within 1e-9 elementwise
     (``DomainError`` otherwise).  It is neither copied nor modified: the
-    solver reads it by slabs and gathers each exactly decoupled block of
-    (H + H^T) / 2 for LAPACK.  A ``PairModel`` is solved without any d x d
-    array.  Eigenvectors are not kept.
+    solver gathers each exactly decoupled block of (H + H^T) / 2 for
+    LAPACK.  A dense input's blocks are found in a d x d boolean array of
+    its nonzero entries; a ``PairModel``'s are read off its factors, with
+    no d x d array.  Eigenvectors are not kept.
     """
     return _solve(_source(matrix))[0].tolist()
 
@@ -689,17 +674,15 @@ def compare_models(spec: PotentialSpec, lam: float,
     interaction treatment.  On that diagonal the su(2) exchange coupling is
     the crude one (lam hbar omega0 / N = lam hbar omega-tilde / nu), so the
     su2 column is the crude solve.  Each model is solved from its factor
-    form (``coupled_model``), so no d x d array is formed: the solver keeps
-    a d x d boolean pattern and the gathered blocks.  The exact
-    eigenvectors stay in their blocks, where each one's dominant basis
-    index is read off for the polyad labels.
+    form (``coupled_model``), so no d x d array is formed, only the
+    gathered blocks.  The exact eigenvectors stay in their blocks, where
+    each one's dominant basis index is read off for the polyad labels.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("model comparison requires an integer well parameter q >= 3")
     exact_vals, dominant = _solve(coupled_model(spec, "exact", lam, cfg))
-    pairs = pair_basis(wn.n_max + 1)
-    polyads = tuple(pairs.polyad(int(i)) for i in dominant)
+    polyads = tuple(np.add(*np.divmod(dominant, wn.n_max + 1)).tolist())
     values = {name: _solve(coupled_model(spec, name, lam, cfg))[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}

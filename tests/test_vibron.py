@@ -16,6 +16,7 @@ from mptsu2.ladder import OperatorMatrix, TWO_OSC_KIND
 from mptsu2.oracle import OracleConfig, derivative_matrix, position_from_derivative
 from mptsu2.states import PotentialSpec, energy
 from mptsu2.vibron import (
+    PairModel,
     SpectroParams,
     VibronParams,
     approx_interaction,
@@ -36,7 +37,6 @@ from mptsu2.vibron import (
 from mptsu2.vibron import (
     _boson_creation,
     _creation,
-    _eigh_blocks,
     _exact_coupling,
     _exchange,
     _source,
@@ -49,8 +49,8 @@ Q3 = PotentialSpec.for_integer_q(3)
 def block_values(a):
     """Ascending eigenvalues gathered from the block solver."""
     values = np.full(a.shape[0], np.nan)
-    for idx, w, _ in _eigh_blocks(_source(a)):
-        values[idx] = w
+    for idx, stack in _symmetric_blocks(_source(a)):
+        values[idx] = np.linalg.eigh(stack)[0]
     return np.sort(values, kind="stable")
 
 
@@ -323,13 +323,16 @@ class TestInPlaceBuilders:
                 expected = h4[r, low:, first:].reshape(-1, (10 - first) * 10)
                 assert form.rows(r, first, low).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("lam", [0.037, 0.0])
     @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
-    @pytest.mark.parametrize("q", [3, 10, 17])
-    def test_gathered_blocks_are_the_symmetrized_builder_blocks(self, q, model):
-        # q = 10 ends on a short row slab; q = 17 takes seventeen slabs.
+    @pytest.mark.parametrize("q", [3, 10, 17, 30])
+    def test_gathered_blocks_are_the_symmetrized_builder_blocks(self, q, model, lam):
+        # The blocks proven from the factors are the connected components
+        # of the dense matrix's nonzero entries.  q = 10 ends on a short row
+        # slab; q = 17 takes seventeen slabs.
         spec = PotentialSpec.for_integer_q(q, alpha=0.7, mu=1.9, hbar=1.3)
-        form = coupled_model(spec, model, 0.037)
-        dense = coupled_hamiltonian(spec, model, 0.037).entries
+        form = coupled_model(spec, model, lam)
+        dense = coupled_hamiltonian(spec, model, lam).entries
         sym = (dense + dense.T) * 0.5
         blocks = list(_symmetric_blocks(form))
         dense_blocks = list(_symmetric_blocks(_source(dense)))
@@ -366,7 +369,8 @@ class TestSpectrumSolver:
         a = a[np.ix_(perm, perm)]
         norm = np.linalg.norm(a, 2)
         seen, found_sizes = [], []
-        for idx, w, v in _eigh_blocks(_source(a)):
+        for idx, stack in _symmetric_blocks(_source(a)):
+            w, v = np.linalg.eigh(stack)
             block = a[idx[:, :, None], idx[:, None, :]]
             eye = np.eye(idx.shape[1])
             assert np.max(np.abs(block @ v - v * w[:, None, :])) <= 1e-12 * norm
@@ -393,7 +397,8 @@ class TestSpectrumSolver:
     def test_diagonal_returned_bit_for_bit(self):
         d = np.random.default_rng(3).normal(size=40)
         # Forty 1 x 1 blocks in one stacked call: each eigenvector is exactly 1.
-        (idx, w, v), = _eigh_blocks(_source(np.diag(d)))
+        (idx, stack), = _symmetric_blocks(_source(np.diag(d)))
+        w, v = np.linalg.eigh(stack)
         assert idx.shape == (40, 1)
         assert np.array_equal(w[:, 0], d[idx[:, 0]])
         assert np.array_equal(v, np.ones((40, 1, 1)))
@@ -417,6 +422,12 @@ class TestSpectrumSolver:
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_antisymmetric_pair_rejected(self):
+        # (H + H^T) / 2 is zero there, so the block search must link the
+        # entries of H or H^T for the gate to see them.
+        with pytest.raises(DomainError, match="not symmetric"):
+            spectrum(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     @pytest.mark.parametrize("d", [0, 1, 2, 7, 200, 210, 900])
     def test_symmetrize_is_the_whole_matrix_formula(self, d):
@@ -482,6 +493,52 @@ class TestSpectrumSolver:
     def test_degenerate_eigenvalues_ordered_stably(self):
         values = spectrum(np.diag([2.0, 2.0, -1.0]))
         assert values == [-1.0, 2.0, 2.0]
+
+
+class TestFactorFormGates:
+    """``spectrum(PairModel)``: blocks proven from the factors, gates checked per block."""
+
+    @staticmethod
+    def tridiagonal(n):
+        return np.diag(np.arange(1.0, n), 1) + np.diag(np.arange(1.0, n), -1)
+
+    @pytest.mark.parametrize("scale", [0.1, 0.0])
+    def test_inf_against_a_zero_factor_rejected(self, scale):
+        # inf * 0 is NaN in the dense matrix.  At zero scale the blocks are
+        # single levels and the NaN lies between them, where no gathered
+        # block sees it.
+        a = np.array([[0.0, math.inf], [math.inf, 0.0]])
+        model = PairModel(((1.0, a, np.zeros((2, 2))),), scale, np.array([0.0, 1.0]))
+        with np.errstate(invalid="ignore"):
+            dense = model.operator()
+        with pytest.raises(DomainError, match="non-finite"):
+            spectrum(dense)
+        with pytest.raises(DomainError, match="non-finite"):
+            spectrum(model)
+
+    def test_nan_in_the_pair_diagonal_rejected(self):
+        c = _creation(3)
+        model = _exchange(c, 0.05).with_diagonal(np.array([0.0, math.nan, 2.0]))
+        with pytest.raises(DomainError, match="non-finite"):
+            spectrum(model)
+
+    def test_asymmetric_factor_rejected(self):
+        a = self.tridiagonal(4)
+        a[0, 1] += 2e-9
+        model = PairModel(((1.0, a, np.eye(4)),), single=np.arange(4.0))
+        with pytest.raises(DomainError, match="not symmetric"):
+            spectrum(model)
+
+    def test_odd_steps_make_one_block(self):
+        # A (x) I moves the polyad by -1, 0 and +1: gcd 1, a single block.
+        n = 5
+        model = PairModel(((1.0, self.tridiagonal(n), np.eye(n)),), 0.3,
+                          np.linspace(0.0, 2.0, n))
+        (idx, _), = _symmetric_blocks(model)
+        assert np.array_equal(idx, np.arange(n * n)[None, :])
+        dense = np.linalg.eigvalsh(model.operator().entries)
+        values = np.asarray(spectrum(model))
+        assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestCompareModels:
@@ -593,8 +650,9 @@ class TestResourceUse:
 
     @pytest.mark.parametrize("run", ["compare_models", "vibron_checks"])
     def test_one_dense_matrix_at_zero_coupling(self, run):
-        # Builders, symmetrization and checks each keep one d x d array
-        # alive; every other temporary is one slab (vibron._slabs).
+        # No d x d array is kept alive on these paths: the models stay in
+        # factor form, and every temporary is one slab (vibron._slabs) or one
+        # chunk of gathered blocks.
         spec = PotentialSpec.for_integer_q(20)
         call = {"compare_models": lambda: compare_models(spec, 0.0),
                 "vibron_checks": lambda: vibron_checks(spec)}[run]
@@ -618,9 +676,9 @@ class TestResourceUse:
         ("cli vibron exact", 1.5),
     ])
     def test_factor_forms_build_no_dense_matrix(self, run, bound, capsys):
-        # Measured in dense q = 20 arrays: the solver holds a d x d boolean
-        # pattern (1/8 of one) and slabs, then the stacked parity blocks of
-        # the exact model and LAPACK's eigenvectors of them.
+        # Measured in dense q = 20 arrays: the checks hold slabs, the solver
+        # the stacked parity blocks of the exact model and LAPACK's
+        # eigenvectors of them.
         spec = PotentialSpec.for_integer_q(20)
         argv = ["vibron", "--q", "20", "--model", "exact", "--lambda", "0.03",
                 "--format", "json"]
@@ -631,6 +689,13 @@ class TestResourceUse:
         peak = traced_peak(call)
         capsys.readouterr()
         assert peak <= bound * (20 * 20) ** 2 * 8
+
+    def test_factor_solve_holds_no_pair_pattern(self):
+        # The blocks are read off the factors, so no d x d array of any
+        # dtype is formed; a boolean pattern alone would be 1/8 of a dense one.
+        spec = PotentialSpec.for_integer_q(30)
+        peak = traced_peak(lambda: spectrum(coupled_model(spec, "su2", 0.03)))
+        assert peak <= (30 * 30) ** 2 * 8 / 8
 
 
 class TestDeepWells:
