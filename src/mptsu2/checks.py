@@ -8,7 +8,7 @@ are informational (diagnostics such as the narrow-well series step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     measured: float
     tolerance: float

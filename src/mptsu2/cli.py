@@ -308,6 +308,10 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     if method == "expansion" and op not in ("x", "p"):
         sys.stderr.write("error: expansions exist only for x and p\n")
         return EXIT_USAGE
+    # The closed forms need nu >= 5; the expansions an interior level, nu >= 7.
+    min_q = {"closed": 2, "expansion": 3}.get(method, 0)
+    if round(wn.q) < min_q:
+        raise DomainError(f"--method {method} requires q >= {min_q}")
     meta = _meta()
     if op == "p":
         meta["momentum_convention"] = "matrix is R; momentum = -i hbar R"

@@ -24,7 +24,7 @@ convention down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def channel_coefficient(nu: int, n: int, channel: str) -> float:
     raise DomainError(f"unknown channel {channel!r}")
 
 
-@dataclass(frozen=True)
-class ExpansionWeights:
+class ExpansionWeights(NamedTuple):
     """All four channel weights for every physical level of one multiplet.
 
     Raising-channel entries are +inf at the closed edge level; the matrix
@@ -134,8 +133,7 @@ def expansion_weights(nu: int) -> ExpansionWeights:
     return ExpansionWeights(nu, seq(X_RAISE), seq(X_LOWER), seq(P_RAISE), seq(P_LOWER))
 
 
-@dataclass(frozen=True)
-class BosonPair:
+class BosonPair(NamedTuple):
     """A creation/annihilation matrix pair over the physical basis."""
 
     create: OperatorMatrix

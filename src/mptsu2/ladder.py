@@ -12,7 +12,8 @@ of the first-order differential ladder operators on sampled wavefunctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ PHYSICAL_KIND = "physical"
 TWO_OSC_KIND = "two-oscillator"
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(namedtuple("OperatorMatrix", "entries basis kind")):
     """A real dense matrix over an ordered basis, immutable after construction.
 
     ``kind`` records the space: the full spin-j multiplet (dim nu), the
@@ -63,28 +63,26 @@ class OperatorMatrix:
     without a second d x d copy.
     """
 
-    entries: np.ndarray
-    basis: tuple
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.entries
+    def __new__(cls, entries: np.ndarray, basis: tuple, kind: str):
+        m = entries
         if not (type(m) is np.ndarray and m.dtype == np.float64
                 and m.flags.owndata and not m.flags.writeable):
             m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("operator matrix must be square")
-        if len(self.basis) != m.shape[0]:
+        if len(basis) != m.shape[0]:
             raise DomainError("basis length must match matrix dimension")
-        if self.basis and isinstance(self.basis[0], StateLabel):
-            nu = self.basis[0].nu
-            if self.kind == FULL_KIND and m.shape[0] != int(round(nu)):
+        if basis and isinstance(basis[0], StateLabel):
+            nu = basis[0].nu
+            if kind == FULL_KIND and m.shape[0] != int(round(nu)):
                 raise DomainError("full spin-j matrices must have dimension nu")
-            if self.kind == PHYSICAL_KIND and m.shape[0] != (int(round(nu)) - 1) // 2:
+            if kind == PHYSICAL_KIND and m.shape[0] != (int(round(nu)) - 1) // 2:
                 raise DomainError(
                     "physical matrices must cover the (nu - 1)/2 bound states")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        return super().__new__(cls, m, basis, kind)
 
     @property
     def dim(self) -> int:
@@ -101,8 +99,7 @@ def _require_odd_nu(nu: int, minimum: int = 3) -> int:
     return int(nu)
 
 
-@dataclass(frozen=True)
-class LadderTriple:
+class LadderTriple(NamedTuple):
     """Raising, lowering, and projection matrices of one su(2) multiplet."""
 
     plus: OperatorMatrix

@@ -24,8 +24,8 @@ inputs, and nothing is cached: a matrix costs milliseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(NamedTuple):
     """A one-body observable: a weight function applied to psi or to d(psi)/dx.
 
     ``parity`` is +1/-1 for observables of definite parity (counting the
@@ -87,8 +86,7 @@ POTENTIAL = Observable("potential",
                        parity=+1)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "rule_order", defaults=(None,))):
     """Quadrature configuration: the node count of the rule.
 
     ``rule_order`` None (the default) takes q + 2 nodes, exact for every
@@ -99,11 +97,12 @@ class OracleConfig:
     under-resolve deep wells on purpose.
     """
 
-    rule_order: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rule_order is not None and not self.rule_order >= 1:
+    def __new__(cls, rule_order: int | None = None):
+        if rule_order is not None and not rule_order >= 1:
             raise DomainError("rule_order must be at least 1")
+        return super().__new__(cls, rule_order)
 
 
 def _contract(spec: PotentialSpec, obs: Observable, to_x: Callable, a: float, b: float,

@@ -9,7 +9,7 @@ composite fixed-panel integrator built on those rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -26,29 +26,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights order")):
     """Gauss-Legendre nodes/weights on the reference interval (-1, 1).
 
     Nodes are strictly increasing and symmetric about 0; weights are
     positive and sum to 2 (the Legendre normalization).
     """
 
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.order < 1 or len(self.nodes) != self.order:
+    def __new__(cls, nodes: tuple[float, ...], weights: tuple[float, ...], order: int):
+        if order < 1 or len(nodes) != order:
             raise DomainError("quadrature order must be a positive integer")
-        x = np.asarray(self.nodes)
-        w = np.asarray(self.weights)
+        x = np.asarray(nodes)
+        w = np.asarray(weights)
         if np.any(w <= 0):
             raise DomainError("quadrature weights must be positive")
         if abs(w.sum() - 2.0) > 1e-13:
             raise DomainError("quadrature weights must sum to 2")
         if np.any(np.diff(x) <= 0) or np.max(np.abs(x + x[::-1])) > 1e-13:
             raise DomainError("nodes must be increasing and symmetric about 0")
+        return super().__new__(cls, nodes, weights, order)
 
 
 def gegenbauer(n: int, lam: float, t):

@@ -10,7 +10,8 @@ an integer well-depth parameter q (odd integer nu = 2q + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,29 +36,36 @@ __all__ = [
 INTEGER_Q_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Physical parameters of one well: depth D, range alpha, mass mu, hbar."""
+def _check_finite_positive(**fields: float) -> None:
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise DomainError(f"PotentialSpec.{name} must be finite, got {value}")
+        if not value > 0.0:
+            raise DomainError(f"PotentialSpec.{name} must be strictly positive")
 
-    D: float
-    alpha: float
-    mu: float = 1.0
-    hbar: float = 1.0
 
-    def __post_init__(self):
-        for name in ("D", "alpha", "mu", "hbar"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"PotentialSpec.{name} must be strictly positive")
+class PotentialSpec(namedtuple("PotentialSpec", "D alpha mu hbar", defaults=(1.0, 1.0))):
+    """Physical parameters of one well: depth D, range alpha, mass mu, hbar.
+
+    Each must be finite and strictly positive; D is checked last, so an
+    error names the parameter given rather than a depth derived from it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, D: float, alpha: float, mu: float = 1.0, hbar: float = 1.0):
+        _check_finite_positive(alpha=alpha, mu=mu, hbar=hbar, D=D)
+        return super().__new__(cls, D, alpha, mu, hbar)
 
     @classmethod
     def for_integer_q(cls, q: int, alpha: float = 1.0, mu: float = 1.0,
                       hbar: float = 1.0) -> "PotentialSpec":
         """Dimensionless preset: the depth that makes the well parameter exactly q."""
+        _check_finite_positive(alpha=alpha, mu=mu, hbar=hbar)  # before D divides by mu
         return cls(D=depth_for_integer_q(q, alpha, mu, hbar), alpha=alpha, mu=mu, hbar=hbar)
 
 
-@dataclass(frozen=True)
-class WellNumbers:
+class WellNumbers(NamedTuple):
     """Derived quantum numbers of a well: k, q, nu = 2q + 1 and the top level n_max."""
 
     k: float
@@ -70,8 +78,7 @@ class WellNumbers:
         return abs(self.q - round(self.q)) <= INTEGER_Q_TOL
 
 
-@dataclass(frozen=True)
-class StateLabel:
+class StateLabel(NamedTuple):
     """Quantum numbers of one bound level.
 
     epsilon = q - n sets the decay rate exp(-epsilon * alpha * |x|); j and m
@@ -98,7 +105,11 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     n_max = q - 1; otherwise every level with epsilon = q - n > 0 is bound,
     i.e. n_max = ceil(q) - 1.
     """
-    ratio = 2.0 * spec.mu * spec.D / (spec.alpha * spec.hbar) ** 2
+    scale = (spec.alpha * spec.hbar) ** 2
+    ratio = 2.0 * spec.mu * spec.D / scale if scale > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise DomainError(f"the well is too deep: 2 mu D / (alpha hbar)^2 = {ratio} "
+                          "is not finite")
     k = math.sqrt(0.25 + ratio)
     q = (-1.0 + 2.0 * k) / 2.0
     q_round = round(q)

@@ -44,8 +44,8 @@ one, filled slab by slab with the same entries bit for bit and adopted by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections import namedtuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,32 +86,28 @@ __all__ = [
 INTERACTION_LEVELS = ("crude", "zA-zB")
 
 
-@dataclass(frozen=True)
-class SpectroParams:
+class SpectroParams(namedtuple("SpectroParams", "omega_e xe_omega_e")):
     """Spectroscopic constants: harmonic frequency and anharmonicity product."""
 
-    omega_e: float
-    xe_omega_e: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.omega_e > 0.0 and self.xe_omega_e > 0.0):
+    def __new__(cls, omega_e: float, xe_omega_e: float):
+        if not (omega_e > 0.0 and xe_omega_e > 0.0):
             raise DomainError("spectroscopic constants must be positive")
+        return super().__new__(cls, omega_e, xe_omega_e)
 
 
-@dataclass(frozen=True)
-class VibronParams:
+class VibronParams(namedtuple("VibronParams", "N omega0 lam hbar", defaults=(0.0, 1.0))):
     """Algebraic model parameters: boson number N, frequency omega0, coupling."""
 
-    N: int
-    omega0: float
-    lam: float = 0.0
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1 or self.N != int(self.N):
+    def __new__(cls, N: int, omega0: float, lam: float = 0.0, hbar: float = 1.0):
+        if N < 1 or N != int(N):
             raise DomainError("boson number N must be a positive integer")
-        if not self.omega0 > 0.0:
+        if not omega0 > 0.0:
             raise DomainError("omega0 must be positive")
+        return super().__new__(cls, N, omega0, lam, hbar)
 
     @property
     def energy_quantum(self) -> float:
@@ -150,8 +146,7 @@ def spectro_from_vibron(vp: VibronParams) -> SpectroParams:
     )
 
 
-@dataclass(frozen=True)
-class TwoOscBasis:
+class TwoOscBasis(NamedTuple):
     """Lexicographic product basis |n1, n2> of two identical oscillators."""
 
     dim_single: int
@@ -599,8 +594,7 @@ def spectrum(matrix: OperatorMatrix | np.ndarray | PairModel) -> list[float]:
     return _solve(_source(matrix))[0].tolist()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Sorted spectra of the four coupled models and their deviations from exact.
 
     Eigenvalues are paired by sorted position; ``polyads`` carries the
@@ -632,9 +626,10 @@ def coupling(spec: PotentialSpec, model: str, lam: float,
     wn = well_numbers(spec)
     if not wn.q_is_integer:
         raise DomainError("coupled models need an integer well parameter q")
+    min_q = {"crude": 2, "exact": 3, "zA-zB": 3}.get(model, 0)
+    if round(wn.q) < min_q:
+        raise DomainError(f"the {model} coupled model requires q >= {min_q}")
     if model == "exact":
-        if round(wn.q) < 3:
-            raise DomainError("the exact coupled model requires q >= 3")
         return _exact_coupling(spec, lam, cfg)
     return _exchange(_boson_creation(int(round(wn.nu)), model),
                      lam * spec.hbar * interaction_frequency(spec))

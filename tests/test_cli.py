@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,52 @@ class TestVibron:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 9
+
+
+class TestWellParameterErrors:
+    @pytest.mark.parametrize("argv, name", [
+        (("spectrum", "--q", "3", "--alpha", "inf"), "alpha"),
+        (("spectrum", "--q", "3", "--hbar", "inf"), "hbar"),
+        (("spectrum", "--q", "3", "--alpha", "nan"), "alpha"),
+        (("spectrum", "--q", "3", "--mu", "0"), "mu"),
+        (("spectrum", "--D", "inf"), "D"),
+        (("spectrum", "--D", "1e308"), "D"),
+        (("spectrum", "--D", "1", "--alpha", "1e-200"), "alpha"),
+        (("matelem", "--D", "inf", "--op", "sinh", "--method", "closed"), "D"),
+        (("verify", "--D", "inf", "--suite", "states"), "D"),
+    ])
+    def test_usage_error_names_the_parameter(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert re.search(rf"\b{name}\b", err)
+
+
+class TestShallowWellErrors:
+    @pytest.mark.parametrize("argv, need", [
+        (("vibron", "--q", "2", "--model", "zA-zB", "--lambda", "0.02"), 3),
+        (("vibron", "--q", "2", "--model", "exact", "--lambda", "0.02"), 3),
+        (("vibron", "--q", "1", "--model", "crude", "--lambda", "0.02"), 2),
+        (("matelem", "--q", "1", "--op", "sinh", "--method", "closed"), 2),
+        (("matelem", "--q", "1", "--op", "coshd", "--method", "closed"), 2),
+        (("matelem", "--q", "2", "--op", "x", "--method", "expansion"), 3),
+        (("matelem", "--q", "2", "--op", "p", "--method", "expansion"), 3),
+    ])
+    def test_error_states_the_q_needed(self, capsys, argv, need):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"requires q >= {need}" in err
+        assert "nu" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("vibron", "--q", "2", "--model", "crude", "--lambda", "0.02"),
+        ("matelem", "--q", "2", "--op", "sinh", "--method", "closed"),
+        ("matelem", "--q", "3", "--op", "x", "--method", "expansion"),
+    ])
+    def test_smallest_well_runs(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 class TestNonFiniteCoupling:

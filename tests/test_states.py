@@ -84,6 +84,18 @@ class TestWellNumbers:
         with pytest.raises(DomainError):
             depth_for_integer_q(0)
 
+    @pytest.mark.parametrize("name", ["alpha", "mu", "hbar"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_scale_named_before_the_depth_derived_from_it(self, name, value):
+        # A scale of inf, nan or 0 also spoils D = depth_for_integer_q(...).
+        with pytest.raises(DomainError, match=f"PotentialSpec.{name} must be"):
+            PotentialSpec(D=value, **{"alpha": 1.0, name: value})
+
+    @pytest.mark.parametrize("D, alpha", [(1e308, 1.0), (1.0, 1e-200)])
+    def test_non_finite_depth_ratio_rejected(self, D, alpha):
+        with pytest.raises(DomainError, match=r"2 mu D / \(alpha hbar\)\^2 = inf"):
+            well_numbers(PotentialSpec(D=D, alpha=alpha))
+
 
 class TestEnergy:
     def test_q2_levels(self):
