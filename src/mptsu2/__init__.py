@@ -77,7 +77,6 @@ from .vibron import (
     VibronParams,
     approx_interaction,
     compare_models,
-    coupled_hamiltonian,
     coupled_model,
     coupling,
     diagonal_energies,

@@ -142,8 +142,7 @@ def expansion_checks(spec: PotentialSpec,
     wn = well_numbers(spec)
     nu = int(round(wn.nu))
     if not wn.q_is_integer or nu < 7:
-        raise DomainError("expansion checks need an integer well with nu >= 7 "
-                          "(one interior state)")
+        raise DomainError("expansion checks need an integer well parameter q >= 3")
     alpha = spec.alpha
     results = [
         CheckResult("x expansion order 1 equals sinh matrix / alpha",

@@ -34,6 +34,9 @@ __all__ = [
 # q within this distance of an integer is treated as exactly integer when
 # counting bound states (the zero-energy state is never normalizable).
 INTEGER_Q_TOL = 1e-9
+# From this q on (2^23 for 1e-9) adjacent floats lie more than INTEGER_Q_TOL
+# apart, so "q is an integer" cannot be tested and n_max means nothing.
+MAX_Q = 2.0 ** (math.floor(math.log2(INTEGER_Q_TOL)) + 53)
 
 
 def _check_finite_positive(**fields: float) -> None:
@@ -103,7 +106,7 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
 
     For integer q (within INTEGER_Q_TOL) the zero-energy level is excluded and
     n_max = q - 1; otherwise every level with epsilon = q - n > 0 is bound,
-    i.e. n_max = ceil(q) - 1.
+    i.e. n_max = ceil(q) - 1.  Wells with q >= MAX_Q are rejected.
     """
     scale = (spec.alpha * spec.hbar) ** 2
     ratio = 2.0 * spec.mu * spec.D / scale if scale > 0.0 else math.inf
@@ -112,6 +115,10 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
                           "is not finite")
     k = math.sqrt(0.25 + ratio)
     q = (-1.0 + 2.0 * k) / 2.0
+    if q >= MAX_Q:
+        raise DomainError(f"the well is too deep: q = {q} is not below {MAX_Q:.0f}, "
+                          "past which q cannot be told from an integer within "
+                          f"{INTEGER_Q_TOL:g}")
     q_round = round(q)
     if abs(q - q_round) <= INTEGER_Q_TOL and q_round >= 1:
         n_max = q_round - 1

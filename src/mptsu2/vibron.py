@@ -34,11 +34,11 @@ diagonal plus a short sum of Kronecker products of n x n factors.  The
 solver reads a model's blocks off the factors (``PairModel.labels``:
 polyads, polyad parities or single levels) and gathers each block from
 them; the checks read it one row slab of about max(2^13, d^1.5) entries
-(``_slabs``) at a time.  So the compare, check and CLI paths form no d x d
-array of any dtype.  Only the public builders (``su2_hamiltonian``,
-``exact_interaction``, ``coupled_hamiltonian`` and the rest) materialise
-one, filled slab by slab with the same entries bit for bit and adopted by
-``OperatorMatrix`` without a copy.
+(``PairModel.slabs``) at a time.  So the compare, check and CLI paths form
+no d x d array of any dtype.  Only ``PairModel.operator``, behind the public
+builders (``su2_hamiltonian``, ``exact_interaction`` and the rest),
+materialises one, filled slab by slab with the same entries bit for bit
+and adopted by ``OperatorMatrix`` without a copy.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ __all__ = [
     "spectrum",
     "coupling",
     "coupled_model",
-    "coupled_hamiltonian",
     "compare_models",
     "INTERACTION_LEVELS",
 ]
@@ -188,12 +187,6 @@ def _slab_entries(d: int) -> int:
     return max(2 ** 13, d * math.isqrt(d))
 
 
-def _slabs(d: int, count: int) -> list[slice]:
-    """Group the ``count`` equal row blocks of a d x d array into slabs (``_slab_entries``)."""
-    step = max(1, _slab_entries(d) * count // (d * d or 1))
-    return [slice(r, r + step) for r in range(0, count, step)]
-
-
 class PairModel:
     """A two-oscillator matrix in factor form; no d x d array is stored.
 
@@ -267,8 +260,13 @@ class PairModel:
         return h
 
     def slabs(self) -> list[slice]:
-        """The i1 ranges of the row slabs (``_slabs``), in order."""
-        return _slabs(self.dim, self.n)
+        """The i1 ranges of the row slabs, in order.
+
+        Each i1 holds n^3 entries; a slab takes as many as fit in
+        ``_slab_entries(d)``, at least one.
+        """
+        step = max(1, _slab_entries(self.dim) // (self.n ** 3 or 1))
+        return [slice(r, r + step) for r in range(0, self.n, step)]
 
     def slab_buffer(self) -> np.ndarray:
         """A flat array that holds any slab of ``rows``, for loops to reuse as ``out``.
@@ -474,70 +472,20 @@ def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     return PairModel((), single=np.arange(basis.dim_single, dtype=float)).operator()
 
 
-class _Dense:
-    """A dense square matrix as a solver source: blocks are a gather from it."""
-
-    __slots__ = ("a", "dim")
-
-    def __init__(self, a: np.ndarray):
-        self.a, self.dim = a, a.shape[0]
-
-    def labels(self) -> np.ndarray:
-        """Label each index by the lowest index of its connected component.
-
-        Indices are linked by the nonzero entries of H or H^T, recorded slab
-        by slab in a d x d boolean array.  Isolated levels keep their own
-        label without a search, so a diagonal matrix costs no Python loop.
-        """
-        d = self.dim
-        linked = np.empty((d, d), dtype=bool)
-        for s in _slabs(d, d):
-            upper = linked[s, s.start:]
-            np.not_equal(self.a[s, s.start:], 0.0, out=upper)
-            upper |= self.a[s.start:, s].T != 0.0
-            linked[s.start:, s] = upper.T
-        np.fill_diagonal(linked, False)
-        label = np.arange(d)
-        for seed in np.flatnonzero(linked.any(axis=1)):
-            if label[seed] != seed:
-                continue
-            reach = np.zeros(d, dtype=bool)
-            reach[seed] = True
-            frontier = reach.copy()
-            while frontier.any():
-                frontier = linked[frontier].any(axis=0) & ~reach
-                reach |= frontier
-            label[reach] = seed
-        return label
-
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        return self.a[idx[:, :, None], idx[:, None, :]]
-
-
-def _source(matrix: OperatorMatrix | np.ndarray | PairModel) -> PairModel | _Dense:
-    if isinstance(matrix, PairModel):
-        return matrix
-    a = np.asarray(matrix.entries if isinstance(matrix, OperatorMatrix) else matrix,
-                   dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("spectrum requires a square matrix")
-    return _Dense(a)
-
-
-def _symmetric_blocks(source: PairModel | _Dense) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
 
-    The blocks are the source's ``labels``.  H and H^T are exactly zero
-    between them, so each gathered block is checked for a non-finite entry,
-    then for an asymmetry |H - H^T| above 1e-9 (``DomainError``).  Blocks
-    of equal size s come as ``(idx, stack)``: row b of ``idx`` (k, s) lists
-    one block's basis indices ascending, and ``stack[b]`` is that block,
-    gathered about ``_slab_entries(d)`` entries (at least one block) at a
-    time and symmetrized as (b + b^T) * 0.5, bit for bit the entries a
-    whole-matrix symmetrization gives.
+    The blocks are the model's ``labels``, read off its factors.  H and H^T
+    are exactly zero between them, so each gathered block is checked for a
+    non-finite entry, then for an asymmetry |H - H^T| above 1e-9
+    (``DomainError``).  Blocks of equal size s come as ``(idx, stack)``: row
+    b of ``idx`` (k, s) lists one block's basis indices ascending, and
+    ``stack[b]`` is that block, gathered about ``_slab_entries(d)`` entries
+    (at least one block) at a time and symmetrized as (b + b^T) * 0.5, bit
+    for bit the entries a whole-matrix symmetrization gives.
     """
-    d = source.dim
-    label = source.labels()
+    d = model.dim
+    label = model.labels()
     size = np.bincount(label, minlength=d)[label]
     order = np.lexsort((label, size))
     start = 0
@@ -547,7 +495,7 @@ def _symmetric_blocks(source: PairModel | _Dense) -> Iterator[tuple[np.ndarray, 
         stack = np.empty((count // s, s, s))
         step = max(1, _slab_entries(d) // (s * s))
         for b in range(0, len(idx), step):
-            g = source.block(idx[b:b + step])
+            g = model.block(idx[b:b + step])
             # NaN propagates through min and max, which need no temporary.
             if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise DomainError("matrix has a non-finite entry")
@@ -560,16 +508,16 @@ def _symmetric_blocks(source: PairModel | _Dense) -> Iterator[tuple[np.ndarray, 
         yield idx, stack
 
 
-def _solve(source: PairModel | _Dense) -> tuple[np.ndarray, np.ndarray]:
+def _solve(model: PairModel) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues, each with its eigenvector's dominant basis index.
 
     Each stack of ``_symmetric_blocks`` is one LAPACK ``eigh`` call.  The
     dominant index is the largest |component|, the first in basis order on
     ties, found per block, where the eigenvectors live.  The sort is stable.
     """
-    values = np.empty(source.dim)
-    dominant = np.empty(source.dim, dtype=int)
-    for idx, stack in _symmetric_blocks(source):
+    values = np.empty(model.dim)
+    dominant = np.empty(model.dim, dtype=int)
+    for idx, stack in _symmetric_blocks(model):
         w, v = np.linalg.eigh(stack)
         values[idx] = w
         # argmax along axis 1 would copy v to make that axis contiguous; the
@@ -581,17 +529,20 @@ def _solve(source: PairModel | _Dense) -> tuple[np.ndarray, np.ndarray]:
     return values[order], dominant[order]
 
 
-def spectrum(matrix: OperatorMatrix | np.ndarray | PairModel) -> list[float]:
-    """Ascending eigenvalues of a (nearly) symmetric matrix, dense or in factor form.
+def spectrum(model: PairModel) -> list[float]:
+    """Ascending eigenvalues of a (nearly) symmetric two-oscillator matrix in factor form.
 
-    The input must be finite and symmetric within 1e-9 elementwise
-    (``DomainError`` otherwise).  It is neither copied nor modified: the
-    solver gathers each exactly decoupled block of (H + H^T) / 2 for
-    LAPACK.  A dense input's blocks are found in a d x d boolean array of
-    its nonzero entries; a ``PairModel``'s are read off its factors, with
-    no d x d array.  Eigenvectors are not kept.
+    The model must be finite and symmetric within 1e-9 elementwise
+    (``DomainError`` otherwise, also for any input that is not a
+    ``PairModel``).  It is neither copied nor modified: the solver reads
+    the blocks off the factors and gathers each exactly decoupled block of
+    (H + H^T) / 2 for LAPACK, with no d x d array.  Eigenvectors are not
+    kept.
     """
-    return _solve(_source(matrix))[0].tolist()
+    if not isinstance(model, PairModel):
+        raise DomainError("spectrum solves a PairModel (see coupled_model); "
+                          "use numpy.linalg.eigvalsh for a dense matrix")
+    return _solve(model)[0].tolist()
 
 
 class ComparisonReport(NamedTuple):
@@ -652,12 +603,6 @@ def coupled_model(spec: PotentialSpec, model: str, lam: float,
         return _su2_model(vp, wn.n_max + 1)
     levels = _level_energies(spec, wn.n_max + 1)
     return coupling(spec, model, lam, cfg).with_diagonal(levels)
-
-
-def coupled_hamiltonian(spec: PotentialSpec, model: str, lam: float,
-                        cfg: OracleConfig = OracleConfig()) -> OperatorMatrix:
-    """The dense matrix of ``coupled_model``."""
-    return coupled_model(spec, model, lam, cfg).operator()
 
 
 def compare_models(spec: PotentialSpec, lam: float,

@@ -3,18 +3,34 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mptsu2
 from mptsu2.cli import main
+from mptsu2.states import MAX_Q
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, timeout=60):
+    """``python *argv`` in a fresh process that imports this package, installed or not."""
+    src = str(Path(mptsu2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def parse_csv(text):
@@ -163,9 +179,10 @@ class TestVerify:
             assert rows and all(r["status"] == "pass" for r in rows)
 
     def test_expansion_suite_needs_interior_state(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--q", "2", "--suite", "expansion")
-        assert code == 2
-        assert "nu >= 7" in err
+        for well in (("--q", "2"), ("--D", "3.3")):
+            code, _, err = run_cli(capsys, "verify", *well, "--suite", "expansion")
+            assert code == 2
+            assert err == "error: expansion checks need an integer well parameter q >= 3\n"
 
     def test_full_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "all")
@@ -223,6 +240,26 @@ class TestWellParameterErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert re.search(rf"\b{name}\b", err)
+
+
+class TestTooDeepWellErrors:
+    # From q = 2^23 on "q is an integer" cannot be tested.  Each command runs
+    # in a fresh process with a timeout, so that a hang fails the test.
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("verify", "--suite", "states"),
+        ("matelem", "--op", "sinh", "--method", "oracle"),
+        ("vibron", "--lambda", "0.01", "--model", "su2"),
+        ("verify", "--suite", "algebra"),
+        ("params",),
+    ], ids=["spectrum", "verify-states", "matelem", "vibron", "verify-algebra", "params"])
+    def test_usage_error_names_q_and_the_bound(self, argv):
+        proc = run_child("-m", "mptsu2", *argv, "--D", "1e200", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert re.search(rf"q = \S+ is not below {MAX_Q:.0f}\b", proc.stderr)
 
 
 class TestShallowWellErrors:
@@ -425,6 +462,26 @@ class TestOutputContract:
             assert code == 2
             assert out == ""
             assert missing in err
+
+
+class TestStartUp:
+    def test_cli_runs_leave_numpy_ma_unimported(self):
+        # Importing numpy.ma costs ~10 ms of a CLI process; a flagless
+        # np.unique is one way to pull it in.
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from mptsu2 import cli
+            for argv in (["spectrum"], ["params"],
+                         ["matelem", "--op", "sinh", "--method", "oracle"],
+                         ["verify", "--suite", "all"],
+                         ["vibron", "--model", "compare", "--lambda", "0.05"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([*argv, "--q", "5"]) == 0, argv
+            print("numpy.ma" in sys.modules)
+        """)
+        proc = run_child("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestExitCodes:

@@ -8,6 +8,8 @@ import pytest
 from mptsu2.errors import DomainError
 from mptsu2.specfun import gauss_legendre, integrate
 from mptsu2.states import (
+    INTEGER_Q_TOL,
+    MAX_Q,
     PotentialSpec,
     StateLabel,
     bound_state_labels,
@@ -95,6 +97,21 @@ class TestWellNumbers:
     def test_non_finite_depth_ratio_rejected(self, D, alpha):
         with pytest.raises(DomainError, match=r"2 mu D / \(alpha hbar\)\^2 = inf"):
             well_numbers(PotentialSpec(D=D, alpha=alpha))
+
+    def test_depth_bound_is_where_float_spacing_passes_the_integer_tolerance(self):
+        assert MAX_Q == 2.0 ** 23
+        assert math.ulp(MAX_Q) > INTEGER_Q_TOL >= math.ulp(math.nextafter(MAX_Q, 0.0))
+
+    def test_deepest_testable_integer_well_accepted(self):
+        wn = well_numbers(PotentialSpec.for_integer_q(2 ** 22))
+        assert wn.q_is_integer and wn.n_max == 2 ** 22 - 1
+
+    @pytest.mark.parametrize("spec", [PotentialSpec.for_integer_q(2 ** 23),
+                                      PotentialSpec(D=1e200, alpha=1.0)],
+                             ids=["q=2^23", "D=1e200"])
+    def test_too_deep_to_count_rejected(self, spec):
+        with pytest.raises(DomainError, match=r"q = .* not below 8388608"):
+            well_numbers(spec)
 
 
 class TestEnergy:
