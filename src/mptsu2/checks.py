@@ -8,7 +8,7 @@ are informational (diagnostics such as the narrow-well series step).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .oracle import (
     observable_matrix,
 )
 from .states import PotentialSpec, energy, wavefunction, well_numbers
-from .vibron import PairModel, compare_models, coupling
+from .vibron import PairModel, _offsets, compare_models, coupling
 
 __all__ = [
     "CheckResult",
@@ -56,12 +56,6 @@ class CheckResult(NamedTuple):
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
-
-
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| through one temporary."""
-    t = np.subtract(a, b)
-    return float(np.abs(t, out=t).max())
 
 
 def algebra_checks(nu: int) -> list[CheckResult]:
@@ -174,74 +168,94 @@ def expansion_checks(spec: PotentialSpec,
     return results
 
 
-def _slab_defect(form: PairModel, other: PairModel, cut: str) -> float:
-    """max |form - other| over the row slabs, each cut from its first i1 on (``cut``).
+def _bound(form: PairModel, defect: Callable[..., float], roundings: int) -> float:
+    """A bound, from the n x n factors, on a defect of ``form``'s entries as computed.
 
-    With cut ``first`` the columns j1 >= the slab's first i1 are compared,
-    with ``low`` the rows i2 >= it.
+    |scale| sum_k |w_k| defect(A_k, B_k) bounds the exact defect.  An entry
+    of m terms rounds m + 2 times, so it lies within gamma M of its exact
+    value, gamma = (m + 2) u / (1 - (m + 2) u), M = |scale| sum_k |w_k|
+    max|A_k| max|B_k|; ``roundings`` counts the entries a defect subtracts.
+    The factor 1 + 4 gamma covers the relative rounding of a scaled entry
+    and of the bound itself.  inf when M, formed in the order of the
+    entries' products, is not finite: an entry can overflow.
     """
-    h, g = form.slab_buffer(), form.slab_buffer()
-    return max(_max_abs_diff(form.rows(r, out=h, **{cut: r.start}),
-                             other.rows(r, out=g, **{cut: r.start}))
-               for r in form.slabs())
+    s = abs(form.scale)
+    big = s * sum(abs(w) * (_max_abs(a) * _max_abs(b)) for w, a, b in form.terms)
+    if not math.isfinite(big):
+        return math.inf
+    ops = (len(form.terms) + 2) * 2.0 ** -53
+    gamma = ops / (1.0 - ops)
+    total = s * sum(abs(w) * defect(a, b) for w, a, b in form.terms)
+    return (total + roundings * gamma * big) * (1.0 + 4.0 * gamma)
 
 
-def _symmetry_defect(form: PairModel) -> float:
-    """max |H - H^T| of a factor form.
+def _symmetry_bound(form: PairModel) -> float:
+    """Bounds max |H - H^T| of a bare coupling.
 
-    |H_ij - H_ji| is the same at (j, i), so each slab is compared from its
-    first row's column on, which covers every pair once.
+    With A^T = sA + dA and B^T = sB + dB for a sign s = +-1, A^T (x) B^T
+    - A (x) B = s A (x) dB + s dA (x) B + dA (x) dB; each term takes the s
+    that gives the smaller bound.
     """
-    return _slab_defect(form, form.transposed(), "first")
+    def defect(a: np.ndarray, b: np.ndarray, sign: float) -> float:
+        da, db = _max_abs(a.T - sign * a), _max_abs(b.T - sign * b)
+        return _max_abs(a) * db + da * _max_abs(b) + da * db
+
+    return _bound(form, lambda a, b: min(defect(a, b, 1.0), defect(a, b, -1.0)), 2)
 
 
-def _exchange_defect(form: PairModel) -> float:
-    """max |H - H swapped| of a factor form, H swapped mapping (i1, i2) to (i2, i1).
+def _exchange_bound(form: PairModel) -> float:
+    """Bounds max |H - H swapped| of a bare coupling, H swapped = scale sum_k w_k B_k (x) A_k.
 
-    The defect at (i, j) recurs at the swapped (i', j'), so the rows with
-    i2 >= the slab's first i1 (every row with i2 >= i1, or its swap)
-    cover every value.
+    When (A, B) -> (B, A) maps the term list onto itself and at most two
+    terms are summed, each swapped entry sums the same products, and
+    fl(a + b) = fl(b + a), so the defect is exactly 0.  Otherwise each term
+    is bounded by A (x) B - B (x) A = A (x) D - D (x) A, D = B - A.
     """
-    return _slab_defect(form, form.swapped(), "low")
+    terms = [(w, a.tobytes(), b.tobytes()) for w, a, b in form.terms]
+    if len(terms) <= 2 and sorted(terms) == sorted((w, b, a) for w, a, b in terms):
+        return _bound(form, lambda a, b: 0.0, 0)
+    return _bound(form, lambda a, b: 2.0 * min(_max_abs(a), _max_abs(b)) * _max_abs(b - a), 2)
 
 
-def _polyad_defect(form: PairModel) -> float:
-    """max |[H, P]| = max |(P_i - P_j) H_ij| for the polyad operator P = n1 + n2."""
-    n = form.n
-    polyads = np.array(form.basis.polyads, dtype=float)
-    h, t = form.slab_buffer(), form.slab_buffer()
+def _polyad_bound(form: PairModel) -> float:
+    """Bounds max |[H, P]| = max |(P_i - P_j) H_ij| of a bare coupling, P = n1 + n2.
 
-    def slab(r: slice) -> float:
-        p = polyads[r.start * n:r.stop * n]
-        d = np.subtract.outer(p, polyads, out=t[:p.size * polyads.size].reshape(p.size, -1))
-        d *= form.rows(r, out=h)
-        return float(np.abs(d, out=d).max())
+    A product A_k[i1, j1] B_k[i2, j2] lies on the diagonals u = i1 - j1 and
+    v = i2 - j2 of its factors and moves the polyad by u + v, so the
+    defect is 0 when every nonzero product conserves the polyad.
+    """
+    def peaks(m: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        return np.array([_max_abs(np.diagonal(m, -k)) for k in offsets])
 
-    return max(map(slab, form.slabs()))
+    def defect(a: np.ndarray, b: np.ndarray) -> float:
+        u, v = _offsets(a), _offsets(b)
+        step = np.abs(np.add.outer(u, v)) * np.outer(peaks(a, u), peaks(b, v))
+        return float(step.max(initial=0.0))
+
+    return _bound(form, defect, 0)
 
 
 def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
                   cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
     """Coupled-model structure: coincidence at zero coupling, symmetries, polyad.
 
-    Each coupling is read in factor form (``vibron.PairModel``) and compared
-    slab by slab with its transposed or oscillator-swapped form, so no
-    d x d matrix is formed; every defect is a max over row slabs.
+    The three structure rows are bounds read from each bare coupling's
+    n x n factors (``vibron.PairModel``) in O(n^2), each at least the
+    elementwise defect of the matrix as computed, and exactly 0 where the
+    factors prove it; no d x d matrix is formed.
     """
     wn = well_numbers(spec)
     if not wn.q_is_integer or round(wn.q) < 3:
         raise DomainError("vibron checks need an integer well parameter q >= 3")
     report0 = compare_models(spec, 0.0, cfg)
     coincide = max(max(d) for d in report0.deviations.values())
-    exact = coupling(spec, "exact", lam, cfg)
-    crude = coupling(spec, "crude", lam, cfg)
+    exact, crude, za_zb = (coupling(spec, m, lam, cfg) for m in ("exact", "crude", "zA-zB"))
     return [
         CheckResult("all model spectra coincide at lambda = 0", coincide, 1e-9),
-        CheckResult("crude interaction commutes with polyad", _polyad_defect(crude), 1e-12),
-        CheckResult("exact interaction is symmetric", _symmetry_defect(exact), 1e-10),
+        CheckResult("crude interaction commutes with polyad", _polyad_bound(crude), 1e-12),
+        CheckResult("exact interaction is symmetric", _symmetry_bound(exact), 1e-10),
         CheckResult("models invariant under oscillator exchange",
-                    max(_exchange_defect(form) for form in
-                        (exact, crude, coupling(spec, "zA-zB", lam, cfg))), 1e-10),
+                    max(map(_exchange_bound, (exact, crude, za_zb))), 1e-10),
     ]
 
 
@@ -254,14 +268,18 @@ def suite_for(name: str, spec: PotentialSpec | None, nu: int | None,
     """Run one named suite (or all of them) for a well and/or multiplet."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}")
+    if nu is not None and name != "algebra":
+        raise DomainError("--nu applies to the algebra suite only")
     if name == "algebra":
-        if nu is None:
-            if spec is None:
-                raise DomainError("algebra suite needs --nu or a well")
+        if spec is not None:
             wn = well_numbers(spec)
             if not wn.q_is_integer:
                 raise DomainError("algebra suite needs an integer well parameter q")
+            if nu is not None and nu != round(wn.nu):
+                raise DomainError(f"--nu {nu} does not match the well's nu = {round(wn.nu)}")
             nu = int(round(wn.nu))
+        elif nu is None:
+            raise DomainError("algebra suite needs --nu or a well")
         return algebra_checks(nu)
     if spec is None:
         raise DomainError(f"suite {name!r} needs a well specification")

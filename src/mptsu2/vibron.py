@@ -33,12 +33,11 @@ q = 50), so every model is kept in factor form (``PairModel``): the pair
 diagonal plus a short sum of Kronecker products of n x n factors.  The
 solver reads a model's blocks off the factors (``PairModel.labels``:
 polyads, polyad parities or single levels) and gathers each block from
-them; the checks read it one row slab of about max(2^13, d^1.5) entries
-(``PairModel.slabs``) at a time.  So the compare, check and CLI paths form
-no d x d array of any dtype.  Only ``PairModel.operator``, behind the public
-builders (``su2_hamiltonian``, ``exact_interaction`` and the rest),
-materialises one, filled slab by slab with the same entries bit for bit
-and adopted by ``OperatorMatrix`` without a copy.
+them, and the checks bound their defects from the factors alone.  So the
+compare, check and CLI paths form no d x d array of any dtype.  Only
+``PairModel.operator``, behind the public builders (``su2_hamiltonian``,
+``exact_interaction`` and the rest), materialises one, with the same
+entries bit for bit, adopted by ``OperatorMatrix`` without a copy.
 """
 
 from __future__ import annotations
@@ -91,8 +90,9 @@ class SpectroParams(namedtuple("SpectroParams", "omega_e xe_omega_e")):
     __slots__ = ()
 
     def __new__(cls, omega_e: float, xe_omega_e: float):
-        if not (omega_e > 0.0 and xe_omega_e > 0.0):
-            raise DomainError("spectroscopic constants must be positive")
+        for name, value in (("omega_e", omega_e), ("xe_omega_e", xe_omega_e)):
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"spectroscopic constants must be positive and finite: {name}")
         return super().__new__(cls, omega_e, xe_omega_e)
 
 
@@ -128,7 +128,11 @@ def vibron_params_from_spectro(sp: SpectroParams, lam: float = 0.0,
     The ratio must land on a positive integer (within 1e-9); anharmonic
     ladders that do not are not su(2)-compatible.
     """
+    if not 0.0 < hbar < math.inf:
+        raise DomainError(f"hbar must be positive and finite, got {hbar}")
     ratio = sp.omega_e / sp.xe_omega_e - 1.0
+    if not math.isfinite(ratio):
+        raise DomainError(f"omega_e / xe_omega_e overflows: boson number would be {ratio}")
     n_boson = round(ratio)
     if n_boson < 1 or abs(ratio - n_boson) > 1e-9:
         raise DomainError(
@@ -178,7 +182,7 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
 
 
 def _slab_entries(d: int) -> int:
-    """Entries in one slab or gathered block chunk of a d x d matrix: max(2^13, d^1.5).
+    """Entries in one gathered block chunk of a d x d matrix: max(2^13, d^1.5).
 
     d^1.5 keeps each temporary a 1/sqrt(d) share of one d x d array, and
     the 2^13 floor keeps numpy's per-call cost small next to the arithmetic
@@ -187,18 +191,21 @@ def _slab_entries(d: int) -> int:
     return max(2 ** 13, d * math.isqrt(d))
 
 
+def _offsets(m: np.ndarray) -> np.ndarray:
+    """The offsets i - j of the nonzero entries m[i, j], ascending and once each."""
+    # A set, as a flagless np.unique would import numpy.ma (~10 ms).
+    return np.array(sorted(set(np.subtract(*np.nonzero(m)).tolist())), dtype=int)
+
+
 class PairModel:
     """A two-oscillator matrix in factor form; no d x d array is stored.
 
     H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
     |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
-    when ``single`` (e) is set.  Consumers read H by row slabs (``rows``)
-    or gathered blocks (``block``), whose layout ``labels`` proves.  Each
-    entry is the product A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms,
-    combined in the same order everywhere, so slabs, blocks and the dense
-    ``operator`` agree bit for bit.  The transpose (A_k^T (x) B_k^T) and the
-    oscillator exchange (B_k (x) A_k) permute the factors and form the same
-    products, so they hold exactly the entries of H^T and of the swapped H.
+    when ``single`` (e) is set.  Consumers read H by gathered blocks
+    (``block``), whose layout ``labels`` proves.  Each entry is the product
+    A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms, combined in the same
+    order everywhere, so blocks and the dense ``operator`` agree bit for bit.
 
     Before the diagonal is added, +0.0 turns each -0.0 into +0.0 (-0.0 +
     0.0 = +0.0), as a sum with a dense diagonal matrix would: LAPACK's
@@ -229,78 +236,19 @@ class PairModel:
     def with_diagonal(self, single: np.ndarray) -> PairModel:
         return PairModel(self.terms, self.scale, single)
 
-    def transposed(self) -> PairModel:
-        terms = tuple((w, a.T, b.T) for w, a, b in self.terms)
-        return PairModel(terms, self.scale, self.single)
-
-    def swapped(self) -> PairModel:
-        """H with the oscillators exchanged: ((i2, i1), (j2, j1)) for ((i1, i2), (j1, j2))."""
-        terms = tuple((w, b, a) for w, a, b in self.terms)
-        return PairModel(terms, self.scale, self.single)
-
-    def _combine(self, product: Callable[..., np.ndarray], shape: tuple[int, ...],
-                 out: np.ndarray | None = None) -> np.ndarray:
-        """scale sum_k w_k product(A_k, B_k, out), or zeros without terms.
-
-        The first term is formed in ``out`` (a new array if None), each
-        later one in a temporary, so a loop of slabs that passes reused
-        buffers allocates one slab at a time.
-        """
+    def _combine(self, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 shape: tuple[int, ...]) -> np.ndarray:
+        """scale sum_k w_k product(A_k, B_k), or zeros without terms."""
         if not self.terms:
-            h = np.empty(shape) if out is None else out
-            h.fill(0.0)
-            return h
+            return np.zeros(shape)
         h = None
         for w, a, b in self.terms:
-            t = product(a, b, out if h is None else None)
+            t = product(a, b)
             if w != 1.0:
                 t *= w
             h = t if h is None else np.add(h, t, out=h)
         h *= self.scale
         return h
-
-    def slabs(self) -> list[slice]:
-        """The i1 ranges of the row slabs, in order.
-
-        Each i1 holds n^3 entries; a slab takes as many as fit in
-        ``_slab_entries(d)``, at least one.
-        """
-        step = max(1, _slab_entries(self.dim) // (self.n ** 3 or 1))
-        return [slice(r, r + step) for r in range(0, self.n, step)]
-
-    def slab_buffer(self) -> np.ndarray:
-        """A flat array that holds any slab of ``rows``, for loops to reuse as ``out``.
-
-        Reusing buffers matters for speed as well as memory: when two or
-        more fresh slab-sized arrays are freed together, the C allocator
-        hands their pages back to the system and faults them in again on
-        the next slab, which can double a slab's cost.
-        """
-        return np.empty(len(range(self.n)[self.slabs()[0]]) * self.n ** 3)
-
-    def rows(self, rows: slice, first: int = 0, low: int = 0,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """H at the pair rows (i1, i2), i1 in ``rows``, i2 >= ``low``, and columns j1 >= ``first``.
-
-        ``first`` must not exceed ``rows.start``, so that each row's
-        diagonal entry lies in the slab.  The result is a new array, or a
-        view of the flat buffer ``out`` (see ``slab_buffer``).
-        """
-        n = self.n
-        i1 = np.arange(n)[rows]
-        shape = (len(i1), n - low, n - first, n)
-        if out is not None:
-            out = out[:math.prod(shape)].reshape(shape)
-        h = self._combine(
-            lambda a, b, o: np.multiply(a[rows, None, first:, None], b[None, low:, None, :],
-                                        out=o),
-            shape, out)
-        if self.single is not None:
-            h += 0.0
-            i2 = np.arange(low, n)
-            h[np.arange(len(i1))[:, None], i2 - low, (i1 - first)[:, None], i2] += \
-                np.add.outer(self.single[i1], self.single[i2])
-        return h.reshape(len(i1) * (n - low), (n - first) * n)
 
     def labels(self) -> np.ndarray:
         """Each pair index's block label, the lowest index in its block, proven in O(n^2).
@@ -322,12 +270,8 @@ class PairModel:
         if not live:
             return np.arange(self.dim)
 
-        def offsets(m: np.ndarray) -> np.ndarray:
-            # A set, as a flagless np.unique would import numpy.ma (~10 ms).
-            return np.array(sorted(set(np.subtract(*np.nonzero(m)).tolist())), dtype=int)
-
         g = np.gcd.reduce(np.concatenate(
-            [np.add.outer(offsets(a), offsets(b)).ravel() for a, b in live]))
+            [np.add.outer(_offsets(a), _offsets(b)).ravel() for a, b in live]))
         polyad = np.add.outer(np.arange(self.n), np.arange(self.n)).ravel()
         _, first, key = np.unique(polyad % g if g else polyad,
                                   return_index=True, return_inverse=True)
@@ -343,7 +287,7 @@ class PairModel:
             # row from m[:, i], several times faster than the 2-d fancy index.
             return m[:, i].transpose(1, 0, 2)[stack, i]
 
-        def product(a: np.ndarray, b: np.ndarray, out: None) -> np.ndarray:
+        def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             t = gather(a, i1)
             t *= gather(b, i2)
             return t
@@ -356,11 +300,11 @@ class PairModel:
         return h
 
     def operator(self) -> OperatorMatrix:
-        """The dense, frozen matrix, filled slab by slab and adopted uncopied."""
-        n = self.n
-        h = np.empty((self.dim, self.dim))
-        for r in self.slabs():
-            self.rows(r, out=h[r.start * n:r.stop * n].reshape(-1))
+        """The dense, frozen matrix, adopted by ``OperatorMatrix`` uncopied."""
+        h = self._combine(np.kron, (self.dim, self.dim))
+        if self.single is not None:
+            h += 0.0
+            h.reshape(-1)[::self.dim + 1] += np.add.outer(self.single, self.single).ravel()
         h.setflags(write=False)
         return OperatorMatrix(h, self.basis.pairs, TWO_OSC_KIND)
 
@@ -371,7 +315,8 @@ def _exchange(create: np.ndarray, scale: float) -> PairModel:
     The transpose swaps the two terms, whose products are the same, so the
     coupling is symmetric bit for bit.
     """
-    return PairModel(((1.0, create, create.T), (1.0, create.T, create)), scale)
+    t = np.ascontiguousarray(create.T)  # np.kron copies its product for a transposed view
+    return PairModel(((1.0, create, t), (1.0, t, create)), scale)
 
 
 def _su2_model(vp: VibronParams, dim_single: int) -> PairModel:

@@ -167,6 +167,11 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_algebra_suite_takes_a_matching_well_and_nu(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--q", "5", "--nu", "11", "--suite", "algebra")
+        assert code == 0
+        assert out == run_cli(capsys, "verify", "--q", "5", "--suite", "algebra")[1]
+
     def test_matelem_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "matelem")
         assert code == 0
@@ -233,6 +238,14 @@ class TestWellParameterErrors:
         (("spectrum", "--D", "1", "--alpha", "1e-200"), "alpha"),
         (("matelem", "--D", "inf", "--op", "sinh", "--method", "closed"), "D"),
         (("verify", "--D", "inf", "--suite", "states"), "D"),
+        (("params", "--omega-e", "inf", "--xe-omega-e", "1"), "omega_e"),
+        (("params", "--omega-e", "1e308", "--xe-omega-e", "1e-308"), "xe_omega_e"),
+        (("params", "--omega-e", "3", "--xe-omega-e", "1", "--hbar", "0"), "hbar"),
+        (("params", "--omega-e", "3", "--xe-omega-e", "1", "--hbar", "inf"), "hbar"),
+        (("params", "--omega-e", "3", "--xe-omega-e", "1", "--hbar", "nan"), "hbar"),
+        (("verify", "--q", "5", "--nu", "9", "--suite", "all"), "nu"),
+        (("verify", "--q", "5", "--nu", "11", "--suite", "vibron"), "nu"),
+        (("verify", "--q", "5", "--nu", "9", "--suite", "algebra"), "nu"),
     ])
     def test_usage_error_names_the_parameter(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)

@@ -295,7 +295,7 @@ class TestInteractions:
 
 
 class TestInPlaceBuilders:
-    """Factor forms, filled slab by slab or gathered by block, against whole matrices."""
+    """Factor forms, formed whole or gathered by block, against whole matrices."""
 
     @pytest.mark.parametrize("q", [3, 10, 17])
     def test_exchange_is_the_kron_formula(self, q):
@@ -321,18 +321,6 @@ class TestInPlaceBuilders:
         expected *= 0.037
         assert (_exact_coupling(spec, 0.037, cfg).operator().entries.tobytes()
                 == expected.tobytes())
-
-    @pytest.mark.parametrize("model", ["su2", "exact"])
-    def test_partial_rows_are_the_dense_entries(self, model):
-        # q = 10 takes two row slabs, the second one short; the diagonal
-        # must land in place however the rows and columns are cut.
-        spec = PotentialSpec.for_integer_q(10, alpha=0.7, mu=1.9, hbar=1.3)
-        form = coupled_model(spec, model, 0.037)
-        h4 = form.operator().entries.reshape(10, 10, 10, 10)
-        for r in form.slabs():
-            for first, low in [(0, 0), (r.start, 0), (0, r.start), (r.start, r.start)]:
-                expected = h4[r, low:, first:].reshape(-1, (10 - first) * 10)
-                assert form.rows(r, first, low).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("lam", [0.037, 0.0])
     @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
@@ -698,8 +686,8 @@ class TestResourceUse:
     @pytest.mark.parametrize("run", ["compare_models", "vibron_checks"])
     def test_one_dense_matrix_at_zero_coupling(self, run):
         # No d x d array is kept alive on these paths: the models stay in
-        # factor form, and every temporary is one slab (PairModel.slabs) or one
-        # chunk of gathered blocks.
+        # factor form, the checks read only the n x n factors, and every
+        # temporary is one chunk of gathered blocks.
         spec = PotentialSpec.for_integer_q(20)
         call = {"compare_models": lambda: compare_models(spec, 0.0),
                 "vibron_checks": lambda: vibron_checks(spec)}[run]
@@ -718,12 +706,13 @@ class TestResourceUse:
 
     @pytest.mark.parametrize("run, bound", [
         ("compare_models lam=0", 0.5),
-        ("vibron_checks", 0.5),
+        ("vibron_checks", 0.25),
         ("compare_models lam=0.03", 1.5),
         ("cli vibron exact", 1.5),
     ])
     def test_factor_forms_build_no_dense_matrix(self, run, bound, capsys):
-        # Measured in dense q = 20 arrays: the checks hold slabs, the solver
+        # Measured in dense q = 20 arrays: the checks bound the couplings from
+        # their n x n factors and solve at zero coupling, the solver holds
         # the stacked parity blocks of the exact model and LAPACK's
         # eigenvectors of them.
         spec = PotentialSpec.for_integer_q(20)
