@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsontext
 from .checks import SUITES, suite_for
 from .errors import DomainError, EvaluationError
 from .expansion import momentum_matrix_expansion, position_matrix_expansion
@@ -229,25 +228,17 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_batched(fh, chunks: Iterable[str], count: int = 8192) -> None:
-    """Write text chunks joined ``count`` at a time; 8192 JSON chunks are 40-60 KiB."""
-    chunks = iter(chunks)
-    while batch := "".join(itertools.islice(chunks, count)):
-        fh.write(batch)
-
-
 def _emit(command: str, well: dict, rows: list[dict], meta: dict,
           args: argparse.Namespace) -> None:
     """Write the rows as CSV or JSON to --out or stdout.
 
     JSON is the text of ``json.dumps(payload, indent=2)`` plus a newline,
-    encoded chunk by chunk and written in batches, so the whole document is
-    never held as one string.
+    written by ``jsontext.chunks`` in batches of rows, so the whole document
+    is never held as one string.
     """
     fmt = args.format if args.format is not None else "csv"
     if fmt == "json":
-        payload = {"command": command, "well": well, "rows": rows, "meta": meta}
-        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+        chunks = jsontext.chunks(command, well, rows, meta)
     else:
         columns = list(rows[0].keys()) if rows else []
         buffer = io.StringIO()
@@ -258,9 +249,9 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
         chunks = [buffer.getvalue()]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            _write_batched(fh, chunks)
+            fh.writelines(chunks)
     else:
-        _write_batched(sys.stdout, chunks)
+        sys.stdout.writelines(chunks)
 
 
 def _meta(**tolerances: float) -> dict:
@@ -284,13 +275,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _matrix_rows(matrix: OperatorMatrix,
                  reference: np.ndarray | None = None) -> list[dict]:
-    rows = []
-    for i in range(matrix.dim):
-        for j in range(matrix.dim):
-            row = {"row": i, "col": j, "value": float(matrix.entries[i, j])}
-            if reference is not None:
-                row["deviation"] = float(abs(matrix.entries[i, j] - reference[i, j]))
-            rows.append(row)
+    rows = [{"row": i, "col": j, "value": v}
+            for i, line in enumerate(matrix.entries.tolist()) for j, v in enumerate(line)]
+    if reference is not None:
+        for row, d in zip(rows, np.abs(matrix.entries - reference).ravel().tolist()):
+            row["deviation"] = d
     return rows
 
 

@@ -10,8 +10,8 @@ every built-in integrand over the whole line is a polynomial in u of degree
 at most 2q, or sqrt(1 - u^2) times one (d/dx on its odd pairs).  The
 polynomials are integrated by one Gauss-Legendre rule in u; d/dx, a cosine
 polynomial in theta = arccos(u), by the composite midpoint rule.  With
-q + 2 nodes both are exact, so no truncation window enters.  Levels are
-evaluated by :func:`~mptsu2.states.wavefunction` and
+q + 2 nodes both are exact, so no truncation window enters.  All levels
+come from one call each of :func:`~mptsu2.states.wavefunction` and
 :func:`~mptsu2.states.wavefunction_derivative` at x = artanh(u) / alpha,
 and a whole matrix is one contraction.  x is not algebraic in u; its matrix
 comes from d/dx by the commutator identity [H, x] = -(hbar^2 / mu) d/dx.
@@ -111,15 +111,12 @@ def _contract(spec: PotentialSpec, obs: Observable, to_x: Callable, a: float, b:
 
     ``to_x`` maps the nodes t to the positions x and the Jacobian dx/dt.
     """
-    levels = range(well_numbers(spec).n_max + 1)
-
-    def sample(evaluate, x: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(spec, n, x) for n in levels])
+    levels = np.arange(well_numbers(spec).n_max + 1)[:, None]
 
     def integrand(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, jacobian = to_x(t)
-        bra = sample(wavefunction, x)
-        ket = sample(wavefunction_derivative, x) if obs.acts_on_derivative else bra
+        bra = wavefunction(spec, levels, x)
+        ket = wavefunction_derivative(spec, levels, x) if obs.acts_on_derivative else bra
         return bra * (obs.weight(x, spec) * jacobian), ket
 
     return integrate(integrand, a, b, rule, panels)

@@ -49,40 +49,73 @@ class QuadratureRule(namedtuple("QuadratureRule", "nodes weights order")):
         return super().__new__(cls, nodes, weights, order)
 
 
-def gegenbauer(n: int, lam: float, t):
+def _degrees(n) -> np.ndarray:
+    """``n`` as an integer array, or DomainError naming a degree that is not one."""
+    deg = np.asarray(n)
+    bad = [d for d in deg.ravel().tolist()
+           if not (math.isfinite(d) and d >= 0 and d == math.floor(d))]
+    if bad:
+        raise DomainError("polynomial degree must be a non-negative integer, got "
+                          f"{n if deg.ndim == 0 else bad[0]}")
+    return deg.astype(int)
+
+
+def gegenbauer(n, lam, t):
     """Gegenbauer polynomial C_n^lam(t) by forward recurrence.
 
-    Accepts scalar or ndarray ``t`` (evaluated elementwise).  The recurrence
-    n C_n = 2(n+lam-1) t C_{n-1} - (n+2lam-2) C_{n-2}, seeded with C_0 = 1
-    and C_1 = 2 lam t, is stable for the lam > 0, moderate-n regime used
-    throughout this package.
+    ``t`` is evaluated elementwise.  ``n`` is a degree, or degrees of shape
+    (k, 1) with ``lam`` broadcast against them and a 1-d ``t``, giving (k,
+    len(t)).  The recurrence n C_n = 2(n+lam-1) t C_{n-1} - (n+2lam-2) C_{n-2},
+    seeded with C_0 = 1 and C_1 = 2 lam t, is stable for the lam > 0,
+    moderate-n regime used throughout this package.  It runs once, and each
+    row stops at its own degree: a row is its lone call, bit for bit, and is
+    never carried past its degree into an overflow.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"polynomial degree must be a non-negative integer, got {n}")
-    n = int(n)
+    deg = _degrees(n)
     t = np.asarray(t, dtype=float)
-    if n == 0:
-        return np.ones_like(t) if t.ndim else 1.0
-    if lam <= -0.5:
-        raise DomainError(f"Gegenbauer parameter must exceed -1/2 for n >= 1, got {lam}")
-    prev = np.ones_like(t) if t.ndim else 1.0
-    cur = 2.0 * lam * t
-    for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1.0) * t * cur - (k + 2.0 * lam - 2.0) * prev) / k
-    return cur if t.ndim else float(cur)
+    shape = np.broadcast_shapes(deg.shape, t.shape)
+    degs = deg.ravel().tolist()
+    lams = np.broadcast_to(np.asarray(lam, dtype=float), deg.shape).ravel().tolist()
+    bad = [a for d, a in zip(degs, lams) if d >= 1 and a <= -0.5]
+    if bad:
+        raise DomainError(f"Gegenbauer parameter must exceed -1/2 for n >= 1, got {bad[0]}")
+    # Rows by descending degree, so that the running rows are a prefix.
+    order = sorted(range(len(degs)), key=degs.__getitem__, reverse=True)
+    top = [degs[i] for i in order]
+    lam = np.array([lams[i] for i in order]).reshape((-1,) + (1,) * t.ndim)
+    cur = 2.0 * lam * t  # C_1, formed before C_0 to hold fewer arrays at once
+    out, prev, live = np.ones_like(cur), np.ones_like(cur), len(top) - top.count(0)
+    for k in range(2, max(top, default=0) + 1):
+        done = live
+        while top[live - 1] < k:
+            live -= 1
+        out[live:done] = cur[live:done]  # the rows of degree k - 1
+        # (2(k+lam-1) t C_{k-1} - (k+2lam-2) C_{k-2}) / k, formed in the rows
+        # of out still free and in C_{k-2}, which is not read again.
+        step = out[:live]
+        step[...] = t
+        step *= 2.0 * (k + lam[:live] - 1.0)
+        step *= cur[:live]
+        older = prev[:live]
+        older *= k + 2.0 * lam[:live] - 2.0
+        prev, cur = cur[:live], np.subtract(step, older, out=older)
+        cur /= k
+    out[:live] = cur[:live]  # the rows of the top degree
+    out[order] = out.copy()
+    return out.reshape(shape) if shape else float(out[0])
 
 
-def gegenbauer_derivative(n: int, lam: float, t):
+def gegenbauer_derivative(n, lam, t):
     """First derivative dC_n^lam/dt, via the degree-lowering identity.
 
     dC_n^lam/dt = 2 lam C_{n-1}^{lam+1}; the n = 0 case is identically 0.
+    ``n``, ``lam`` and ``t`` are taken as by :func:`gegenbauer`.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"polynomial degree must be a non-negative integer, got {n}")
-    if n == 0:
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if t.ndim else 0.0
-    return 2.0 * lam * gegenbauer(n - 1, lam + 1.0, t)
+    deg, lam = _degrees(n), np.asarray(lam, dtype=float)
+    value = np.asarray(gegenbauer(np.maximum(deg - 1, 0), lam + 1.0, t))
+    value *= 2.0 * lam
+    np.copyto(value, 0.0, where=deg == 0)
+    return value if value.ndim else float(value)
 
 
 # Stirling-series coefficients B_{2k} / (2k (2k-1)) for k = 1..8.

@@ -101,6 +101,11 @@ class StateLabel(NamedTuple):
         return cls(nu=nu, n=n, epsilon=(nu - 2.0 * n - 1.0) / 2.0, j=j, m=n - j)
 
 
+def _too_deep(q: float) -> DomainError:
+    return DomainError(f"the well is too deep: q = {q} is not below {MAX_Q:.0f}, past "
+                       f"which q cannot be told from an integer within {INTEGER_Q_TOL:g}")
+
+
 def well_numbers(spec: PotentialSpec) -> WellNumbers:
     """Solve the depth relation q(q + 1) = 2 mu D / (alpha hbar)^2 for the well numbers.
 
@@ -116,9 +121,7 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     k = math.sqrt(0.25 + ratio)
     q = (-1.0 + 2.0 * k) / 2.0
     if q >= MAX_Q:
-        raise DomainError(f"the well is too deep: q = {q} is not below {MAX_Q:.0f}, "
-                          "past which q cannot be told from an integer within "
-                          f"{INTEGER_Q_TOL:g}")
+        raise _too_deep(q)
     q_round = round(q)
     if abs(q - q_round) <= INTEGER_Q_TOL and q_round >= 1:
         n_max = q_round - 1
@@ -129,17 +132,33 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
 
 def depth_for_integer_q(q: int, alpha: float = 1.0, mu: float = 1.0,
                         hbar: float = 1.0) -> float:
-    """Invert the depth relation: the D giving well parameter exactly q."""
+    """Invert the depth relation: the D giving well parameter exactly q.
+
+    DomainError if D is no positive finite float: q too deep, or a scale
+    (alpha hbar)^2 / mu that underflows or overflows it.
+    """
     if q < 1 or q != int(q):
         raise DomainError(f"integer well parameter q must be >= 1, got {q}")
-    return q * (q + 1) * (alpha * hbar) ** 2 / (2.0 * mu)
+    try:
+        depth = q * (q + 1) * (alpha * hbar) ** 2 / (2.0 * mu)
+    except OverflowError:  # q(q + 1) or (alpha hbar)^2 past the float range
+        depth = math.inf
+    if depth == math.inf and q >= MAX_Q:
+        raise _too_deep(q)
+    if not 0.0 < depth < math.inf:
+        raise DomainError(f"the depth q(q + 1) (alpha hbar)^2 / (2 mu) = {depth} derived "
+                          f"from q = {q}, alpha = {alpha}, mu = {mu} and hbar = {hbar} "
+                          "is not a positive finite number")
+    return depth
 
 
-def _check_bound(spec: PotentialSpec, n: int) -> WellNumbers:
+def _check_bound(spec: PotentialSpec, n) -> WellNumbers:
+    """The well's numbers, once every level in ``n`` (an int or an array) is bound."""
     wn = well_numbers(spec)
-    if n < 0 or n != int(n) or n > wn.n_max:
-        raise DomainError(
-            f"n = {n} is not a bound state of this well (n_max = {wn.n_max})")
+    bad = [m for m in np.ravel(n).tolist() if not (0 <= m <= wn.n_max and m == math.floor(m))]
+    if bad:
+        raise DomainError(f"n = {n if np.ndim(n) == 0 else bad[0]} is not a bound state "
+                          f"of this well (n_max = {wn.n_max})")
     return wn
 
 
@@ -180,40 +199,42 @@ def _log_sech(y: np.ndarray) -> np.ndarray:
     return math.log(2.0) - a - np.log1p(np.exp(-2.0 * a))
 
 
-def wavefunction(spec: PotentialSpec, n: int, x):
+def _levels_at(spec: PotentialSpec, n, x):
+    """eps = q - n, the norms, u = tanh(alpha x) and log sech(alpha x) for levels n."""
+    wn = _check_bound(spec, n)
+    norm = np.reshape([normalization_constant(wn.q, m, spec.alpha)
+                       for m in np.ravel(n).tolist()], np.shape(n))
+    y = spec.alpha * np.asarray(x, dtype=float)
+    return wn.q - n, norm, np.tanh(y), _log_sech(y)
+
+
+def wavefunction(spec: PotentialSpec, n, x):
     """Normalized bound-state wavefunction at x (scalar or array).
 
     Built from the sech^epsilon envelope and a Gegenbauer polynomial in
     u = tanh(alpha x); the envelope is evaluated in log space so the tails
-    stay accurate far beyond the well.
+    stay accurate far beyond the well.  ``n`` is a level, or levels of shape
+    (k, 1) with a 1-d x: one row per level, each checked to be bound, all
+    from one Gegenbauer recurrence, and each its lone call bit for bit.
     """
-    wn = _check_bound(spec, n)
-    eps = wn.q - n
-    norm = normalization_constant(wn.q, n, spec.alpha)
-    y = spec.alpha * np.asarray(x, dtype=float)
-    u = np.tanh(y)
-    envelope = np.exp(eps * _log_sech(y))
-    value = norm * envelope * gegenbauer(n, eps + 0.5, u)
-    return value if np.ndim(x) else float(value)
+    eps, norm, u, log_sech = _levels_at(spec, n, x)
+    value = norm * np.exp(eps * log_sech) * gegenbauer(n, eps + 0.5, u)
+    return value if np.ndim(value) else float(value)
 
 
-def wavefunction_derivative(spec: PotentialSpec, n: int, x):
+def wavefunction_derivative(spec: PotentialSpec, n, x):
     """Analytic d(psi_n)/dx at x (scalar or array).
 
     Chain rule through u = tanh(alpha x) with the Gegenbauer
-    degree-lowering identity; no finite differences involved.
+    degree-lowering identity; no finite differences involved.  ``n`` is
+    taken as by :func:`wavefunction`.
     """
-    wn = _check_bound(spec, n)
-    eps = wn.q - n
+    eps, norm, u, log_sech = _levels_at(spec, n, x)
     lam = eps + 0.5
-    norm = normalization_constant(wn.q, n, spec.alpha)
-    y = spec.alpha * np.asarray(x, dtype=float)
-    u = np.tanh(y)
-    log_sech = _log_sech(y)
     poly_term = norm * np.exp((eps + 2.0) * log_sech) * gegenbauer_derivative(n, lam, u)
     envelope_term = -eps * u * norm * np.exp(eps * log_sech) * gegenbauer(n, lam, u)
     value = spec.alpha * (envelope_term + poly_term)
-    return value if np.ndim(x) else float(value)
+    return value if np.ndim(value) else float(value)
 
 
 def bound_state_labels(spec: PotentialSpec) -> tuple[StateLabel, ...]:

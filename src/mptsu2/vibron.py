@@ -300,8 +300,15 @@ class PairModel:
         return h
 
     def operator(self) -> OperatorMatrix:
-        """The dense, frozen matrix, adopted by ``OperatorMatrix`` uncopied."""
-        h = self._combine(np.kron, (self.dim, self.dim))
+        """The dense, frozen matrix, adopted by ``OperatorMatrix`` uncopied.
+
+        Formed n rows at a time, rows i n to (i + 1) n being ``_combine`` of
+        np.kron(A_k[i:i + 1], B_k), so that one d x d array is held.
+        """
+        n, h = self.n, np.empty((self.dim, self.dim))
+        for i in range(n):
+            h[i * n:(i + 1) * n] = self._combine(lambda a, b, i=i: np.kron(a[i:i + 1], b),
+                                                 (n, self.dim))
         if self.single is not None:
             h += 0.0
             h.reshape(-1)[::self.dim + 1] += np.add.outer(self.single, self.single).ravel()

@@ -1,21 +1,29 @@
 """CLI contract: determinism, round-trip output, and the exit-code table."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mptsu2
+from mptsu2 import cli, jsontext
 from mptsu2.cli import main
-from mptsu2.states import MAX_Q
+from mptsu2.oracle import DDX, observable_matrix
+from mptsu2.states import MAX_Q, PotentialSpec
 
 
 def run_cli(capsys, *argv):
@@ -246,6 +254,9 @@ class TestWellParameterErrors:
         (("verify", "--q", "5", "--nu", "9", "--suite", "all"), "nu"),
         (("verify", "--q", "5", "--nu", "11", "--suite", "vibron"), "nu"),
         (("verify", "--q", "5", "--nu", "9", "--suite", "algebra"), "nu"),
+        (("spectrum", "--q", "3", "--hbar", "1e-320"), "hbar"),
+        (("params", "--omega-e", "3", "--xe-omega-e", "1", "--hbar", "1e-320"), "hbar"),
+        (("spectrum", "--q", "3", "--alpha", "1e200"), "alpha"),
     ])
     def test_usage_error_names_the_parameter(self, capsys, argv, name):
         code, out, err = run_cli(capsys, *argv)
@@ -267,7 +278,18 @@ class TestTooDeepWellErrors:
         ("params",),
     ], ids=["spectrum", "verify-states", "matelem", "vibron", "verify-algebra", "params"])
     def test_usage_error_names_q_and_the_bound(self, argv):
-        proc = run_child("-m", "mptsu2", *argv, "--D", "1e200", timeout=30)
+        self.assert_too_deep(run_child("-m", "mptsu2", *argv, "--D", "1e200", timeout=30))
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--q", "1" + "0" * 200),
+        ("params", "--omega-e", "1e300", "--xe-omega-e", "1e-5"),
+    ], ids=["spectrum-q-1e200", "params-N-1e305"])
+    def test_q_past_the_float_range(self, argv):
+        # q (q + 1) cannot be converted to a float, so no depth can be formed.
+        self.assert_too_deep(run_child("-m", "mptsu2", *argv, timeout=30))
+
+    @staticmethod
+    def assert_too_deep(proc):
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
@@ -343,7 +365,90 @@ class TestParams:
         assert "5.6" in err
 
 
+def emit_json(well, rows, meta, out=None):
+    """What ``_emit`` writes to stdout for a JSON payload."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        cli._emit("cmd", well, rows, meta, argparse.Namespace(format="json", out=out))
+    return buffer.getvalue()
+
+
+SPECIAL_TEXT = st.sampled_from(["%", "%s", "%%", "%(row)s", "{}", "{0}", '"', "\\",
+                                "\u00e9", "\u2603", "\x00", "\n", "\ud83d\ude00", ""])
+TEXT = st.one_of(SPECIAL_TEXT, st.text(max_size=6))
+SCALARS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+                     1e16, 1.7976931348623157e308]),
+    st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(), TEXT)
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6)
+ROWS = st.lists(st.one_of(
+    st.dictionaries(st.sampled_from(["row", "col", "value", "%s", "{}"]), SCALARS, max_size=4),
+    st.dictionaries(TEXT, SCALARS, max_size=4),
+    st.dictionaries(st.one_of(TEXT, st.integers(-5, 5), st.booleans(), st.none()),
+                    VALUES, max_size=3),
+), max_size=8)
+
+
+class TestJsonWriter:
+    """``_emit`` writes json.dumps(payload, indent=2) + "\\n" byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(well=st.dictionaries(TEXT, SCALARS, max_size=3), rows=ROWS,
+           meta=st.dictionaries(TEXT, VALUES, max_size=3))
+    def test_text_is_json_dumps(self, well, rows, meta):
+        payload = {"command": "cmd", "well": well, "rows": rows, "meta": meta}
+        assert emit_json(well, rows, meta) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_batches_join_to_the_document(self, count, batch):
+        rows = [{"row": i, "value": i / 3.0} if i % 3 else {} for i in range(count)]
+        payload = {"command": "cmd", "well": {}, "rows": rows, "meta": {"a": [1, {}]}}
+        chunks = list(jsontext.chunks("cmd", {}, rows, payload["meta"], batch))
+        assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+        assert len(chunks) == 2 + -(-count // batch)
+
+    def test_out_file_is_stdout(self, capsys, tmp_path):
+        argv = ["matelem", "--q", "12", "--op", "p", "--method", "oracle", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv)
+        target = tmp_path / "p.json"
+        assert code == 0 and main([*argv, "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == out
+
+    def test_peak_is_below_the_document_length(self, tmp_path):
+        # The rows are written in batches, so the document is never one string.
+        spec = PotentialSpec.for_integer_q(80)
+        rows = cli._matrix_rows(observable_matrix(spec, DDX))
+        target = tmp_path / "m.json"
+        args = argparse.Namespace(format="json", out=str(target))
+        well, meta = cli._well_summary(spec), cli._meta()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cli._emit("matelem", well, rows, meta, args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 6400
+        assert peak < target.stat().st_size
+
+
 class TestOutputContract:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--q", "4"),
+        ("matelem", "--q", "4", "--op", "x", "--method", "expansion", "--order", "3"),
+        ("verify", "--q", "4", "--suite", "all"),
+        ("vibron", "--q", "4", "--model", "compare", "--lambda", "0.05"),
+        ("params", "--omega-e", "3.5", "--xe-omega-e", "0.5"),
+    ], ids=lambda argv: argv[0])
+    def test_json_layout_is_json_dumps(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "vibron", "--q", "3", "--lambda", "0.05",
                               "--model", "compare", "--format", "json")

@@ -100,6 +100,26 @@ class TestObservableMatrix:
             observable_matrix(PotentialSpec.for_integer_q(1), IDENTITY)
 
 
+class TestOneEvaluationPerMatrix:
+    """Every level comes from one states call per evaluator and matrix."""
+
+    @pytest.mark.parametrize("obs, derivative_calls", [
+        (IDENTITY, 0), (SINH_ALPHA_X, 0), (POTENTIAL, 0),
+        (COSH_DDX_OVER_ALPHA, 1), (DDX, 1), (POSITION_X, 1),
+    ], ids=lambda v: getattr(v, "name", v))
+    def test_call_counts(self, monkeypatch, obs, derivative_calls):
+        from mptsu2 import oracle
+
+        calls = []
+        for name in ("wavefunction", "wavefunction_derivative"):
+            monkeypatch.setattr(oracle, name, lambda spec, n, x, f=getattr(oracle, name),
+                                name=name: calls.append((name, np.shape(n))) or f(spec, n, x))
+        observable_matrix(PotentialSpec.for_integer_q(10), obs)
+        assert calls.count(("wavefunction", (10, 1))) == 1
+        assert calls.count(("wavefunction_derivative", (10, 1))) == derivative_calls
+        assert len(calls) == 1 + derivative_calls
+
+
 class TestDerivativeMatrix:
     def test_diagonal_zero(self):
         assert np.all(np.diag(derivative_matrix(Q3).entries) == 0.0)

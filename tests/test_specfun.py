@@ -1,6 +1,7 @@
 """Special-function and quadrature primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,57 @@ class TestGegenbauer:
     def test_bad_parameter_rejected(self):
         with pytest.raises(DomainError):
             gegenbauer(2, -0.75, 0.0)
+
+
+class TestGegenbauerDegreeArrays:
+    """Degrees of shape (k, 1) give the rows of their lone calls, bit for bit."""
+
+    T = np.linspace(-0.999, 0.999, 41)
+
+    @staticmethod
+    def lone_rows(f, degrees, lams, t):
+        return np.array([f(int(n), float(lam), t) for n, lam in zip(degrees, lams)])
+
+    @pytest.mark.parametrize("f", [gegenbauer, gegenbauer_derivative])
+    @pytest.mark.parametrize("degrees", [[3, 0, 7, 1, 7, 2], [0], [1, 0], [0, 0, 1, 1],
+                                         [12, 5, 40, 5, 0]])
+    def test_unsorted_repeated_degrees(self, f, degrees):
+        lams = np.linspace(0.5, 9.5, len(degrees))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = f(np.array(degrees)[:, None], lams[:, None], self.T)
+            assert np.array_equal(rows, self.lone_rows(f, degrees, lams, self.T))
+            scalar_t = f(np.array(degrees)[:, None], lams[:, None], 0.3)
+        assert scalar_t.shape == (len(degrees), 1)
+        assert np.array_equal(scalar_t[:, 0], self.lone_rows(f, degrees, lams, 0.3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(degrees=st.lists(st.integers(0, 60), min_size=1, max_size=12),
+           lam=st.floats(0.01, 80.0))
+    def test_rows_match_lone_calls(self, degrees, lam):
+        lams = lam + np.arange(len(degrees))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (gegenbauer, gegenbauer_derivative):
+                rows = f(np.array(degrees)[:, None], lams[:, None], self.T)
+                assert np.array_equal(rows, self.lone_rows(f, degrees, lams, self.T))
+
+    def test_rows_stop_at_their_own_degree(self):
+        # Carried on to degree 200, the first row would overflow.
+        degrees, lams = np.array([[3], [200]]), np.array([[1e50], [0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = gegenbauer(degrees, lams, self.T)
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows[0], gegenbauer(3, 1e50, self.T))
+
+    def test_a_bad_degree_or_parameter_in_the_array_is_named(self):
+        with pytest.raises(DomainError, match="got 2.5"):
+            gegenbauer(np.array([[1.0], [2.5]]), 1.0, self.T)
+        with pytest.raises(DomainError, match="got -1"):
+            gegenbauer_derivative(np.array([[2], [-1]]), 1.0, self.T)
+        with pytest.raises(DomainError, match="got -0.75"):
+            gegenbauer(np.array([[0], [2]]), np.array([[-0.9], [-0.75]]), self.T)
 
 
 class TestGegenbauerDerivative:

@@ -1,6 +1,8 @@
 """Well numbers, energies, and wavefunctions of single wells."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +107,18 @@ class TestWellNumbers:
     def test_deepest_testable_integer_well_accepted(self):
         wn = well_numbers(PotentialSpec.for_integer_q(2 ** 22))
         assert wn.q_is_integer and wn.n_max == 2 ** 22 - 1
+
+    @pytest.mark.parametrize("q", [10 ** 200, 2 ** 600 + 1])
+    def test_too_deep_to_form_the_depth_rejected(self, q):
+        # q (q + 1) is past the float range, so no depth can be formed.
+        with pytest.raises(DomainError, match=r"too deep: q = \d+ is not below 8388608"):
+            PotentialSpec.for_integer_q(q)
+
+    @pytest.mark.parametrize("scale, value", [("hbar", 1e-320), ("alpha", 1e-170),
+                                              ("mu", 1e-320), ("alpha", 1e200)])
+    def test_derived_depth_out_of_range_names_the_scales(self, scale, value):
+        with pytest.raises(DomainError, match=rf"derived from q = 3, .*{scale} = {re.escape(repr(value))}"):
+            PotentialSpec.for_integer_q(3, **{scale: value})
 
     @pytest.mark.parametrize("spec", [PotentialSpec.for_integer_q(2 ** 23),
                                       PotentialSpec(D=1e200, alpha=1.0)],
@@ -232,6 +246,43 @@ class TestWavefunction:
     def test_unbound_rejected(self):
         with pytest.raises(DomainError):
             wavefunction(PotentialSpec.for_integer_q(2), 5, 0.1)
+
+
+class TestLevelArrays:
+    """Levels of shape (k, 1) give the rows of their lone calls, bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        *(PotentialSpec.for_integer_q(q) for q in (2, 3, 10, 30, 50, 150)),
+        PotentialSpec(D=3.3, alpha=1.0),
+        PotentialSpec(D=12.7, alpha=1.0),
+        PotentialSpec.for_integer_q(10, alpha=0.7, mu=1.9, hbar=1.3),
+    ], ids=["q=2", "q=3", "q=10", "q=30", "q=50", "q=150", "D=3.3", "D=12.7", "scaled"])
+    @pytest.mark.parametrize("f", [wavefunction, wavefunction_derivative])
+    def test_rows_are_the_lone_calls(self, spec, f):
+        n_max = well_numbers(spec).n_max
+        rng = np.random.default_rng(n_max)
+        levels = rng.permutation(np.r_[np.arange(n_max + 1), 0, n_max, n_max // 2])
+        nodes = np.asarray(gauss_legendre(n_max + 3).nodes)
+        x = np.r_[np.arctanh(nodes), np.linspace(-40.0, 40.0, 81)] / spec.alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = f(spec, levels[:, None], x)
+            lone = np.array([f(spec, int(n), x) for n in levels])
+        assert rows.shape == (len(levels), len(x))
+        assert np.array_equal(rows, lone)
+
+    def test_scalar_point(self):
+        spec = PotentialSpec.for_integer_q(5)
+        levels = np.array([[4], [0], [2]])
+        rows = wavefunction_derivative(spec, levels, 0.7)
+        assert rows.shape == (3, 1)
+        assert rows[:, 0].tolist() == [wavefunction_derivative(spec, n, 0.7) for n in (4, 0, 2)]
+
+    @pytest.mark.parametrize("f", [wavefunction, wavefunction_derivative])
+    @pytest.mark.parametrize("bad", [5, -1, 1.5])
+    def test_every_level_must_be_bound(self, f, bad):
+        with pytest.raises(DomainError, match=f"n = {bad} is not a bound state"):
+            f(PotentialSpec.for_integer_q(5), np.array([[0], [bad], [4]]), np.zeros(3))
 
 
 class TestWavefunctionDerivative:

@@ -726,6 +726,21 @@ class TestResourceUse:
         capsys.readouterr()
         assert peak <= bound * (20 * 20) ** 2 * 8
 
+    @pytest.mark.parametrize("builder", ["su2", "exact", "crude", "zA-zB", "harmonic"])
+    def test_dense_builders_hold_one_dense_matrix(self, builder):
+        # Each later Kronecker term is added in row slabs, so the sum is the
+        # only d x d array (a whole second term would make it 2.02).
+        q = 30
+        spec, basis = PotentialSpec.for_integer_q(q), pair_basis(q)
+        omega = interaction_frequency(spec)
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=0.03)
+        call = {"su2": lambda: su2_hamiltonian(vp, basis),
+                "exact": lambda: exact_interaction(spec, basis, 0.03),
+                "crude": lambda: approx_interaction(2 * q + 1, 0.03, omega, 1.0, "crude"),
+                "zA-zB": lambda: approx_interaction(2 * q + 1, 0.03, omega, 1.0, "zA-zB"),
+                "harmonic": lambda: harmonic_model(spec, basis, 0.03)}[builder]
+        assert traced_peak(call) <= 1.25 * (q * q) ** 2 * 8
+
     def test_factor_solve_holds_no_pair_pattern(self):
         # The blocks are read off the factors, so no d x d array of any
         # dtype is formed; a boolean pattern alone would be 1/8 of a dense one.
