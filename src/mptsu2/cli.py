@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, jsontext
+from . import __version__
 from .checks import SUITES, suite_for
 from .errors import DomainError, EvaluationError
 from .expansion import momentum_matrix_expansion, position_matrix_expansion
@@ -238,6 +238,8 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
     """
     fmt = args.format if args.format is not None else "csv"
     if fmt == "json":
+        from . import jsontext  # only JSON runs compile the writer
+
         chunks = jsontext.chunks(command, well, rows, meta)
     else:
         columns = list(rows[0].keys()) if rows else []

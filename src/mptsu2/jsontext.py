@@ -24,6 +24,9 @@ _SCALARS = {
     str: encode_basestring_ascii,
 }
 
+# Rows per chunk.
+_BATCH = 128
+
 
 def _row(row: Any, templates: dict) -> str:
     """One element of "rows" as ``json.dumps(payload, indent=2)`` writes it."""
@@ -38,16 +41,15 @@ def _row(row: Any, templates: dict) -> str:
         return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
 
 
-def chunks(command: str, well: dict, rows: list, meta: dict,
-           batch: int = 128) -> Iterable[str]:
-    """``json.dumps(payload, indent=2) + "\\n"`` in chunks of ``batch`` rows (9-13 KiB).
+def chunks(command: str, well: dict, rows: list, meta: dict) -> Iterable[str]:
+    """``json.dumps(payload, indent=2) + "\\n"`` in chunks of ``_BATCH`` rows (9-13 KiB).
 
     Small batches keep the peak low: the rows are still held while they are
     written, and 1024-row batches added about 0.2 MB to a q = 50 process.
     """
     yield json.dumps({"command": command, "well": well}, indent=2)[:-2] + ',\n  "rows": ['
     templates: dict = {}
-    for start in range(0, len(rows), batch):
-        texts = [_row(row, templates) for row in rows[start:start + batch]]
+    for start in range(0, len(rows), _BATCH):
+        texts = [_row(row, templates) for row in rows[start:start + _BATCH]]
         yield ("\n" if start == 0 else ",\n") + ",\n".join(texts)
     yield ("\n  ]," if rows else "],") + json.dumps({"meta": meta}, indent=2)[1:] + "\n"

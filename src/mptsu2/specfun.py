@@ -90,16 +90,8 @@ def gegenbauer(n, lam, t):
         while top[live - 1] < k:
             live -= 1
         out[live:done] = cur[live:done]  # the rows of degree k - 1
-        # (2(k+lam-1) t C_{k-1} - (k+2lam-2) C_{k-2}) / k, formed in the rows
-        # of out still free and in C_{k-2}, which is not read again.
-        step = out[:live]
-        step[...] = t
-        step *= 2.0 * (k + lam[:live] - 1.0)
-        step *= cur[:live]
-        older = prev[:live]
-        older *= k + 2.0 * lam[:live] - 2.0
-        prev, cur = cur[:live], np.subtract(step, older, out=older)
-        cur /= k
+        prev, cur = cur[:live], (2.0 * (k + lam[:live] - 1.0) * t * cur[:live]
+                                 - (k + 2.0 * lam[:live] - 2.0) * prev[:live]) / k
     out[:live] = cur[:live]  # the rows of the top degree
     out[order] = out.copy()
     return out.reshape(shape) if shape else float(out[0])

@@ -403,10 +403,11 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_batches_join_to_the_document(self, count, batch):
+    def test_batches_join_to_the_document(self, count, batch, monkeypatch):
         rows = [{"row": i, "value": i / 3.0} if i % 3 else {} for i in range(count)]
         payload = {"command": "cmd", "well": {}, "rows": rows, "meta": {"a": [1, {}]}}
-        chunks = list(jsontext.chunks("cmd", {}, rows, payload["meta"], batch))
+        monkeypatch.setattr(jsontext, "_BATCH", batch)
+        chunks = list(jsontext.chunks("cmd", {}, rows, payload["meta"]))
         assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
         assert len(chunks) == 2 + -(-count // batch)
 
