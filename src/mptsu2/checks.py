@@ -30,6 +30,7 @@ from .oracle import (
     observable_matrix,
 )
 from .states import PotentialSpec, energy, wavefunction, well_numbers
+from .suites import SUITES
 from .vibron import PairModel, _offsets, compare_models, coupling
 
 __all__ = [
@@ -257,9 +258,6 @@ def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
         CheckResult("models invariant under oscillator exchange",
                     max(map(_exchange_bound, (exact, crude, za_zb))), 1e-10),
     ]
-
-
-SUITES = ("algebra", "states", "matelem", "expansion", "vibron", "all")
 
 
 def suite_for(name: str, spec: PotentialSpec | None, nu: int | None,

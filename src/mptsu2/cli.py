@@ -8,20 +8,15 @@ failure.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import io
-import json
 import math
 import sys
-from typing import Any
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
-from .checks import SUITES, suite_for
 from .errors import DomainError, EvaluationError
-from .expansion import momentum_matrix_expansion, position_matrix_expansion
 from .ladder import OperatorMatrix, cosh_ddx_matrix, sinh_matrix
 from .oracle import (
     COSH_DDX_OVER_ALPHA,
@@ -32,14 +27,10 @@ from .oracle import (
     observable_matrix,
 )
 from .states import PotentialSpec, bound_state_labels, energy, well_numbers
-from .vibron import (
-    SpectroParams,
-    compare_models,
-    coupled_model,
-    spectro_from_potential,
-    spectrum,
-    vibron_params_from_spectro,
-)
+from .suites import SUITES
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -76,6 +67,8 @@ def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mptsu2",
         description="Modified Poschl-Teller oscillator: spectra, su(2) ladder "
@@ -170,6 +163,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _read_config(path: str) -> dict:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             values = json.load(fh)
@@ -242,6 +237,9 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
 
         chunks = jsontext.chunks(command, well, rows, meta)
     else:
+        import csv
+        import io
+
         columns = list(rows[0].keys()) if rows else []
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -314,6 +312,8 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     elif method == "oracle":
         rows = _matrix_rows(observable_matrix(spec, observables[op], cfg))
     else:
+        from .expansion import momentum_matrix_expansion, position_matrix_expansion
+
         order = args.order if args.order is not None else 1
         if op == "x":
             matrix = position_matrix_expansion(nu, spec.alpha, order)
@@ -330,6 +330,8 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import suite_for
+
     spec = _resolve_spec(args, required=False)
     cfg = _resolve_oracle(args)
     results = suite_for(args.suite, spec, args.nu, lam=_resolve_lambda(args), cfg=cfg)
@@ -349,6 +351,8 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
     Both paths solve the models from their factor form
     (``vibron.coupled_model``), so neither forms a d x d float array.
     """
+    from .vibron import compare_models, coupled_model, spectrum
+
     spec = _resolve_spec(args)
     cfg = _resolve_oracle(args)
     lam = _resolve_lambda(args)
@@ -382,6 +386,8 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
+    from .vibron import SpectroParams, spectro_from_potential, vibron_params_from_spectro
+
     from_spectro = args.omega_e is not None or args.xe_omega_e is not None
     if from_spectro:
         if args.omega_e is None or args.xe_omega_e is None:
@@ -423,7 +429,19 @@ _COMMANDS = {
 }
 
 
+# The library module a command needs beyond those imported above.  ``main``
+# imports it before argparse: without cached bytecode each module is compiled
+# at import, with up to about 1 MB of transient heap, and doing that on top
+# of the parser's state raised the peak RSS of verify and vibron processes by
+# 0.2-0.3 MB.  Each handler still imports what it uses; this only orders the
+# compiles.
+_LIBRARIES = {"verify": "checks", "vibron": "vibron", "params": "vibron"}
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _LIBRARIES:
+        import_module(f".{_LIBRARIES[argv[0]]}", __package__)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

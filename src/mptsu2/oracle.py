@@ -13,8 +13,9 @@ polynomial in theta = arccos(u), by the composite midpoint rule.  With
 q + 2 nodes both are exact, so no truncation window enters.  All levels
 come from one call each of :func:`~mptsu2.states.wavefunction` and
 :func:`~mptsu2.states.wavefunction_derivative` at x = artanh(u) / alpha,
-and a whole matrix is one contraction.  x is not algebraic in u; its matrix
-comes from d/dx by the commutator identity [H, x] = -(hbar^2 / mu) d/dx.
+which share one evaluation of the norms, and a whole matrix is one
+contraction.  x is not algebraic in u; its matrix comes from d/dx by the
+commutator identity [H, x] = -(hbar^2 / mu) d/dx.
 
 All matrices are real: R holds <n'| d/dx |n>, and the physical momentum
 matrix -i hbar R is never stored.  Everything is a pure function of its
@@ -34,6 +35,7 @@ from .ladder import PHYSICAL_KIND, OperatorMatrix
 from .specfun import QuadratureRule, gauss_legendre, integrate
 from .states import (
     PotentialSpec,
+    _levels_at,
     bound_state_labels,
     wavefunction,
     wavefunction_derivative,
@@ -115,8 +117,9 @@ def _contract(spec: PotentialSpec, obs: Observable, to_x: Callable, a: float, b:
 
     def integrand(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, jacobian = to_x(t)
-        bra = wavefunction(spec, levels, x)
-        ket = wavefunction_derivative(spec, levels, x) if obs.acts_on_derivative else bra
+        at = _levels_at(spec, levels, x)
+        bra = wavefunction(spec, levels, x, at)
+        ket = wavefunction_derivative(spec, levels, x, at) if obs.acts_on_derivative else bra
         return bra * (obs.weight(x, spec) * jacobian), ket
 
     return integrate(integrand, a, b, rule, panels)

@@ -111,9 +111,16 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
 
     For integer q (within INTEGER_Q_TOL) the zero-energy level is excluded and
     n_max = q - 1; otherwise every level with epsilon = q - n > 0 is bound,
-    i.e. n_max = ceil(q) - 1.  Wells with q >= MAX_Q are rejected.
+    i.e. n_max = ceil(q) - 1.  Wells with q >= MAX_Q, or whose (alpha hbar)^2
+    is past the float range, are rejected.
     """
-    scale = (spec.alpha * spec.hbar) ** 2
+    try:
+        scale = (spec.alpha * spec.hbar) ** 2
+    except OverflowError:  # alpha hbar is finite, its square is not
+        scale = math.inf
+    if scale == math.inf:
+        raise DomainError(f"(alpha hbar)^2 is past the float range for alpha = {spec.alpha} "
+                          f"and hbar = {spec.hbar}")
     ratio = 2.0 * spec.mu * spec.D / scale if scale > 0.0 else math.inf
     if not math.isfinite(ratio):
         raise DomainError(f"the well is too deep: 2 mu D / (alpha hbar)^2 = {ratio} "
@@ -208,7 +215,7 @@ def _levels_at(spec: PotentialSpec, n, x):
     return wn.q - n, norm, np.tanh(y), _log_sech(y)
 
 
-def wavefunction(spec: PotentialSpec, n, x):
+def wavefunction(spec: PotentialSpec, n, x, at=None):
     """Normalized bound-state wavefunction at x (scalar or array).
 
     Built from the sech^epsilon envelope and a Gegenbauer polynomial in
@@ -216,20 +223,22 @@ def wavefunction(spec: PotentialSpec, n, x):
     stay accurate far beyond the well.  ``n`` is a level, or levels of shape
     (k, 1) with a 1-d x: one row per level, each checked to be bound, all
     from one Gegenbauer recurrence, and each its lone call bit for bit.
+    ``at`` is ``_levels_at(spec, n, x)`` when the caller already holds it,
+    so that psi and its derivative at the same points share one set of norms.
     """
-    eps, norm, u, log_sech = _levels_at(spec, n, x)
+    eps, norm, u, log_sech = at or _levels_at(spec, n, x)
     value = norm * np.exp(eps * log_sech) * gegenbauer(n, eps + 0.5, u)
     return value if np.ndim(value) else float(value)
 
 
-def wavefunction_derivative(spec: PotentialSpec, n, x):
+def wavefunction_derivative(spec: PotentialSpec, n, x, at=None):
     """Analytic d(psi_n)/dx at x (scalar or array).
 
     Chain rule through u = tanh(alpha x) with the Gegenbauer
-    degree-lowering identity; no finite differences involved.  ``n`` is
-    taken as by :func:`wavefunction`.
+    degree-lowering identity; no finite differences involved.  ``n`` and
+    ``at`` are taken as by :func:`wavefunction`.
     """
-    eps, norm, u, log_sech = _levels_at(spec, n, x)
+    eps, norm, u, log_sech = at or _levels_at(spec, n, x)
     lam = eps + 0.5
     poly_term = norm * np.exp((eps + 2.0) * log_sech) * gegenbauer_derivative(n, lam, u)
     envelope_term = -eps * u * norm * np.exp(eps * log_sech) * gegenbauer(n, lam, u)

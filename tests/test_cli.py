@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import mptsu2
 from mptsu2 import cli, jsontext
 from mptsu2.cli import main
+from mptsu2.errors import DomainError
 from mptsu2.oracle import DDX, observable_matrix
 from mptsu2.states import MAX_Q, PotentialSpec
 
@@ -203,6 +205,18 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert len(rows) > 15
 
+    def test_suite_choices_are_the_names_suite_for_accepts(self):
+        from mptsu2 import checks
+
+        command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        choices, = [a.choices for a in command.choices["verify"]._actions
+                    if a.dest == "suite"]
+        assert choices == checks.SUITES
+        spec = PotentialSpec.for_integer_q(3)
+        assert all(checks.suite_for(name, spec, None) for name in choices)
+        with pytest.raises(DomainError, match="unknown suite 'algebras'"):
+            checks.suite_for("algebras", spec, None)
+
 
 class TestVibron:
     def test_compare_at_zero_coupling(self, capsys):
@@ -264,6 +278,18 @@ class TestWellParameterErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert re.search(rf"\b{name}\b", err)
+
+    @pytest.mark.parametrize("names", [["alpha"], ["hbar"], ["alpha", "hbar"]])
+    def test_overflowing_scale_is_a_usage_error(self, capsys, names):
+        # (alpha hbar)^2 is past the float range, which exited 3 with
+        # "numerical failure: (34, 'Numerical result out of range')", or,
+        # with alpha hbar itself past it, printed a level of energy nan.
+        flags = [arg for name in names for arg in (f"--{name}", "1e200")]
+        code, out, err = run_cli(capsys, "spectrum", "--D", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert all(f"{name} = 1e+200" in err for name in names)
 
 
 class TestTooDeepWellErrors:
@@ -532,7 +558,7 @@ class TestOutputContract:
 
     def test_config_sets_options_that_have_defaults(self, capsys, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr("mptsu2.cli.suite_for",
+        monkeypatch.setattr("mptsu2.checks.suite_for",
                             lambda name, spec, nu, lam, cfg: seen.append((name, lam)) or [])
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"lambda": 0.02, "suite": "states"}))
@@ -543,7 +569,7 @@ class TestOutputContract:
     def test_flags_override_config_options_with_defaults(self, capsys, tmp_path,
                                                         monkeypatch):
         seen = []
-        monkeypatch.setattr("mptsu2.cli.suite_for",
+        monkeypatch.setattr("mptsu2.checks.suite_for",
                             lambda name, spec, nu, lam, cfg: seen.append((name, lam)) or [])
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"lambda": 0.02, "suite": "states"}))
@@ -602,6 +628,50 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_bare_import_loads_no_submodule(self):
+        # dir() lists every package name before any is resolved, importing nothing.
+        proc = run_child("-c", "import sys, mptsu2; names = set(dir(mptsu2)); "
+                               "print(sorted(m for m in sys.modules if 'mptsu2' in m), "
+                               "set(mptsu2._HOME) <= names)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['mptsu2'] True\n"
+
+    @pytest.mark.parametrize("argv, libraries", [
+        (("matelem", "--op", "sinh", "--method", "oracle"), []),
+        (("spectrum",), []),
+        (("matelem", "--op", "x", "--method", "expansion"), ["expansion"]),
+        (("params",), ["expansion", "vibron"]),
+        (("vibron", "--model", "su2", "--lambda", "0.05"), ["expansion", "vibron"]),
+        (("verify", "--suite", "states"), ["checks", "expansion", "vibron"]),
+    ], ids=["matelem-oracle", "spectrum", "matelem-expansion", "params", "vibron", "verify"])
+    def test_a_command_imports_only_its_libraries(self, argv, libraries):
+        # The oracle path is always imported; the rest only by the commands
+        # that run it, and, except matelem's expansion branch, before argparse.
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            from mptsu2 import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main() == 0
+            loaded = list(sys.modules)  # in the order the imports began
+            names = [m for m in ("checks", "expansion", "vibron") if f"mptsu2.{m}" in loaded]
+            late = [m for m in names
+                    if loaded.index(f"mptsu2.{m}") > loaded.index("argparse")]
+            print(names, late)
+        """)
+        proc = run_child("-c", script, *argv, "--q", "5")
+        assert proc.returncode == 0, proc.stderr
+        late = libraries if argv[0] == "matelem" else []
+        assert proc.stdout == f"{libraries} {late}\n"
+
+    def test_package_names_resolve_to_their_home_modules(self):
+        assert len(mptsu2._HOME) == 72
+        for name, home in mptsu2._HOME.items():
+            module = importlib.import_module(f"mptsu2.{home}")
+            assert getattr(mptsu2, name) is getattr(module, name), name
+            assert name in module.__all__, name
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            mptsu2.no_such_name
+
 
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
@@ -613,7 +683,7 @@ class TestExitCodes:
         def failing_suite(name, spec, nu, lam=0.05, cfg=None):
             return [checks.CheckResult("always fails", 1.0, 0.0)]
 
-        monkeypatch.setattr("mptsu2.cli.suite_for", failing_suite)
+        monkeypatch.setattr("mptsu2.checks.suite_for", failing_suite)
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "states")
         assert code == 1
         assert "fail" in out

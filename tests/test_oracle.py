@@ -108,16 +108,21 @@ class TestOneEvaluationPerMatrix:
         (COSH_DDX_OVER_ALPHA, 1), (DDX, 1), (POSITION_X, 1),
     ], ids=lambda v: getattr(v, "name", v))
     def test_call_counts(self, monkeypatch, obs, derivative_calls):
-        from mptsu2 import oracle
+        from mptsu2 import oracle, states
 
         calls = []
         for name in ("wavefunction", "wavefunction_derivative"):
-            monkeypatch.setattr(oracle, name, lambda spec, n, x, f=getattr(oracle, name),
-                                name=name: calls.append((name, np.shape(n))) or f(spec, n, x))
+            monkeypatch.setattr(oracle, name, lambda spec, n, x, *at, f=getattr(oracle, name),
+                                name=name: calls.append((name, np.shape(n)))
+                                or f(spec, n, x, *at))
+        norms, norm = [], states.normalization_constant
+        monkeypatch.setattr(states, "normalization_constant",
+                            lambda q, n, alpha: norms.append(n) or norm(q, n, alpha))
         observable_matrix(PotentialSpec.for_integer_q(10), obs)
         assert calls.count(("wavefunction", (10, 1))) == 1
         assert calls.count(("wavefunction_derivative", (10, 1))) == derivative_calls
         assert len(calls) == 1 + derivative_calls
+        assert norms == list(range(10))  # psi and d(psi)/dx share one norm per level
 
 
 class TestDerivativeMatrix:
