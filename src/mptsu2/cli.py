@@ -2,16 +2,17 @@
 
 All output is machine-readable (CSV or JSON), fully deterministic, and uses
 17 significant digits so floats round-trip exactly.  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error, 3 internal numerical
-failure.
+1 verification failure, 2 usage or domain error, 3 internal numerical or
+i/o failure.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
@@ -252,6 +253,7 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # so that a failed write raises here, inside main
 
 
 def _meta(**tolerances: float) -> dict:
@@ -458,5 +460,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> NoReturn:
+    """Entry point of ``mptsu2``, ``python -m mptsu2`` and ``python -m mptsu2.cli``.
+
+    Runs :func:`main`, flushes stderr (``_emit`` flushed stdout) and ends the
+    process with ``os._exit``, skipping 20-30 ms of interpreter teardown, so
+    ``atexit`` handlers do not run (the package registers none).  SystemExit
+    (``--help``, usage errors), KeyboardInterrupt and uncaught exceptions
+    propagate and take Python's normal exit.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -110,9 +110,10 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     """Solve the depth relation q(q + 1) = 2 mu D / (alpha hbar)^2 for the well numbers.
 
     For integer q (within INTEGER_Q_TOL) the zero-energy level is excluded and
-    n_max = q - 1; otherwise every level with epsilon = q - n > 0 is bound,
-    i.e. n_max = ceil(q) - 1.  Wells with q >= MAX_Q, or whose (alpha hbar)^2
-    is past the float range, are rejected.
+    n_max = q - 1, so a well with q = 0 has no level (n_max = -1); otherwise
+    every level with epsilon = q - n > 0 is bound, i.e. n_max = ceil(q) - 1.
+    Wells with q >= MAX_Q, or whose (alpha hbar)^2 is past the float range,
+    are rejected.
     """
     try:
         scale = (spec.alpha * spec.hbar) ** 2
@@ -130,10 +131,10 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     if q >= MAX_Q:
         raise _too_deep(q)
     q_round = round(q)
-    if abs(q - q_round) <= INTEGER_Q_TOL and q_round >= 1:
+    if abs(q - q_round) <= INTEGER_Q_TOL:
         n_max = q_round - 1
     else:
-        n_max = max(math.ceil(q) - 1, 0)
+        n_max = math.ceil(q) - 1
     return WellNumbers(k=k, q=q, nu=2.0 * k, n_max=n_max)
 
 

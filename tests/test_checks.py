@@ -2,7 +2,7 @@
 
 Each row must be at least the elementwise defect of the matrix that
 ``PairModel.operator`` forms, so that a bound never passes what a dense scan
-of the same entries would fail.
+of the same entries would fail.  Also how the states suite evaluates levels.
 """
 
 import json
@@ -11,9 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from mptsu2 import cli
-from mptsu2.checks import _exchange_bound, _polyad_bound, _symmetry_bound, vibron_checks
-from mptsu2.states import PotentialSpec
+from mptsu2 import checks, cli
+from mptsu2.checks import (
+    _exchange_bound,
+    _polyad_bound,
+    _symmetry_bound,
+    states_checks,
+    vibron_checks,
+)
+from mptsu2.states import PotentialSpec, wavefunction
 from mptsu2.vibron import PairModel, coupling
 
 WELLS = [((q,), {}) for q in (3, 10, 17, 30)] + [((10,), dict(alpha=0.7, mu=1.9, hbar=1.3))]
@@ -147,3 +153,14 @@ class TestOverflow:
             assert rows[name]["measured"] == math.inf and rows[name]["status"] == "fail"
         polyad = rows["crude interaction commutes with polyad"]
         assert polyad["measured"] == 0.0 and polyad["status"] == "pass"
+
+
+class TestStatesSuite:
+    def test_parity_row_takes_every_level_in_one_call_per_half_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(checks, "wavefunction", lambda spec, n, x: calls.append(
+            (np.shape(n), len(x))) or wavefunction(spec, n, x))
+        states_checks(PotentialSpec.for_integer_q(30))
+        assert calls.count(((30, 1), 241)) == 2
+        assert calls.count(((), 4801)) == 30  # the node row: one level a call
+        assert len(calls) == 32

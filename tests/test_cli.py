@@ -34,13 +34,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*argv, timeout=60):
-    """``python *argv`` in a fresh process that imports this package, installed or not."""
+def run_child(*argv, timeout=60, buffered=None, stdout=subprocess.PIPE):
+    """``python *argv`` in a fresh process that imports this package, installed or not.
+
+    ``buffered`` True or False runs it without or with ``PYTHONUNBUFFERED``;
+    None keeps this process's setting.
+    """
     src = str(Path(mptsu2.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+    if buffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=timeout)
 
 
 def parse_csv(text):
@@ -347,6 +355,17 @@ class TestShallowWellErrors:
     ])
     def test_smallest_well_runs(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("depth", ["1e-320", "1e-20"])
+    def test_well_with_zero_q_has_no_bound_state(self, capsys, depth):
+        # q rounds to exactly 0: the one level it would have sits at E = 0.
+        code, out, err = run_cli(capsys, "spectrum", "--D", depth)
+        assert (code, out, err) == (2, "", "error: the well supports no bound states\n")
+
+    def test_well_just_past_zero_q_keeps_one_level(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--D", "1e-8")  # q ~ 2e-8
+        assert code == 0
+        assert len(parse_csv(out)[1]) == 1
 
 
 class TestNonFiniteCoupling:
@@ -701,3 +720,58 @@ class TestExitCodes:
                                "/nonexistent-dir/x.csv")
         assert code == 3
         assert "i/o" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("module", ["mptsu2", "mptsu2.cli"])
+    def test_failed_write_to_buffered_stdout_is_three(self, module):
+        # The buffer is flushed inside main, not at interpreter exit (exit 120).
+        with open("/dev/full", "w") as full:
+            proc = run_child("-m", module, "spectrum", "--q", "3", buffered=True,
+                             stdout=full)
+        assert proc.returncode == 3
+        assert proc.stderr == "i/o failure: [Errno 28] No space left on device\n"
+
+
+class TestEntryPoints:
+    """Every entry point ends through ``cli.run``, with main's output and code."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("matelem", "--q", "10", "--op", "sinh", "--method", "oracle", "--format", "json"), 0),
+        (("verify", "--q", "10", "--suite", "matelem", "--oracle-order", "2"), 1),
+        ((), 2),
+        (("matelem", "--q", "1", "--op", "x", "--method", "expansion"), 2),
+        (("--help",), 0),
+    ], ids=["ok", "verify-fails", "argparse-error", "domain-error", "help"])
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("module", ["mptsu2", "mptsu2.cli"])
+    def test_child_matches_main(self, capsys, monkeypatch, argv, code, buffered, module):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        try:
+            returned = main(list(argv))
+        except SystemExit as exc:  # argparse: --help and usage errors
+            returned = exc.code
+        out, err = capsys.readouterr()
+        assert returned == code
+        proc = run_child("-m", module, *argv, buffered=buffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is Python 3.11+")
+    def test_every_entry_point_calls_run(self):
+        import ast
+        import tomllib
+
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"mptsu2": "mptsu2.cli:run"}
+
+        def main_block_calls(path):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            block = next(node for node in tree.body if isinstance(node, ast.If)
+                         and ast.unparse(node.test) == "__name__ == '__main__'")
+            return [ast.unparse(node) for node in block.body]
+
+        package = root / "src" / "mptsu2"
+        assert main_block_calls(package / "cli.py") == ["run()"]
+        assert main_block_calls(package / "__main__.py") == ["run()"]
+        assert "from .cli import run" in (package / "__main__.py").read_text(encoding="utf-8")

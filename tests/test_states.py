@@ -62,6 +62,15 @@ class TestWellNumbers:
         assert 0.0 < wn.q < 1.0
         assert wn.n_max == 0
 
+    @pytest.mark.parametrize("D", [1e-320, 1e-20])
+    def test_zero_q_well_has_no_level(self, D):
+        spec = PotentialSpec(D=D, alpha=1.0)
+        wn = well_numbers(spec)
+        assert (wn.q, wn.n_max) == (0.0, -1)
+        assert bound_state_labels(spec) == ()
+        with pytest.raises(DomainError, match="not a bound state"):
+            energy(spec, 0)
+
     def test_near_integer_q_snaps(self):
         # Depths within the detection tolerance of an integer-q well must not
         # pick up the spurious near-zero-energy level.
