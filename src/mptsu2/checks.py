@@ -29,7 +29,7 @@ from .oracle import (
     derivative_matrix,
     observable_matrix,
 )
-from .states import PotentialSpec, energy, wavefunction, well_numbers
+from .states import MIN_Q, PotentialSpec, energy, integer_q, wavefunction, well_numbers
 from .suites import SUITES
 from .vibron import PairModel, _offsets, compare_models, coupling
 
@@ -53,6 +53,12 @@ class CheckResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.measured <= self.tolerance
+
+
+# The computation each suite checks, whose ``MIN_Q`` entry is the suite's domain.
+_DOMAIN = {"algebra": "the algebra suite", "states": "the quadrature oracle",
+           "matelem": "the closed-form matrix", "expansion": "the series expansion",
+           "vibron": "the model comparison"}
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -96,12 +102,13 @@ def states_checks(spec: PotentialSpec,
     results.append(CheckResult("energy equals -(alpha hbar)^2 eps^2 / 2 mu",
                                energy_dev, 1e-15))
     dense = np.linspace(-12.0 / spec.alpha, 12.0 / spec.alpha, 4801)
+    zero = 1e-12 * math.sqrt(spec.alpha)  # psi scales as sqrt(alpha)
     node_dev = 0
     # One level a call: (n_max + 1, 4801) arrays would add ~6 MB to the peak
     # RSS of a q = 30 verify and save little, as the recurrence dominates here.
     for n in range(wn.n_max + 1):
         values = wavefunction(spec, n, dense)
-        signs = np.sign(values[np.abs(values) > 1e-12])
+        signs = np.sign(values[np.abs(values) > zero])
         flips = int(np.sum(signs[1:] != signs[:-1]))
         node_dev = max(node_dev, abs(flips - n))
     results.append(CheckResult("node count equals n", float(node_dev), 0.0))
@@ -114,11 +121,8 @@ def states_checks(spec: PotentialSpec,
 
 def matelem_checks(spec: PotentialSpec,
                    cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
-    """Closed-form matrix elements against the quadrature oracle."""
-    wn = well_numbers(spec)
-    if not wn.q_is_integer or round(wn.q) < 2:
-        raise DomainError("matrix-element checks need an integer well parameter q >= 2")
-    nu = int(round(wn.nu))
+    """Closed-form matrix elements against the quadrature oracle; R in units of alpha."""
+    nu = 2 * integer_q(spec, _DOMAIN["matelem"]) + 1
     sinh_closed = sinh_matrix(nu).entries
     cosh_closed = cosh_ddx_matrix(nu).entries
     sinh_oracle = observable_matrix(spec, SINH_ALPHA_X, cfg).entries
@@ -130,32 +134,29 @@ def matelem_checks(spec: PotentialSpec,
                     _max_abs(cosh_closed - cosh_oracle), 1e-8),
         CheckResult("integration-by-parts identity M + M^T = -S",
                     _max_abs(cosh_closed + cosh_closed.T + sinh_closed), 1e-12),
-        CheckResult("derivative matrix antisymmetry", _max_abs(r + r.T), 1e-8),
+        CheckResult("derivative matrix antisymmetry", _max_abs(r + r.T) / spec.alpha, 1e-8),
     ]
 
 
 def expansion_checks(spec: PotentialSpec,
                      cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
-    """Order-1 identities, series convergence, and the parity pattern of x."""
-    wn = well_numbers(spec)
-    nu = int(round(wn.nu))
-    if not wn.q_is_integer or nu < 7:
-        raise DomainError("expansion checks need an integer well parameter q >= 3")
+    """Order-1 identities, series convergence and the parity of x; x in units of 1 / alpha."""
+    nu = 2 * integer_q(spec, _DOMAIN["expansion"]) + 1
     alpha = spec.alpha
     results = [
         CheckResult("x expansion order 1 equals sinh matrix / alpha",
                     _max_abs(position_matrix_expansion(nu, alpha, 1).entries
-                             - sinh_matrix(nu).entries / alpha), 1e-12),
+                             - sinh_matrix(nu).entries / alpha) * alpha, 1e-12),
         CheckResult("momentum expansion order 1 equals alpha cosh-derivative matrix",
                     _max_abs(momentum_matrix_expansion(nu, alpha, 1).entries
-                             - alpha * cosh_ddx_matrix(nu).entries), 1e-12),
+                             - alpha * cosh_ddx_matrix(nu).entries) / alpha, 1e-12),
     ]
     x_oracle = observable_matrix(spec, POSITION_X, cfg).entries
     k = min(3, x_oracle.shape[0])
     sub = np.s_[:k, :k]
     series = [position_matrix_expansion(nu, alpha, order).entries for order in (1, 3, 5)]
     devs = [_max_abs(x[sub] - x_oracle[sub]) for x in series]
-    worst_step = max(devs[1] - devs[0], devs[2] - devs[1])
+    worst_step = max(devs[1] - devs[0], devs[2] - devs[1]) * alpha
     if nu >= 15:
         results.append(CheckResult(
             "x expansion deviation non-increasing over orders 1,3,5", worst_step, 0.0))
@@ -168,7 +169,7 @@ def expansion_checks(spec: PotentialSpec,
     i = np.arange(x5.shape[0])
     even_mask = np.add.outer(i, i) % 2 == 0
     results.append(CheckResult("x expansion connects opposite parity only",
-                               _max_abs(x5[even_mask]), 0.0))
+                               _max_abs(x5[even_mask]) * alpha, 0.0))
     return results
 
 
@@ -246,20 +247,18 @@ def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
     The three structure rows are bounds read from each bare coupling's
     n x n factors (``vibron.PairModel``) in O(n^2), each at least the
     elementwise defect of the matrix as computed, and exactly 0 where the
-    factors prove it; no d x d matrix is formed.
+    factors prove it; no d x d matrix is formed.  Rows are in units of (alpha hbar)^2 / mu.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer or round(wn.q) < 3:
-        raise DomainError("vibron checks need an integer well parameter q >= 3")
     report0 = compare_models(spec, 0.0, cfg)
     coincide = max(max(d) for d in report0.deviations.values())
     exact, crude, za_zb = (coupling(spec, m, lam, cfg) for m in ("exact", "crude", "zA-zB"))
+    unit = (spec.alpha * spec.hbar) ** 2 / spec.mu
     return [
-        CheckResult("all model spectra coincide at lambda = 0", coincide, 1e-9),
-        CheckResult("crude interaction commutes with polyad", _polyad_bound(crude), 1e-12),
-        CheckResult("exact interaction is symmetric", _symmetry_bound(exact), 1e-10),
+        CheckResult("all model spectra coincide at lambda = 0", coincide / unit, 1e-9),
+        CheckResult("crude interaction commutes with polyad", _polyad_bound(crude) / unit, 1e-12),
+        CheckResult("exact interaction is symmetric", _symmetry_bound(exact) / unit, 1e-10),
         CheckResult("models invariant under oscillator exchange",
-                    max(map(_exchange_bound, (exact, crude, za_zb))), 1e-10),
+                    max(map(_exchange_bound, (exact, crude, za_zb))) / unit, 1e-10),
     ]
 
 
@@ -273,34 +272,21 @@ def suite_for(name: str, spec: PotentialSpec | None, nu: int | None,
         raise DomainError("--nu applies to the algebra suite only")
     if name == "algebra":
         if spec is not None:
-            wn = well_numbers(spec)
-            if not wn.q_is_integer:
-                raise DomainError("algebra suite needs an integer well parameter q")
-            if nu is not None and nu != round(wn.nu):
-                raise DomainError(f"--nu {nu} does not match the well's nu = {round(wn.nu)}")
-            nu = int(round(wn.nu))
+            well_nu = 2 * integer_q(spec, _DOMAIN["algebra"]) + 1
+            if nu is not None and nu != well_nu:
+                raise DomainError(f"--nu {nu} does not match the well's nu = {well_nu}")
+            nu = well_nu
         elif nu is None:
             raise DomainError("algebra suite needs --nu or a well")
         return algebra_checks(nu)
     if spec is None:
         raise DomainError(f"suite {name!r} needs a well specification")
-    if name == "states":
-        return states_checks(spec, cfg)
-    if name == "matelem":
-        return matelem_checks(spec, cfg)
-    if name == "expansion":
-        return expansion_checks(spec, cfg)
     if name == "vibron":
         return vibron_checks(spec, lam, cfg)
-    results = []
-    wn = well_numbers(spec)
-    if wn.q_is_integer:
-        results.extend(algebra_checks(int(round(wn.nu))))
-    results.extend(states_checks(spec, cfg))
-    q = round(wn.q)
-    if wn.q_is_integer and q >= 2:
-        results.extend(matelem_checks(spec, cfg))
-    if wn.q_is_integer and q >= 3:
-        results.extend(expansion_checks(spec, cfg))
-        results.extend(vibron_checks(spec, lam, cfg))
-    return results
+    if name != "all":
+        return {"states": states_checks, "matelem": matelem_checks,
+                "expansion": expansion_checks}[name](spec, cfg)
+    # Every suite the well is in, once it is in the states suite's domain.
+    q = integer_q(spec, _DOMAIN["states"])
+    return [row for suite in SUITES[:-1] if q >= MIN_Q[_DOMAIN[suite]]
+            for row in suite_for(suite, spec, None, lam, cfg)]

@@ -27,7 +27,7 @@ from .oracle import (
     OracleConfig,
     observable_matrix,
 )
-from .states import PotentialSpec, bound_state_labels, energy, well_numbers
+from .states import PotentialSpec, bound_state_labels, energy, integer_q, well_numbers
 from .suites import SUITES
 
 if TYPE_CHECKING:
@@ -288,10 +288,6 @@ def _matrix_rows(matrix: OperatorMatrix,
 def _cmd_matelem(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     cfg = _resolve_oracle(args)
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("matrix elements need an integer well parameter q")
-    nu = int(round(wn.nu))
     op, method = args.op, args.method
     if method == "closed" and op not in ("sinh", "coshd"):
         sys.stderr.write("error: closed forms exist only for sinh and coshd\n")
@@ -299,16 +295,13 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     if method == "expansion" and op not in ("x", "p"):
         sys.stderr.write("error: expansions exist only for x and p\n")
         return EXIT_USAGE
-    # The closed forms need nu >= 5; the expansions an interior level, nu >= 7.
-    min_q = {"closed": 2, "expansion": 3}.get(method, 0)
-    if round(wn.q) < min_q:
-        raise DomainError(f"--method {method} requires q >= {min_q}")
     meta = _meta()
     if op == "p":
         meta["momentum_convention"] = "matrix is R; momentum = -i hbar R"
     observables = {"sinh": SINH_ALPHA_X, "coshd": COSH_DDX_OVER_ALPHA,
                    "x": POSITION_X, "p": DDX}
     if method == "closed":
+        nu = 2 * integer_q(spec, "the closed-form matrix") + 1
         matrix = sinh_matrix(nu) if op == "sinh" else cosh_ddx_matrix(nu)
         rows = _matrix_rows(matrix)
     elif method == "oracle":
@@ -316,6 +309,7 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     else:
         from .expansion import momentum_matrix_expansion, position_matrix_expansion
 
+        nu = 2 * integer_q(spec, "the series expansion") + 1
         order = args.order if args.order is not None else 1
         if op == "x":
             matrix = position_matrix_expansion(nu, spec.alpha, order)

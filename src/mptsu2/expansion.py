@@ -32,11 +32,12 @@ from .errors import DomainError
 from .ladder import (
     PHYSICAL_KIND,
     OperatorMatrix,
+    _require_odd_nu,
     build_su2_matrices,
     project_physical,
 )
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
-from .states import PotentialSpec, StateLabel, well_numbers
+from .states import PotentialSpec, StateLabel, integer_q, well_numbers
 
 __all__ = [
     "ExpansionWeights",
@@ -67,12 +68,6 @@ P_RAISE = "p-raise"
 P_LOWER = "p-lower"
 
 
-def _require_expansion_nu(nu: int, minimum: int = 5) -> int:
-    if nu != int(nu) or int(nu) < minimum or int(nu) % 2 == 0:
-        raise DomainError(f"nu must be an odd integer >= {minimum}, got {nu}")
-    return int(nu)
-
-
 def _epsilon(nu: int, n: int) -> float:
     n_max = (nu - 3) // 2
     if n < 0 or n > n_max:
@@ -87,7 +82,7 @@ def channel_coefficient(nu: int, n: int, channel: str) -> float:
     last bound state (eps = 1), where a DomainError is raised; lowering
     channels are finite on every physical level.
     """
-    nu = _require_expansion_nu(nu)
+    nu = _require_odd_nu(nu, minimum=5)
     eps = _epsilon(nu, n)
     if channel in (X_RAISE, P_RAISE) and eps <= 1.0:
         raise DomainError("edge state: raising channel closed")
@@ -118,7 +113,7 @@ class ExpansionWeights(NamedTuple):
 
 
 def expansion_weights(nu: int) -> ExpansionWeights:
-    nu = _require_expansion_nu(nu)
+    nu = _require_odd_nu(nu, minimum=5)
     d = (nu - 1) // 2
 
     def seq(channel: str) -> tuple[float, ...]:
@@ -149,7 +144,7 @@ def _physical_ladders(nu: int) -> tuple[np.ndarray, np.ndarray, tuple[StateLabel
 
 def renormalized_generators(nu: int) -> BosonPair:
     """Physical ladder matrices scaled by 1/sqrt(nu) (harmonic-normalized bosons)."""
-    nu = _require_expansion_nu(nu)
+    nu = _require_odd_nu(nu, minimum=5)
     plus, minus, basis = _physical_ladders(nu)
     scale = 1.0 / math.sqrt(nu)
     return BosonPair(
@@ -186,7 +181,7 @@ def position_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     sinh matrix.  Order 5 pushes the arcsinh series one term past the
     validated order-3 truncation; reports mark it as an extrapolation.
     """
-    nu = _require_expansion_nu(nu, minimum=7)
+    nu = _require_odd_nu(nu, minimum=7)
     if order not in (1, 3, 5):
         raise DomainError(f"position expansion order must be 1, 3 or 5, got {order}")
     up_x, down_x, _, _, basis = _expansion_pieces(nu)
@@ -208,7 +203,7 @@ def momentum_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     R = alpha (M - T^2 M / 2), the sign the oracle comparison supports.
     R is the derivative representation and does not depend on hbar.
     """
-    nu = _require_expansion_nu(nu, minimum=7)
+    nu = _require_odd_nu(nu, minimum=7)
     if order not in (1, 3):
         raise DomainError(f"momentum expansion order must be 1 or 3, got {order}")
     up_x, down_x, up_p, down_p, basis = _expansion_pieces(nu)
@@ -241,7 +236,7 @@ def boson_map_weights(nu: int, n: int) -> tuple[float, float]:
     -sqrt((n+1)(n+2)(n+3))/(3 nu) lies outside the two-channel form and is
     left out of both maps.
     """
-    nu = _require_expansion_nu(nu)
+    nu = _require_odd_nu(nu, minimum=5)
     _epsilon(nu, n)  # range check
     a = 1.0 - (2.0 * n + 1.0) / nu
     b = 1.0 - (2.0 * n + 3.0) / nu
@@ -273,7 +268,7 @@ def approx_boson_ops(nu: int) -> BosonPair:
     three-step channel <n+3|create|n> = -sqrt((n+1)(n+2)(n+3))/(3 nu),
     which lies outside the two-channel form.
     """
-    nu = _require_expansion_nu(nu, minimum=7)
+    nu = _require_odd_nu(nu, minimum=7)
     plus, minus, basis = _physical_ladders(nu)
     d = plus.shape[0]
     scale = 1.0 / math.sqrt(nu)
@@ -311,7 +306,7 @@ def consistent_boson_ops(nu: int) -> BosonPair:
     two-channel form and are left out.  The annihilation matrix is the
     transpose of the creation matrix.
     """
-    nu = _require_expansion_nu(nu, minimum=7)
+    nu = _require_odd_nu(nu, minimum=7)
     plus, minus, basis = _physical_ladders(nu)
     n = np.arange(plus.shape[0], dtype=float)
     direct = 1.0 / np.sqrt(1.0 - (n + 1.0) / nu)
@@ -339,10 +334,7 @@ def physical_boson_ops(spec: PotentialSpec,
     interaction frequency; the combinations are real because R is the real
     derivative-representation of momentum.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer or round(wn.q) < 3:
-        raise DomainError("physical boson operators require an integer q >= 3")
-    nu = int(round(wn.nu))
+    nu = 2 * integer_q(spec, "the physical boson pair") + 1
     omega = interaction_frequency(spec)
     r_mat = derivative_matrix(spec, cfg)
     x = position_from_derivative(spec, r_mat.entries)

@@ -22,10 +22,11 @@ from .specfun import log_gamma
 from .states import (
     PotentialSpec,
     StateLabel,
+    _check_bound,
     energy,
+    integer_q,
     wavefunction,
     wavefunction_derivative,
-    well_numbers,
 )
 
 __all__ = [
@@ -177,13 +178,9 @@ def hamiltonian_diagonal(spec: PotentialSpec) -> OperatorMatrix:
     / (2 mu) simplifies to exactly the same expression as the energy
     formula, so the entries are produced by :func:`mptsu2.states.energy`.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("the algebraic Hamiltonian requires an integer well parameter q")
-    nu = int(round(wn.nu))
-    d = (nu - 1) // 2
-    diag = np.diag([energy(spec, n) for n in range(d)])
-    return OperatorMatrix(diag, _labels(nu, d), PHYSICAL_KIND)
+    q = integer_q(spec, "the algebraic Hamiltonian")
+    diag = np.diag([energy(spec, n) for n in range(q)])
+    return OperatorMatrix(diag, _labels(2 * q + 1, q), PHYSICAL_KIND)
 
 
 def normalization_chain(nu: int, n: int) -> float:
@@ -240,22 +237,13 @@ def _ladder_action(spec: PotentialSpec, n: int, x, sign: int):
     on the n-th state, where eps = q - n is taken at the source state and the
     upper signs belong to lowering.
     """
-    wn = _check_integer_well(spec)
-    if n < 0 or n > wn.n_max:
-        raise DomainError(f"n = {n} is not a bound state (n_max = {wn.n_max})")
-    eps = wn.q - n
+    integer_q(spec, "the ladder action")
+    eps = _check_bound(spec, n).q - n
     x = np.asarray(x, dtype=float)
     factor = math.sqrt((eps + sign) / eps)
     cosh_term = np.cosh(spec.alpha * x) / spec.alpha * wavefunction_derivative(spec, n, x)
     sinh_term = eps * np.sinh(spec.alpha * x) * wavefunction(spec, n, x)
     return factor * (sign * cosh_term + sinh_term)
-
-
-def _check_integer_well(spec: PotentialSpec):
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("ladder action requires an integer well parameter q")
-    return wn
 
 
 def apply_lowering(spec: PotentialSpec, n: int, x) -> np.ndarray:

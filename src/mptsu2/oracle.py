@@ -37,6 +37,7 @@ from .states import (
     PotentialSpec,
     _levels_at,
     bound_state_labels,
+    integer_q,
     wavefunction,
     wavefunction_derivative,
     well_numbers,
@@ -134,13 +135,10 @@ def observable_matrix(spec: PotentialSpec, obs: Observable,
     rest take a Gauss-Legendre rule in u of as many nodes.  Parity-forbidden
     entries are exact zeros, so the characteristic zero patterns are noise-free.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer or round(wn.q) < 2:
-        raise DomainError("observable_matrix requires an integer well parameter q >= 2")
-    q = round(wn.q)
+    q = integer_q(spec, "the quadrature oracle")
     nodes = cfg.rule_order or q + 2
     alpha = spec.alpha
-    levels = np.arange(wn.n_max + 1)
+    levels = np.arange(q)
     if obs is POSITION_X:
         m = position_from_derivative(spec, observable_matrix(spec, DDX, cfg).entries)
     elif obs is DDX:
@@ -164,7 +162,7 @@ def position_from_derivative(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     included, are exact zeros.  This is the x of ``observable_matrix``
     for the R of ``derivative_matrix``, bit for bit.
     """
-    q = round(well_numbers(spec).q)
+    q = integer_q(spec, "the quadrature oracle")
     levels = np.arange(r.shape[0])
     gap = np.subtract.outer(levels, levels) * (2 * q - np.add.outer(levels, levels))
     np.fill_diagonal(gap, 1)

@@ -3,13 +3,14 @@
 Exposes the well parameters, the derived quantum numbers, the discrete
 energies, and normalized wavefunctions with their analytic derivatives.
 Energies and wavefunctions accept any well with at least one bound state;
-the ladder-algebra machinery in :mod:`mptsu2.ladder` additionally requires
-an integer well-depth parameter q (odd integer nu = 2q + 1).
+the su(2) machinery needs an integer well-depth parameter q (odd nu = 2q + 1)
+of at least its computation's ``MIN_Q`` entry, which :func:`integer_q` checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -29,6 +30,8 @@ __all__ = [
     "wavefunction",
     "wavefunction_derivative",
     "bound_state_labels",
+    "MIN_Q",
+    "integer_q",
 ]
 
 # q within this distance of an integer is treated as exactly integer when
@@ -37,6 +40,14 @@ INTEGER_Q_TOL = 1e-9
 # From this q on (2^23 for 1e-9) adjacent floats lie more than INTEGER_Q_TOL
 # apart, so "q is an integer" cannot be tested and n_max means nothing.
 MAX_Q = 2.0 ** (math.floor(math.log2(INTEGER_Q_TOL)) + 53)
+
+# The smallest integer q each computation accepts: the closed forms need
+# nu = 2q + 1 >= 5, and the x and p series an interior level, nu >= 7.
+MIN_Q = {"the quadrature oracle": 2, "the closed-form matrix": 2, "the series expansion": 3,
+         "the algebra suite": 1, "the ladder action": 1, "the algebraic Hamiltonian": 1,
+         "the physical boson pair": 3, "the su2 model": 1, "the crude model": 2,
+         "the exact coupling": 2, "the exact model": 3, "the zA-zB model": 3,
+         "the model comparison": 3}
 
 
 def _check_finite_positive(**fields: float) -> None:
@@ -112,8 +123,8 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     For integer q (within INTEGER_Q_TOL) the zero-energy level is excluded and
     n_max = q - 1, so a well with q = 0 has no level (n_max = -1); otherwise
     every level with epsilon = q - n > 0 is bound, i.e. n_max = ceil(q) - 1.
-    Wells with q >= MAX_Q, or whose (alpha hbar)^2 is past the float range,
-    are rejected.
+    Wells with q >= MAX_Q, whose (alpha hbar)^2 is past the float range, or
+    whose alpha^2 is not a normal float, are rejected.
     """
     try:
         scale = (spec.alpha * spec.hbar) ** 2
@@ -130,12 +141,27 @@ def well_numbers(spec: PotentialSpec) -> WellNumbers:
     q = (-1.0 + 2.0 * k) / 2.0
     if q >= MAX_Q:
         raise _too_deep(q)
+    if not sys.float_info.min <= spec.alpha * spec.alpha < math.inf:
+        raise DomainError(f"alpha^2 is outside the normal float range for alpha = {spec.alpha}")
     q_round = round(q)
     if abs(q - q_round) <= INTEGER_Q_TOL:
         n_max = q_round - 1
     else:
         n_max = math.ceil(q) - 1
     return WellNumbers(k=k, q=q, nu=2.0 * k, n_max=n_max)
+
+
+def integer_q(spec: PotentialSpec, subject: str) -> int:
+    """The well's q, once it is an integer of at least ``MIN_Q[subject]``."""
+    wn = well_numbers(spec)
+    minimum = MIN_Q.get(subject)
+    if minimum is None:
+        raise DomainError(f"unknown computation {subject!r}")
+    q = round(wn.q) if wn.q_is_integer else wn.q
+    if not (wn.q_is_integer and q >= minimum):
+        raise DomainError(f"{subject} requires q >= {minimum}, an integer; "
+                          f"this well has q = {q}")
+    return q
 
 
 def depth_for_integer_q(q: int, alpha: float = 1.0, mu: float = 1.0,

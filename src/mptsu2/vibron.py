@@ -56,7 +56,7 @@ from .expansion import (
 )
 from .ladder import OperatorMatrix, TWO_OSC_KIND
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
-from .states import PotentialSpec, energy, well_numbers
+from .states import PotentialSpec, energy, integer_q
 
 __all__ = [
     "SpectroParams",
@@ -360,10 +360,7 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
     Momentum matrices are -i hbar R with real antisymmetric R, so the product
     contributes -lam hbar^2/mu R (x) R; both tensor terms are real symmetric.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("the exact coupled model requires an integer well parameter q")
-    if basis.dim_single != wn.n_max + 1:
+    if basis.dim_single != integer_q(spec, "the exact coupling"):
         raise DomainError("basis dimension must equal the bound-state count")
     return _exact_coupling(spec, lam, cfg).operator()
 
@@ -526,15 +523,10 @@ def coupling(spec: PotentialSpec, model: str, lam: float,
     ``exact`` is ``exact_interaction``'s matrix and the other two
     ``approx_interaction``'s at nu = 2q + 1 and omega-tilde of the well.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("coupled models need an integer well parameter q")
-    min_q = {"crude": 2, "exact": 3, "zA-zB": 3}.get(model, 0)
-    if round(wn.q) < min_q:
-        raise DomainError(f"the {model} coupled model requires q >= {min_q}")
+    q = integer_q(spec, f"the {model} model")
     if model == "exact":
         return _exact_coupling(spec, lam, cfg)
-    return _exchange(_boson_creation(int(round(wn.nu)), model),
+    return _exchange(_boson_creation(2 * q + 1, model),
                      lam * spec.hbar * interaction_frequency(spec))
 
 
@@ -546,15 +538,13 @@ def coupled_model(spec: PotentialSpec, model: str, lam: float,
     ``exact``, ``crude`` and ``zA-zB`` add their ``coupling`` to the
     bound-state diagonal of ``diagonal_energies``.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer:
-        raise DomainError("coupled models need an integer well parameter q")
     if model == "su2":
+        q = integer_q(spec, "the su2 model")
         vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
                                         hbar=spec.hbar)
-        return _su2_model(vp, wn.n_max + 1)
-    levels = _level_energies(spec, wn.n_max + 1)
-    return coupling(spec, model, lam, cfg).with_diagonal(levels)
+        return _su2_model(vp, q)
+    form = coupling(spec, model, lam, cfg)
+    return form.with_diagonal(_level_energies(spec, form.n))
 
 
 def compare_models(spec: PotentialSpec, lam: float,
@@ -570,11 +560,9 @@ def compare_models(spec: PotentialSpec, lam: float,
     gathered blocks.  The exact eigenvectors stay in their blocks, where
     each one's dominant basis index is read off for the polyad labels.
     """
-    wn = well_numbers(spec)
-    if not wn.q_is_integer or round(wn.q) < 3:
-        raise DomainError("model comparison requires an integer well parameter q >= 3")
+    q = integer_q(spec, "the model comparison")
     exact_vals, dominant = _solve(coupled_model(spec, "exact", lam, cfg))
-    polyads = tuple(np.add(*np.divmod(dominant, wn.n_max + 1)).tolist())
+    polyads = tuple(np.add(*np.divmod(dominant, q)).tolist())
     values = {name: _solve(coupled_model(spec, name, lam, cfg))[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}
@@ -582,7 +570,7 @@ def compare_models(spec: PotentialSpec, lam: float,
     deviations = {name: tuple(float(abs(v - e)) for v, e in zip(vals, exact_vals))
                   for name, vals in values.items()}
     return ComparisonReport(
-        q=int(round(wn.q)), lam=lam, polyads=polyads,
+        q=q, lam=lam, polyads=polyads,
         eigenvalues={name: tuple(float(v) for v in vals) for name, vals in values.items()},
         deviations=deviations,
         max_low_polyad_deviation={name: max((devs[i] for i in low), default=0.0)

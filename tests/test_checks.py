@@ -90,8 +90,9 @@ class TestCouplingBounds:
 
     def test_rows_are_the_bounds(self, well):
         rows = {r.name: r.measured for r in vibron_checks(well, 0.037)}
+        unit = (well.alpha * well.hbar) ** 2 / well.mu  # the rows' unit, 1.0 at unit scales
         assert rows["exact interaction is symmetric"] == _symmetry_bound(
-            coupling(well, "exact", 0.037))
+            coupling(well, "exact", 0.037)) / unit
         assert rows["crude interaction commutes with polyad"] == 0.0
         assert rows["models invariant under oscillator exchange"] == 0.0
 
@@ -164,3 +165,103 @@ class TestStatesSuite:
         assert calls.count(((30, 1), 241)) == 2
         assert calls.count(((), 4801)) == 30  # the node row: one level a call
         assert len(calls) == 32
+
+
+
+def planted(matrix, size, i=0, j=1):
+    """An object whose entries are ``matrix``'s plus size * max|entries| at (i, j)."""
+    m = np.array(matrix.entries)
+    m[i, j] += size * np.abs(m).max()
+    return type("Planted", (), {"entries": m})
+
+
+def at_order(order, i, j):
+    """Wraps a series builder to plant a 1e-9 defect in its matrix of one order."""
+    return lambda f: lambda nu, alpha, o=1: (
+        planted(f(nu, alpha, o), 1e-9, i, j) if o == order else f(nu, alpha, o))
+
+
+def coupling_plus(model, a, b):
+    """Wraps ``coupling`` to add a (x) b to one model, 1e-9 of its first term's size."""
+    def wrap(f):
+        def coupling(spec, name, lam, cfg):
+            form = f(spec, name, lam, cfg)
+            if name != model:
+                return form
+            big = max(np.abs(x).max() for x in form.terms[0][1:])
+            return PairModel(form.terms + ((1e-9 * big * big, a, b),), form.scale)
+        return coupling
+    return wrap
+
+
+def spectra_apart(f):
+    """Wraps ``compare_models`` to move one crude level 1e-9 max|E| off the exact one."""
+    def compare_models(spec, lam, cfg):
+        report = f(spec, lam, cfg)
+        size = 1e-9 * max(abs(e) for e in report.eigenvalues["exact"])
+        crude = report.deviations["crude"]
+        return report._replace(deviations={**report.deviations, "crude": (size, *crude[1:])})
+    return compare_models
+
+
+def wiggle(f):
+    """Wraps ``wavefunction`` to add an alternating 1e-9 max|psi| to its values."""
+    def wavefunction(spec, n, x):
+        v = f(spec, n, x)
+        return v + 1e-9 * np.abs(v).max() * (-1.0) ** np.arange(np.shape(v)[-1])
+    return wavefunction
+
+
+class TestUnitFreeRows:
+    """Each row is read in the scale that is exactly 1.0 at alpha = hbar = mu = 1.
+
+    R and momentum rows in units of alpha, x rows in units of 1 / alpha, the
+    vibron rows in units of (alpha hbar)^2 / mu, and the node count ignores
+    |psi| below 1e-12 sqrt(alpha); read as absolute values, these scalings
+    failed rows on rounding alone.
+    """
+
+    SCALES = [dict(alpha=1e3), dict(alpha=1024.0, hbar=0.25, mu=8.0), dict(hbar=1e3),
+              dict(alpha=1e-5), dict(alpha=1e-30)]
+    # Each rescaled row, the name in ``checks`` that feeds it and a wrapper
+    # of that name that plants a defect of relative size 1e-9 (1e-8 for the
+    # antisymmetry row, whose tolerance is 1e-8).
+    PLANTS = {
+        "derivative matrix antisymmetry":
+            ("derivative_matrix", lambda f: lambda spec, cfg: planted(f(spec, cfg), 1e-8)),
+        "momentum expansion order 1 equals alpha cosh-derivative matrix":
+            ("momentum_matrix_expansion", at_order(1, 0, 1)),
+        "x expansion order 1 equals sinh matrix / alpha":
+            ("position_matrix_expansion", at_order(1, 0, 1)),
+        "x expansion connects opposite parity only":
+            ("position_matrix_expansion", at_order(5, 0, 0)),
+        "node count equals n": ("wavefunction", wiggle),
+        "all model spectra coincide at lambda = 0": ("compare_models", spectra_apart),
+        "crude interaction commutes with polyad":
+            ("coupling", coupling_plus("crude", unit(10, 1, 0), unit(10, 1, 0))),
+        "exact interaction is symmetric":
+            ("coupling", coupling_plus("exact", unit(10, 0, 1), unit(10, 0, 1))),
+        "models invariant under oscillator exchange":
+            ("coupling", coupling_plus("zA-zB", unit(10, 0, 1), unit(10, 2, 3))),
+    }
+
+    @pytest.mark.parametrize("q", [10, 30])
+    @pytest.mark.parametrize("scale", SCALES, ids=lambda d: "-".join(
+        f"{k}{v:g}" for k, v in d.items()))
+    def test_full_suite_passes_at_every_scale(self, capsys, q, scale):
+        flags = [a for k, v in scale.items() for a in (f"--{k}", repr(v))]
+        code = cli.main(["verify", "--q", str(q), "--suite", "all", *flags])
+        out = capsys.readouterr().out
+        assert code == 0, [line for line in out.splitlines() if line.endswith(",fail")]
+
+    @pytest.mark.parametrize("row", list(PLANTS))
+    def test_planted_relative_defect_fails_at_any_scale(self, monkeypatch, row):
+        target, wrap = self.PLANTS[row]
+        monkeypatch.setattr(checks, target, wrap(getattr(checks, target)))
+        measured = {}
+        for alpha in (1.0, 1e3):
+            rows = {r.name: r for r in checks.suite_for(
+                "all", PotentialSpec.for_integer_q(10, alpha=alpha), None, 0.037)}
+            assert not rows[row].passed, alpha
+            measured[alpha] = rows[row].measured
+        assert measured[1e3] == pytest.approx(measured[1.0], rel=1e-3)

@@ -202,10 +202,11 @@ class TestVerify:
             assert rows and all(r["status"] == "pass" for r in rows)
 
     def test_expansion_suite_needs_interior_state(self, capsys):
-        for well in (("--q", "2"), ("--D", "3.3")):
+        for well, q in ((("--q", "2"), "2"), (("--D", "3.3"), "2.1172504656604803")):
             code, _, err = run_cli(capsys, "verify", *well, "--suite", "expansion")
             assert code == 2
-            assert err == "error: expansion checks need an integer well parameter q >= 3\n"
+            assert err == ("error: the series expansion requires q >= 3, an integer; "
+                           f"this well has q = {q}\n")
 
     def test_full_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "all")
@@ -299,6 +300,24 @@ class TestWellParameterErrors:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert all(f"{name} = 1e+200" in err for name in names)
 
+    @pytest.mark.parametrize("alpha, hbar", [("1e160", "1e-160"), ("1e-160", "1e160")])
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("params",),
+        ("matelem", "--op", "x", "--method", "oracle"),
+        ("verify", "--suite", "all"),
+        ("vibron", "--model", "crude", "--lambda", "0.02"),
+    ])
+    def test_alpha_squared_outside_the_normal_range(self, capsys, argv, alpha, hbar):
+        # alpha hbar = 1 and q = 3, but alpha^2 overflowed (exit 3, "Numerical
+        # result out of range") or was subnormal, and lost digits: params
+        # said the boson number would be 5.999922070278781, not 6.
+        code, out, err = run_cli(capsys, *argv, "--D", "6", "--alpha", alpha, "--hbar", hbar)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"alpha = {float(alpha)!r}" in err
+
 
 class TestTooDeepWellErrors:
     # From q = 2^23 on "q is an integer" cannot be tested.  Each command runs
@@ -331,6 +350,33 @@ class TestTooDeepWellErrors:
         assert re.search(rf"q = \S+ is not below {MAX_Q:.0f}\b", proc.stderr)
 
 
+# A command for each MIN_Q entry the CLI reaches, without its well, and that
+# entry's smallest q: the quadrature oracle, the closed-form matrix, the
+# series expansion, the algebra suite, the su2, crude, exact and zA-zB models,
+# and the model comparison.
+DOMAINS = [
+    (("matelem", "--op", "sinh", "--method", "oracle"), 2),
+    (("verify", "--suite", "states"), 2),
+    (("verify", "--suite", "all"), 2),
+    (("matelem", "--op", "coshd", "--method", "closed"), 2),
+    (("verify", "--suite", "matelem"), 2),
+    (("matelem", "--op", "p", "--method", "expansion"), 3),
+    (("verify", "--suite", "expansion"), 3),
+    (("verify", "--suite", "algebra"), 1),
+    (("vibron", "--model", "su2", "--lambda", "0.02"), 1),
+    (("vibron", "--model", "crude", "--lambda", "0.02"), 2),
+    (("vibron", "--model", "exact", "--lambda", "0.02"), 3),
+    (("vibron", "--model", "zA-zB", "--lambda", "0.02"), 3),
+    (("vibron", "--model", "compare", "--lambda", "0.02"), 3),
+    (("verify", "--suite", "vibron"), 3),
+]
+
+
+def one_below(minimum):
+    """A well with q = minimum - 1; --q cannot give q = 0, a depth that underflows does."""
+    return ("--q", str(minimum - 1)) if minimum > 1 else ("--D", "1e-320")
+
+
 class TestShallowWellErrors:
     @pytest.mark.parametrize("argv, need", [
         (("vibron", "--q", "2", "--model", "zA-zB", "--lambda", "0.02"), 3),
@@ -340,19 +386,21 @@ class TestShallowWellErrors:
         (("matelem", "--q", "1", "--op", "coshd", "--method", "closed"), 2),
         (("matelem", "--q", "2", "--op", "x", "--method", "expansion"), 3),
         (("matelem", "--q", "2", "--op", "p", "--method", "expansion"), 3),
-    ])
+    ] + [(argv + one_below(need), need) for argv, need in DOMAINS]
+      + [(argv + ("--D", "3.3"), need) for argv, need in DOMAINS])
     def test_error_states_the_q_needed(self, capsys, argv, need):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert f"requires q >= {need}" in err
         assert "nu" not in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ("vibron", "--q", "2", "--model", "crude", "--lambda", "0.02"),
         ("matelem", "--q", "2", "--op", "sinh", "--method", "closed"),
         ("matelem", "--q", "3", "--op", "x", "--method", "expansion"),
-    ])
+    ] + [argv + ("--q", str(need)) for argv, need in DOMAINS])
     def test_smallest_well_runs(self, capsys, argv):
         assert run_cli(capsys, *argv)[0] == 0
 

@@ -3,20 +3,24 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mptsu2 import checks, expansion, ladder, oracle, vibron
 from mptsu2.errors import DomainError
 from mptsu2.specfun import gauss_legendre, integrate
 from mptsu2.states import (
     INTEGER_Q_TOL,
     MAX_Q,
+    MIN_Q,
     PotentialSpec,
     StateLabel,
     bound_state_labels,
     depth_for_integer_q,
     energy,
+    integer_q,
     normalization_constant,
     wavefunction,
     wavefunction_derivative,
@@ -135,6 +139,70 @@ class TestWellNumbers:
     def test_too_deep_to_count_rejected(self, spec):
         with pytest.raises(DomainError, match=r"q = .* not below 8388608"):
             well_numbers(spec)
+
+
+class TestDomainTable:
+    """``integer_q`` is the one check of each computation's domain, ``MIN_Q``."""
+
+    SHALLOW = PotentialSpec(D=3.3, alpha=1.0)  # q = 2.117...
+    MESSAGE = re.compile(r"(.+) requires q >= (\d+), an integer; this well has q = (\S+)")
+    ENTRIES = {
+        "observable_matrix": lambda s: oracle.observable_matrix(s, oracle.IDENTITY),
+        "position_from_derivative": lambda s: oracle.position_from_derivative(s, np.eye(3)),
+        "exact_interaction": lambda s: vibron.exact_interaction(s, vibron.pair_basis(3), 0.02),
+        "coupling": lambda s: vibron.coupling(s, "crude", 0.02),
+        "coupled_model": lambda s: vibron.coupled_model(s, "su2", 0.02),
+        "compare_models": lambda s: vibron.compare_models(s, 0.02),
+        "states_checks": checks.states_checks,
+        "matelem_checks": checks.matelem_checks,
+        "expansion_checks": checks.expansion_checks,
+        "vibron_checks": checks.vibron_checks,
+        "suite_for": lambda s: checks.suite_for("all", s, None),
+        "hamiltonian_diagonal": ladder.hamiltonian_diagonal,
+        "apply_lowering": lambda s: ladder.apply_lowering(s, 0, 0.5),
+        "physical_boson_ops": expansion.physical_boson_ops,
+    }
+
+    def test_table_holds_each_smallest_q(self):
+        assert MIN_Q == {
+            "the quadrature oracle": 2, "the closed-form matrix": 2,
+            "the series expansion": 3, "the algebra suite": 1, "the ladder action": 1,
+            "the algebraic Hamiltonian": 1, "the physical boson pair": 3,
+            "the su2 model": 1, "the crude model": 2, "the exact coupling": 2,
+            "the exact model": 3, "the zA-zB model": 3, "the model comparison": 3}
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_non_integer_well_gets_the_one_message(self, name):
+        with pytest.raises(DomainError) as info:
+            self.ENTRIES[name](self.SHALLOW)
+        subject, minimum, q = self.MESSAGE.fullmatch(str(info.value)).groups()
+        assert MIN_Q[subject] == int(minimum)
+        assert float(q) == well_numbers(self.SHALLOW).q
+        assert "nu" not in str(info.value)
+        assert info.traceback[-1].name == "integer_q"  # raised by the one check
+
+    @pytest.mark.parametrize("subject, minimum", sorted(MIN_Q.items()))
+    def test_integer_q_from_the_minimum_on(self, subject, minimum):
+        assert integer_q(PotentialSpec.for_integer_q(minimum), subject) == minimum
+        assert type(integer_q(PotentialSpec.for_integer_q(minimum + 7), subject)) is int
+        if minimum > 1:
+            with pytest.raises(DomainError, match=f"^{subject} requires q >= {minimum}, "
+                                                  f"an integer; this well has q = {minimum - 1}$"):
+                integer_q(PotentialSpec.for_integer_q(minimum - 1), subject)
+
+    def test_unknown_computation(self):
+        with pytest.raises(DomainError, match="unknown computation 'the bogus model'"):
+            vibron.coupled_model(PotentialSpec.for_integer_q(3), "bogus", 0.02)
+
+    def test_no_other_module_tests_integer_q(self):
+        # Outside states.py only the states suite's dissociation row reads
+        # q_is_integer, and no other module states a q requirement.
+        src = Path(checks.__file__).parent
+        for path in src.glob("*.py"):
+            if path.name != "states.py":
+                text = path.read_text(encoding="utf-8")
+                assert text.count("q_is_integer") == (path.name == "checks.py"), path.name
+                assert "requires q >=" not in text and "min_q" not in text, path.name
 
 
 class TestEnergy:
