@@ -30,11 +30,11 @@ _EXPORTS = {
                   "interaction_frequency", "momentum_matrix_expansion",
                   "physical_boson_ops", "position_matrix_expansion",
                   "renormalized_generators"),
-    "vibron": ("ComparisonReport", "PairModel", "SpectroParams", "TwoOscBasis",
-               "VibronParams", "approx_interaction", "compare_models", "coupled_model",
-               "coupling", "diagonal_energies", "exact_interaction", "harmonic_model",
-               "pair_basis", "polyad_operator", "spectro_from_potential",
-               "spectro_from_vibron", "spectrum", "su2_hamiltonian",
+    "pairs": ("PairModel", "TwoOscBasis", "pair_basis", "spectrum"),
+    "vibron": ("ComparisonReport", "SpectroParams", "VibronParams", "approx_interaction",
+               "compare_models", "coupled_model", "coupling", "diagonal_energies",
+               "exact_interaction", "harmonic_model", "polyad_operator",
+               "spectro_from_potential", "spectro_from_vibron", "su2_hamiltonian",
                "vibron_params_from_spectro"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,7 +8,7 @@ are informational (diagnostics such as the narrow-well series step).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .oracle import (
     derivative_matrix,
     observable_matrix,
 )
+from .pairs import _exchange_bound, _max_abs, _polyad_bound, _symmetry_bound
 from .states import MIN_Q, PotentialSpec, energy, integer_q, wavefunction, well_numbers
 from .suites import SUITES
-from .vibron import PairModel, _offsets, compare_models, coupling
+from .vibron import compare_models, coupling
 
 __all__ = [
     "CheckResult",
@@ -61,21 +62,25 @@ _DOMAIN = {"algebra": "the algebra suite", "states": "the quadrature oracle",
            "vibron": "the model comparison"}
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def algebra_checks(nu: int) -> list[CheckResult]:
-    """Commutation relations, Casimir, and structural identities at one nu."""
+    """Commutation relations, Casimir, and structural identities at one nu.
+
+    The first four rows are in units of j(j+1), the size of the products they
+    compare, whose rounding alone failed absolute rows from nu = 129.
+    """
     triple = build_su2_matrices(nu)
     p, m, z = triple.plus.entries, triple.minus.entries, triple.zero.entries
-    j = triple.j
+    size = triple.j * (triple.j + 1)
     return [
-        CheckResult("commutator [P+,P-] = 2 P0", _max_abs(p @ m - m @ p - 2 * z), 1e-12),
-        CheckResult("commutator [P0,P-] = -P-", _max_abs(z @ m - m @ z + m), 1e-12),
-        CheckResult("commutator [P0,P+] = +P+", _max_abs(z @ p - p @ z - p), 1e-12),
+        CheckResult("commutator [P+,P-] = 2 P0", _max_abs(_bracket(p, m) - 2 * z) / size, 1e-12),
+        CheckResult("commutator [P0,P-] = -P-", _max_abs(_bracket(z, m) + m) / size, 1e-12),
+        CheckResult("commutator [P0,P+] = +P+", _max_abs(_bracket(z, p) - p) / size, 1e-12),
         CheckResult("Casimir = j(j+1) I",
-                    _max_abs(casimir(triple).entries - j * (j + 1) * np.eye(nu)), 1e-12),
+                    _max_abs(casimir(triple).entries - size * np.eye(nu)) / size, 1e-12),
         CheckResult("lowering = raising transposed", _max_abs(m - p.T), 1e-14),
         CheckResult("projection trace = 0", abs(float(np.trace(z))), 1e-12),
     ]
@@ -173,79 +178,12 @@ def expansion_checks(spec: PotentialSpec,
     return results
 
 
-def _bound(form: PairModel, defect: Callable[..., float], roundings: int) -> float:
-    """A bound, from the n x n factors, on a defect of ``form``'s entries as computed.
-
-    |scale| sum_k |w_k| defect(A_k, B_k) bounds the exact defect.  An entry
-    of m terms rounds m + 2 times, so it lies within gamma M of its exact
-    value, gamma = (m + 2) u / (1 - (m + 2) u), M = |scale| sum_k |w_k|
-    max|A_k| max|B_k|; ``roundings`` counts the entries a defect subtracts.
-    The factor 1 + 4 gamma covers the relative rounding of a scaled entry
-    and of the bound itself.  inf when M, formed in the order of the
-    entries' products, is not finite: an entry can overflow.
-    """
-    s = abs(form.scale)
-    big = s * sum(abs(w) * (_max_abs(a) * _max_abs(b)) for w, a, b in form.terms)
-    if not math.isfinite(big):
-        return math.inf
-    ops = (len(form.terms) + 2) * 2.0 ** -53
-    gamma = ops / (1.0 - ops)
-    total = s * sum(abs(w) * defect(a, b) for w, a, b in form.terms)
-    return (total + roundings * gamma * big) * (1.0 + 4.0 * gamma)
-
-
-def _symmetry_bound(form: PairModel) -> float:
-    """Bounds max |H - H^T| of a bare coupling.
-
-    With A^T = sA + dA and B^T = sB + dB for a sign s = +-1, A^T (x) B^T
-    - A (x) B = s A (x) dB + s dA (x) B + dA (x) dB; each term takes the s
-    that gives the smaller bound.
-    """
-    def defect(a: np.ndarray, b: np.ndarray, sign: float) -> float:
-        da, db = _max_abs(a.T - sign * a), _max_abs(b.T - sign * b)
-        return _max_abs(a) * db + da * _max_abs(b) + da * db
-
-    return _bound(form, lambda a, b: min(defect(a, b, 1.0), defect(a, b, -1.0)), 2)
-
-
-def _exchange_bound(form: PairModel) -> float:
-    """Bounds max |H - H swapped| of a bare coupling, H swapped = scale sum_k w_k B_k (x) A_k.
-
-    When (A, B) -> (B, A) maps the term list onto itself and at most two
-    terms are summed, each swapped entry sums the same products, and
-    fl(a + b) = fl(b + a), so the defect is exactly 0.  Otherwise each term
-    is bounded by A (x) B - B (x) A = A (x) D - D (x) A, D = B - A.
-    """
-    terms = [(w, a.tobytes(), b.tobytes()) for w, a, b in form.terms]
-    if len(terms) <= 2 and sorted(terms) == sorted((w, b, a) for w, a, b in terms):
-        return _bound(form, lambda a, b: 0.0, 0)
-    return _bound(form, lambda a, b: 2.0 * min(_max_abs(a), _max_abs(b)) * _max_abs(b - a), 2)
-
-
-def _polyad_bound(form: PairModel) -> float:
-    """Bounds max |[H, P]| = max |(P_i - P_j) H_ij| of a bare coupling, P = n1 + n2.
-
-    A product A_k[i1, j1] B_k[i2, j2] lies on the diagonals u = i1 - j1 and
-    v = i2 - j2 of its factors and moves the polyad by u + v, so the
-    defect is 0 when every nonzero product conserves the polyad.
-    """
-    def peaks(m: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        return np.array([_max_abs(np.diagonal(m, -k)) for k in offsets])
-
-    def defect(a: np.ndarray, b: np.ndarray) -> float:
-        u, v = _offsets(a), _offsets(b)
-        step = np.abs(np.add.outer(u, v)) * np.outer(peaks(a, u), peaks(b, v))
-        return float(step.max(initial=0.0))
-
-    return _bound(form, defect, 0)
-
-
 def vibron_checks(spec: PotentialSpec, lam: float = 0.05,
                   cfg: OracleConfig = OracleConfig()) -> list[CheckResult]:
     """Coupled-model structure: coincidence at zero coupling, symmetries, polyad.
 
     The three structure rows are bounds read from each bare coupling's
-    n x n factors (``vibron.PairModel``) in O(n^2), each at least the
+    n x n factors (``pairs.PairModel``) in O(n^2), each at least the
     elementwise defect of the matrix as computed, and exactly 0 where the
     factors prove it; no d x d matrix is formed.  Rows are in units of (alpha hbar)^2 / mu.
     """

@@ -23,28 +23,16 @@ pair of opposite-parity levels, not one step.
 The zA-zB bosons, and why the paper's first-order map is not used for
 them, are described at ``approx_interaction``.
 
-``coupled_model`` assembles any one model from a well.  Identical
-oscillators only.  Spectra come from LAPACK ``eigh`` run on the blocks into
-which each matrix decouples exactly; inputs are never modified, so callers
-may share matrices freely across threads.
-
-A dense array of the d = q^2 pair space costs q^4 doubles (48 MiB at
-q = 50), so every model is kept in factor form (``PairModel``): the pair
-diagonal plus a short sum of Kronecker products of n x n factors.  The
-solver reads a model's blocks off the factors (``PairModel.labels``:
-polyads, polyad parities or single levels) and gathers each block from
-them, and the checks bound their defects from the factors alone.  So the
-compare, check and CLI paths form no d x d array of any dtype.  Only
-``PairModel.operator``, behind the public builders (``su2_hamiltonian``,
-``exact_interaction`` and the rest), materialises one, with the same
-entries bit for bit, adopted by ``OperatorMatrix`` without a copy.
+``coupled_model`` assembles any one model from a well as a ``pairs.PairModel``;
+the public builders form it densely.  Identical oscillators only.  Inputs are
+never modified, so callers may share matrices freely across threads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,27 +42,24 @@ from .expansion import (
     interaction_frequency,
     renormalized_generators,
 )
-from .ladder import OperatorMatrix, TWO_OSC_KIND
+from .ladder import OperatorMatrix
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
-from .states import PotentialSpec, energy, integer_q
+from .pairs import PairModel, TwoOscBasis, _solve, pair_basis, spectrum  # re-exports the last two
+from .states import PotentialSpec, energy, integer_q, well_numbers
 
 __all__ = [
     "SpectroParams",
     "VibronParams",
-    "TwoOscBasis",
     "ComparisonReport",
     "spectro_from_potential",
     "vibron_params_from_spectro",
     "spectro_from_vibron",
-    "pair_basis",
     "su2_hamiltonian",
     "diagonal_energies",
     "exact_interaction",
     "approx_interaction",
     "harmonic_model",
     "polyad_operator",
-    "PairModel",
-    "spectrum",
     "coupling",
     "coupled_model",
     "compare_models",
@@ -149,28 +134,6 @@ def spectro_from_vibron(vp: VibronParams) -> SpectroParams:
     )
 
 
-class TwoOscBasis(NamedTuple):
-    """Lexicographic product basis |n1, n2> of two identical oscillators."""
-
-    dim_single: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return self.dim_single ** 2
-
-    @property
-    def polyads(self) -> tuple[int, ...]:
-        return tuple(n1 + n2 for n1, n2 in self.pairs)
-
-
-def pair_basis(dim_single: int) -> TwoOscBasis:
-    if dim_single < 1:
-        raise DomainError("basis needs at least one single-oscillator state")
-    pairs = tuple((n1, n2) for n1 in range(dim_single) for n2 in range(dim_single))
-    return TwoOscBasis(dim_single=dim_single, pairs=pairs)
-
-
 def _level_energies(spec: PotentialSpec, dim: int) -> np.ndarray:
     return np.array([energy(spec, n) for n in range(dim)])
 
@@ -179,141 +142,6 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
     """Creation matrix <n+1|c|n> = sqrt(n+1) sqrt(1 - n/N); N = inf is harmonic."""
     n = np.arange(dim - 1, dtype=float)
     return np.diag(np.sqrt(n + 1.0) * np.sqrt(1.0 - n / n_boson), -1)
-
-
-def _slab_entries(d: int) -> int:
-    """Entries in one gathered block chunk of a d x d matrix: max(2^13, d^1.5).
-
-    d^1.5 keeps each temporary a 1/sqrt(d) share of one d x d array, and
-    the 2^13 floor keeps numpy's per-call cost small next to the arithmetic
-    when d is small.
-    """
-    return max(2 ** 13, d * math.isqrt(d))
-
-
-def _offsets(m: np.ndarray) -> np.ndarray:
-    """The offsets i - j of the nonzero entries m[i, j], ascending and once each."""
-    # A set, as a flagless np.unique would import numpy.ma (~10 ms).
-    return np.array(sorted(set(np.subtract(*np.nonzero(m)).tolist())), dtype=int)
-
-
-class PairModel:
-    """A two-oscillator matrix in factor form; no d x d array is stored.
-
-    H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
-    |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
-    when ``single`` (e) is set.  Consumers read H by gathered blocks
-    (``block``), whose layout ``labels`` proves.  Each entry is the product
-    A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms, combined in the same
-    order everywhere, so blocks and the dense ``operator`` agree bit for bit.
-
-    Before the diagonal is added, +0.0 turns each -0.0 into +0.0 (-0.0 +
-    0.0 = +0.0), as a sum with a dense diagonal matrix would: LAPACK's
-    Householder steps take the sign of a zero entry, so the eigenvalues'
-    last bits would otherwise depend on how the coupling's products rounded
-    to zero.
-    """
-
-    __slots__ = ("terms", "scale", "single")
-
-    def __init__(self, terms: tuple[tuple[float, np.ndarray, np.ndarray], ...],
-                 scale: float = 1.0, single: np.ndarray | None = None):
-        self.terms, self.scale, self.single = terms, scale, single
-
-    @property
-    def n(self) -> int:
-        """Single-oscillator dimension."""
-        return len(self.single) if self.single is not None else self.terms[0][1].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.n ** 2
-
-    @property
-    def basis(self) -> TwoOscBasis:
-        return pair_basis(self.n)
-
-    def with_diagonal(self, single: np.ndarray) -> PairModel:
-        return PairModel(self.terms, self.scale, single)
-
-    def _combine(self, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 shape: tuple[int, ...]) -> np.ndarray:
-        """scale sum_k w_k product(A_k, B_k), or zeros without terms."""
-        if not self.terms:
-            return np.zeros(shape)
-        h = None
-        for w, a, b in self.terms:
-            t = product(a, b)
-            if w != 1.0:
-                t *= w
-            h = t if h is None else np.add(h, t, out=h)
-        h *= self.scale
-        return h
-
-    def labels(self) -> np.ndarray:
-        """Each pair index's block label, the lowest index in its block, proven in O(n^2).
-
-        A product A_k[i1, j1] B_k[i2, j2] moves the polyad n1 + n2 by
-        (i1 - j1) + (i2 - j2).  With g the gcd of these steps over the
-        nonzero products of live terms, H and H^T are zero between pairs
-        whose polyads differ modulo g: the blocks are polyads (g = 0),
-        polyad parities (g = 2), or single levels without a live term.
-        Non-finite factors, weights, scale or diagonal are rejected
-        (``DomainError``): inf * 0 would put NaN between the blocks.
-        """
-        parts = [] if self.single is None else [self.single]
-        if self.terms:
-            parts += [self.scale, *(x for term in self.terms for x in term)]
-        if not all(np.isfinite(p).all() for p in parts):
-            raise DomainError("matrix has a non-finite entry")
-        live = [(a, b) for w, a, b in self.terms if w != 0.0 and self.scale != 0.0]
-        if not live:
-            return np.arange(self.dim)
-
-        g = np.gcd.reduce(np.concatenate(
-            [np.add.outer(_offsets(a), _offsets(b)).ravel() for a, b in live]))
-        polyad = np.add.outer(np.arange(self.n), np.arange(self.n)).ravel()
-        _, first, key = np.unique(polyad % g if g else polyad,
-                                  return_index=True, return_inverse=True)
-        return first[key]
-
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """H[idx[b], idx[b]] for each row b of idx (k, s), as a new (k, s, s) array."""
-        i1, i2 = np.divmod(idx, self.n)
-        stack = np.arange(len(idx))[:, None]
-
-        def gather(m: np.ndarray, i: np.ndarray) -> np.ndarray:
-            # m[i[b, :, None], i[b, None, :]] for each block b, copied row by
-            # row from m[:, i], several times faster than the 2-d fancy index.
-            return m[:, i].transpose(1, 0, 2)[stack, i]
-
-        def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            t = gather(a, i1)
-            t *= gather(b, i2)
-            return t
-
-        h = self._combine(product, idx.shape + idx.shape[-1:])
-        if self.single is not None:
-            h += 0.0
-            k = np.arange(idx.shape[1])
-            h[:, k, k] += self.single[i1] + self.single[i2]
-        return h
-
-    def operator(self) -> OperatorMatrix:
-        """The dense, frozen matrix, adopted by ``OperatorMatrix`` uncopied.
-
-        Formed n rows at a time, rows i n to (i + 1) n being ``_combine`` of
-        np.kron(A_k[i:i + 1], B_k), so that one d x d array is held.
-        """
-        n, h = self.n, np.empty((self.dim, self.dim))
-        for i in range(n):
-            h[i * n:(i + 1) * n] = self._combine(lambda a, b, i=i: np.kron(a[i:i + 1], b),
-                                                 (n, self.dim))
-        if self.single is not None:
-            h += 0.0
-            h.reshape(-1)[::self.dim + 1] += np.add.outer(self.single, self.single).ravel()
-        h.setflags(write=False)
-        return OperatorMatrix(h, self.basis.pairs, TWO_OSC_KIND)
 
 
 def _exchange(create: np.ndarray, scale: float) -> PairModel:
@@ -366,11 +194,16 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
 
 
 def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> PairModel:
-    """lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)) from one R; x is derived from it."""
+    """lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)), x derived from R projected to (R - R^T) / 2.
+
+    So R, x and the coupling are exactly (anti)symmetric.  mu w^2 X (x) X is
+    ((alpha hbar k)^2 / mu) (alpha X) (x) (alpha X), in range wherever alpha^2 is.
+    """
     r = derivative_matrix(spec, cfg).entries
-    x = position_from_derivative(spec, r)
-    return PairModel(((-spec.hbar ** 2 / spec.mu, r, r),
-                      (spec.mu * interaction_frequency(spec) ** 2, x, x)), lam)
+    r = (r - r.T) * 0.5
+    ax = spec.alpha * position_from_derivative(spec, r)
+    weight = (spec.alpha * spec.hbar * well_numbers(spec).k) ** 2 / spec.mu
+    return PairModel(((-spec.hbar ** 2 / spec.mu, r, r), (weight, ax, ax)), lam)
 
 
 def approx_interaction(nu: int, lam: float, omega_tilde: float,
@@ -419,79 +252,6 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     """Diagonal matrix of the polyad quantum number n1 + n2."""
     return PairModel((), single=np.arange(basis.dim_single, dtype=float)).operator()
-
-
-def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
-
-    The blocks are the model's ``labels``, read off its factors.  H and H^T
-    are exactly zero between them, so each gathered block is checked for a
-    non-finite entry, then for an asymmetry |H - H^T| above 1e-9
-    (``DomainError``).  Blocks of equal size s come as ``(idx, stack)``: row
-    b of ``idx`` (k, s) lists one block's basis indices ascending, and
-    ``stack[b]`` is that block, gathered about ``_slab_entries(d)`` entries
-    (at least one block) at a time and symmetrized as (b + b^T) * 0.5, bit
-    for bit the entries a whole-matrix symmetrization gives.
-    """
-    d = model.dim
-    label = model.labels()
-    size = np.bincount(label, minlength=d)[label]
-    order = np.lexsort((label, size))
-    start = 0
-    for s, count in zip(*np.unique(size[order], return_counts=True)):
-        idx = order[start:start + count].reshape(-1, s)
-        start += count
-        stack = np.empty((count // s, s, s))
-        step = max(1, _slab_entries(d) // (s * s))
-        for b in range(0, len(idx), step):
-            g = model.block(idx[b:b + step])
-            # NaN propagates through min and max, which need no temporary.
-            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-                raise DomainError("matrix has a non-finite entry")
-            t = np.subtract(g, g.transpose(0, 2, 1), out=stack[b:b + step])
-            if np.abs(t, out=t).max() > 1e-9:
-                raise DomainError("matrix is not symmetric within 1e-9")
-            np.add(g, g.transpose(0, 2, 1), out=t)
-            del g
-        stack *= 0.5
-        yield idx, stack
-
-
-def _solve(model: PairModel) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues, each with its eigenvector's dominant basis index.
-
-    Each stack of ``_symmetric_blocks`` is one LAPACK ``eigh`` call.  The
-    dominant index is the largest |component|, the first in basis order on
-    ties, found per block, where the eigenvectors live.  The sort is stable.
-    """
-    values = np.empty(model.dim)
-    dominant = np.empty(model.dim, dtype=int)
-    for idx, stack in _symmetric_blocks(model):
-        w, v = np.linalg.eigh(stack)
-        values[idx] = w
-        # argmax along axis 1 would copy v to make that axis contiguous; the
-        # first entry equal to the column maximum is the same index.
-        size = np.abs(v, out=v)
-        top = (size == size.max(axis=1, keepdims=True)).argmax(axis=1)
-        dominant[idx] = np.take_along_axis(idx, top, axis=1)
-    order = np.argsort(values, kind="stable")
-    return values[order], dominant[order]
-
-
-def spectrum(model: PairModel) -> list[float]:
-    """Ascending eigenvalues of a (nearly) symmetric two-oscillator matrix in factor form.
-
-    The model must be finite and symmetric within 1e-9 elementwise
-    (``DomainError`` otherwise, also for any input that is not a
-    ``PairModel``).  It is neither copied nor modified: the solver reads
-    the blocks off the factors and gathers each exactly decoupled block of
-    (H + H^T) / 2 for LAPACK, with no d x d array.  Eigenvectors are not
-    kept.
-    """
-    if not isinstance(model, PairModel):
-        raise DomainError("spectrum solves a PairModel (see coupled_model); "
-                          "use numpy.linalg.eigvalsh for a dense matrix")
-    return _solve(model)[0].tolist()
 
 
 class ComparisonReport(NamedTuple):

@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 
 from mptsu2 import checks, cli
-from mptsu2.checks import (
-    _exchange_bound,
-    _polyad_bound,
-    _symmetry_bound,
-    states_checks,
-    vibron_checks,
-)
+from mptsu2.checks import states_checks, vibron_checks
+from mptsu2.pairs import PairModel, _exchange_bound, _polyad_bound, _symmetry_bound
 from mptsu2.states import PotentialSpec, wavefunction
-from mptsu2.vibron import PairModel, coupling
+from mptsu2.vibron import coupling
 
 WELLS = [((q,), {}) for q in (3, 10, 17, 30)] + [((10,), dict(alpha=0.7, mu=1.9, hbar=1.3))]
 LAMBDAS = [0.05, 0.037, -0.021]
@@ -92,7 +87,7 @@ class TestCouplingBounds:
         rows = {r.name: r.measured for r in vibron_checks(well, 0.037)}
         unit = (well.alpha * well.hbar) ** 2 / well.mu  # the rows' unit, 1.0 at unit scales
         assert rows["exact interaction is symmetric"] == _symmetry_bound(
-            coupling(well, "exact", 0.037)) / unit
+            coupling(well, "exact", 0.037)) / unit == 0.0
         assert rows["crude interaction commutes with polyad"] == 0.0
         assert rows["models invariant under oscillator exchange"] == 0.0
 
@@ -218,11 +213,14 @@ class TestUnitFreeRows:
     R and momentum rows in units of alpha, x rows in units of 1 / alpha, the
     vibron rows in units of (alpha hbar)^2 / mu, and the node count ignores
     |psi| below 1e-12 sqrt(alpha); read as absolute values, these scalings
-    failed rows on rounding alone.
+    failed rows on rounding alone.  Deep multiplets failed the commutator
+    and Casimir rows the same way; they are in units of j(j+1).
     """
 
     SCALES = [dict(alpha=1e3), dict(alpha=1024.0, hbar=0.25, mu=8.0), dict(hbar=1e3),
               dict(alpha=1e-5), dict(alpha=1e-30)]
+    ALGEBRA_ROWS = ["commutator [P+,P-] = 2 P0", "commutator [P0,P-] = -P-",
+                    "commutator [P0,P+] = +P+", "Casimir = j(j+1) I"]
     # Each rescaled row, the name in ``checks`` that feeds it and a wrapper
     # of that name that plants a defect of relative size 1e-9 (1e-8 for the
     # antisymmetry row, whose tolerance is 1e-8).
@@ -253,6 +251,38 @@ class TestUnitFreeRows:
         code = cli.main(["verify", "--q", str(q), "--suite", "all", *flags])
         out = capsys.readouterr().out
         assert code == 0, [line for line in out.splitlines() if line.endswith(",fail")]
+
+    @pytest.mark.parametrize("alpha", [1e100, 1e-100])
+    def test_full_suite_passes_at_extreme_alpha(self, capsys, alpha):
+        # The exact coupling once squared the interaction frequency, alpha^4.
+        assert cli.main(["verify", "--q", "10", "--suite", "all", "--alpha", repr(alpha)]) == 0
+        assert ",fail" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q", [3, 10, 30, 61, 64, 80, 120, 150])
+    def test_full_suite_passes_at_every_depth(self, capsys, q):
+        code = cli.main(["verify", "--q", str(q), "--suite", "all", "--format", "json"])
+        rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert code == 0, [name for name, r in rows.items() if r["status"] == "fail"]
+        assert rows["exact interaction is symmetric"]["measured"] == 0.0
+
+    @pytest.mark.parametrize("nu", [11, 301])
+    @pytest.mark.parametrize("row", ALGEBRA_ROWS)
+    def test_planted_algebra_defect_fails_at_any_depth(self, monkeypatch, row, nu):
+        # Each compared product moves by 2e-12 j(j+1) at (0, 0).
+        j = (nu - 1) / 2
+
+        def moved(m):
+            m = np.array(m)
+            m[0, 0] += 2e-12 * j * (j + 1)
+            return m
+
+        bracket, casimir = checks._bracket, checks.casimir
+        monkeypatch.setattr(checks, "_bracket", lambda a, b: moved(bracket(a, b)))
+        monkeypatch.setattr(checks, "casimir", lambda t: type(
+            "Planted", (), {"entries": moved(casimir(t).entries)}))
+        found = {r.name: r for r in checks.algebra_checks(nu)}[row]
+        assert not found.passed
+        assert found.measured == pytest.approx(2e-12, rel=1e-3)
 
     @pytest.mark.parametrize("row", list(PLANTS))
     def test_planted_relative_defect_fails_at_any_scale(self, monkeypatch, row):

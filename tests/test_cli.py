@@ -707,9 +707,9 @@ class TestStartUp:
         (("matelem", "--op", "sinh", "--method", "oracle"), []),
         (("spectrum",), []),
         (("matelem", "--op", "x", "--method", "expansion"), ["expansion"]),
-        (("params",), ["expansion", "vibron"]),
-        (("vibron", "--model", "su2", "--lambda", "0.05"), ["expansion", "vibron"]),
-        (("verify", "--suite", "states"), ["checks", "expansion", "vibron"]),
+        (("params",), ["expansion", "pairs", "vibron"]),
+        (("vibron", "--model", "su2", "--lambda", "0.05"), ["expansion", "pairs", "vibron"]),
+        (("verify", "--suite", "states"), ["checks", "expansion", "pairs", "vibron"]),
     ], ids=["matelem-oracle", "spectrum", "matelem-expansion", "params", "vibron", "verify"])
     def test_a_command_imports_only_its_libraries(self, argv, libraries):
         # The oracle path is always imported; the rest only by the commands
@@ -720,7 +720,8 @@ class TestStartUp:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main() == 0
             loaded = list(sys.modules)  # in the order the imports began
-            names = [m for m in ("checks", "expansion", "vibron") if f"mptsu2.{m}" in loaded]
+            names = [m for m in ("checks", "expansion", "pairs", "vibron")
+                     if f"mptsu2.{m}" in loaded]
             late = [m for m in names
                     if loaded.index(f"mptsu2.{m}") > loaded.index("argparse")]
             print(names, late)

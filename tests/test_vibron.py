@@ -1,19 +1,23 @@
 """Spectroscopic maps, coupled-oscillator models, and the blocked LAPACK spectrum solver."""
 
+import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptsu2 import cli, oracle
+from mptsu2 import cli, oracle, vibron
 from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
 from mptsu2.oracle import OracleConfig, derivative_matrix, position_from_derivative
-from mptsu2.states import PotentialSpec, energy
+from mptsu2.pairs import _slab_entries, _solve, _symmetric_blocks, _symmetry_bound
+from mptsu2.states import PotentialSpec, energy, well_numbers
 from mptsu2.vibron import (
     PairModel,
     SpectroParams,
@@ -37,10 +41,7 @@ from mptsu2.vibron import (
     _creation,
     _exact_coupling,
     _exchange,
-    _slab_entries,
-    _solve,
     _su2_model,
-    _symmetric_blocks,
 )
 
 Q3 = PotentialSpec.for_integer_q(3)
@@ -312,11 +313,12 @@ class TestInPlaceBuilders:
         spec = PotentialSpec.for_integer_q(q, alpha=0.7, mu=1.9, hbar=1.3)
         cfg = OracleConfig()
         r = derivative_matrix(spec, cfg).entries
-        x = position_from_derivative(spec, r)
+        r = (r - r.T) * 0.5
+        x = spec.alpha * position_from_derivative(spec, r)
         expected = np.kron(r, r)
         expected *= -spec.hbar ** 2 / spec.mu
         k = np.kron(x, x)
-        k *= spec.mu * interaction_frequency(spec) ** 2
+        k *= (spec.alpha * spec.hbar * well_numbers(spec).k) ** 2 / spec.mu
         expected += k
         expected *= 0.037
         assert (_exact_coupling(spec, 0.037, cfg).operator().entries.tobytes()
@@ -348,6 +350,67 @@ class TestInPlaceBuilders:
             assert np.all(label[idx] == idx[:, :1])
             expected = sym[idx[:, :, None], idx[:, None, :]]
             assert stack.tobytes() == expected.tobytes()
+
+
+def public_dense(spec, model, lam):
+    """The model's matrix from the public dense builders, as a caller would add them."""
+    q = int(round(well_numbers(spec).q))
+    basis = pair_basis(q)
+    if model == "su2":
+        vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam, hbar=spec.hbar)
+        return su2_hamiltonian(vp, basis).entries
+    diag = diagonal_energies(spec, basis).entries
+    if model == "exact":
+        return diag + exact_interaction(spec, basis, lam).entries
+    return diag + approx_interaction(2 * q + 1, lam, interaction_frequency(spec), spec.hbar,
+                                     model).entries
+
+
+class TestOneSymmetryProof:
+    """``_symmetry_bound`` proves every model symmetric bit for bit, so no block is symmetrized."""
+
+    @pytest.mark.parametrize("scale", [{}, dict(alpha=0.7, mu=1.9, hbar=1.3)],
+                             ids=["unit", "scaled"])
+    @pytest.mark.parametrize("lam", [0.037, -0.021])
+    @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
+    @pytest.mark.parametrize("q", [3, 10, 17, 30])
+    def test_models_are_solved_as_gathered(self, q, model, lam, scale):
+        spec = PotentialSpec.for_integer_q(q, **scale)
+        form = coupled_model(spec, model, lam)
+        assert _symmetry_bound(form) == 0.0
+        values = np.full(form.dim, np.nan)
+        for idx, stack in _symmetric_blocks(form):
+            assert stack.tobytes() == form.block(idx).tobytes()
+            values[idx] = np.linalg.eigh(stack)[0]
+        dense = np.linalg.eigvalsh(public_dense(spec, model, lam))
+        assert np.max(np.abs(np.sort(values) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(spectrum(form), np.sort(values))
+
+    @pytest.mark.parametrize("q, flag, value", [(10, "alpha", 1e3), (40, "hbar", 1e2),
+                                                (10, "alpha", 1e100), (10, "alpha", 1e-100)])
+    @pytest.mark.parametrize("model", ["exact", "compare"])
+    def test_exact_spectra_scale_with_the_unit(self, capsys, q, flag, value, model):
+        # An absolute 1e-9 gate on the exact coupling's rounding asymmetry
+        # rejected alpha = 1e3 and hbar = 1e2, and the interaction frequency
+        # squared overflowed at alpha = 1e100.
+        def spectra(*flags):
+            code = cli.main(["vibron", "--q", str(q), "--model", model, "--lambda", "0.05",
+                             "--format", "json", *flags])
+            assert code == 0, capsys.readouterr().err
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            return np.array([[v for k, v in r.items() if k.startswith("e")] for r in rows])
+
+        base, scaled = spectra(), spectra(f"--{flag}", repr(value))
+        unit = value ** 2  # (alpha hbar)^2 / mu
+        assert np.max(np.abs(scaled / unit - base)) <= 1e-12 * np.max(np.abs(base))
+
+    def test_no_module_imports_a_private_vibron_name(self):
+        src = Path(vibron.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            for block in re.findall(r"from \.vibron import (\([^)]*\)|[^\n]*)", text):
+                names = re.findall(r"\w+", block)
+                assert not [n for n in names if n.startswith("_")], path.name
 
 
 class TestSpectrumSolver:
