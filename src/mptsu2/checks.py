@@ -102,8 +102,9 @@ def states_checks(spec: PotentialSpec,
                       - (-1.0) ** levels * wavefunction(spec, levels, grid))
     results.append(CheckResult("wavefunction parity", parity, 1e-12))
     scale = (spec.alpha * spec.hbar) ** 2 / (2.0 * spec.mu)
-    energy_dev = max(
-        abs(energy(spec, n) + scale * (wn.q - n) ** 2) for n in range(wn.n_max + 1))
+    # Relative: the two sides round one product in different orders.
+    energy_dev = max(abs(energy(spec, n) + scale * (wn.q - n) ** 2) / (scale * (wn.q - n) ** 2)
+                     for n in range(wn.n_max + 1))
     results.append(CheckResult("energy equals -(alpha hbar)^2 eps^2 / 2 mu",
                                energy_dev, 1e-15))
     dense = np.linspace(-12.0 / spec.alpha, 12.0 / spec.alpha, 4801)

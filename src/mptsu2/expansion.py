@@ -15,10 +15,10 @@ the one-step channels correctly to order 1/nu and is what the extended
 ("zA-zB") coupled model is built from.
 
 Ordering convention: an n-dependent weight written to the right of a ladder
-operator acts on the source (incoming) state, realized as a diagonal matrix
-multiplying from the right.  At first order this reproduces the closed-form
-sinh and cosh-derivative matrices exactly, which is what pins the
-convention down.
+operator acts on the source (incoming) state, so each step n -> n +/- 1 is
+weighted by its value at level n.  At first order this reproduces the
+closed-form sinh and cosh-derivative matrices exactly, which is what pins
+the convention down.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .ladder import (
-    PHYSICAL_KIND,
-    OperatorMatrix,
-    _require_odd_nu,
-    build_su2_matrices,
-    project_physical,
-)
+from .ladder import (PHYSICAL_KIND, OperatorMatrix, _branch_ladder, _branch_operator,
+                     _require_odd_nu)
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
-from .states import PotentialSpec, StateLabel, integer_q, well_numbers
+from .states import PotentialSpec, integer_q, well_numbers
 
 __all__ = [
     "ExpansionWeights",
@@ -68,11 +63,21 @@ P_RAISE = "p-raise"
 P_LOWER = "p-lower"
 
 
-def _epsilon(nu: int, n: int) -> float:
+def _epsilon(nu: int, n):
+    """eps = q - n of level n: a range-checked int, or an array of the builders' levels."""
     n_max = (nu - 3) // 2
-    if n < 0 or n > n_max:
+    if np.ndim(n) == 0 and (n < 0 or n > n_max):
         raise DomainError(f"n = {n} outside the physical range [0, {n_max}]")
     return (nu - 2.0 * n - 1.0) / 2.0
+
+
+# Each channel's weight as a function of nu and the source level's eps = q - n.
+_CHANNELS = {
+    X_RAISE: lambda nu, eps: np.sqrt(nu / (eps * (eps - 1.0))),
+    X_LOWER: lambda nu, eps: np.sqrt(nu / (eps * (eps + 1.0))),
+    P_RAISE: lambda nu, eps: np.sqrt(nu * eps / (eps - 1.0)),
+    P_LOWER: lambda nu, eps: np.sqrt(nu * eps / (eps + 1.0)),
+}
 
 
 def channel_coefficient(nu: int, n: int, channel: str) -> float:
@@ -86,23 +91,16 @@ def channel_coefficient(nu: int, n: int, channel: str) -> float:
     eps = _epsilon(nu, n)
     if channel in (X_RAISE, P_RAISE) and eps <= 1.0:
         raise DomainError("edge state: raising channel closed")
-    if channel == X_RAISE:
-        return math.sqrt(nu / (eps * (eps - 1.0)))
-    if channel == X_LOWER:
-        return math.sqrt(nu / (eps * (eps + 1.0)))
-    if channel == P_RAISE:
-        return math.sqrt(nu * eps / (eps - 1.0))
-    if channel == P_LOWER:
-        return math.sqrt(nu * eps / (eps + 1.0))
-    raise DomainError(f"unknown channel {channel!r}")
+    if channel not in _CHANNELS:
+        raise DomainError(f"unknown channel {channel!r}")
+    return float(_CHANNELS[channel](nu, eps))
 
 
 class ExpansionWeights(NamedTuple):
     """All four channel weights for every physical level of one multiplet.
 
-    Raising-channel entries are +inf at the closed edge level; the matrix
-    builders below replace them by 0 because the corresponding ladder
-    column is identically zero there.
+    Raising-channel entries are +inf at the closed edge level, the one
+    level without a raising step.
     """
 
     nu: int
@@ -114,18 +112,9 @@ class ExpansionWeights(NamedTuple):
 
 def expansion_weights(nu: int) -> ExpansionWeights:
     nu = _require_odd_nu(nu, minimum=5)
-    d = (nu - 1) // 2
-
-    def seq(channel: str) -> tuple[float, ...]:
-        out = []
-        for n in range(d):
-            try:
-                out.append(channel_coefficient(nu, n, channel))
-            except DomainError:
-                out.append(math.inf)
-        return tuple(out)
-
-    return ExpansionWeights(nu, seq(X_RAISE), seq(X_LOWER), seq(P_RAISE), seq(P_LOWER))
+    eps = _epsilon(nu, np.arange((nu - 1) // 2))
+    with np.errstate(divide="ignore"):
+        return ExpansionWeights(nu, *(tuple(w(nu, eps).tolist()) for w in _CHANNELS.values()))
 
 
 class BosonPair(NamedTuple):
@@ -137,40 +126,29 @@ class BosonPair(NamedTuple):
     kind: str
 
 
-def _physical_ladders(nu: int) -> tuple[np.ndarray, np.ndarray, tuple[StateLabel, ...]]:
-    triple = project_physical(build_su2_matrices(nu))
-    return triple.plus.entries, triple.minus.entries, triple.plus.basis
+def _pair(nu: int, kind: str, below, above=0.0) -> BosonPair:
+    """Creation matrix with the given one-step channels; annihilation is its transpose."""
+    create = _branch_operator(nu, below, above)
+    annihilate = OperatorMatrix(create.entries.T, create.basis, PHYSICAL_KIND)
+    return BosonPair(create, annihilate, nu, kind)
 
 
 def renormalized_generators(nu: int) -> BosonPair:
     """Physical ladder matrices scaled by 1/sqrt(nu) (harmonic-normalized bosons)."""
     nu = _require_odd_nu(nu, minimum=5)
-    plus, minus, basis = _physical_ladders(nu)
-    scale = 1.0 / math.sqrt(nu)
-    return BosonPair(
-        create=OperatorMatrix(scale * plus, basis, PHYSICAL_KIND),
-        annihilate=OperatorMatrix(scale * minus, basis, PHYSICAL_KIND),
-        nu=nu,
-        kind=RENORMALIZED_SU2,
-    )
+    return _pair(nu, RENORMALIZED_SU2, (1.0 / math.sqrt(nu)) * _branch_ladder(nu))
 
 
-def _channel_diagonal(weights: tuple[float, ...]) -> np.ndarray:
-    # inf marks a closed raising channel; the matching ladder column is zero,
-    # so writing 0 keeps the product finite without changing it.
-    return np.diag([0.0 if math.isinf(w) else w for w in weights])
-
-
-def _expansion_pieces(nu: int):
-    w = expansion_weights(nu)
-    plus, minus, basis = _physical_ladders(nu)
-    scale = 1.0 / math.sqrt(nu)
-    b_dag, b = scale * plus, scale * minus
-    up_x = b_dag @ _channel_diagonal(w.x_raise)
-    down_x = b @ _channel_diagonal(w.x_lower)
-    up_p = b_dag @ _channel_diagonal(w.p_raise)
-    down_p = b @ _channel_diagonal(w.p_lower)
-    return up_x, down_x, up_p, down_p, basis
+def _generator_forms(nu: int):
+    """T = (b+ w_x-raise + b w_x-lower)/2, M = (b w_p-lower - b+ w_p-raise)/2 and their basis."""
+    hop = (1.0 / math.sqrt(nu)) * _branch_ladder(nu)
+    eps = _epsilon(nu, np.arange((nu - 1) // 2))
+    up, down = eps[:-1], eps[1:]
+    t = _branch_operator(nu, 0.5 * (hop * _CHANNELS[X_RAISE](nu, up)),
+                         0.5 * (hop * _CHANNELS[X_LOWER](nu, down)))
+    m = _branch_operator(nu, -0.5 * (hop * _CHANNELS[P_RAISE](nu, up)),
+                         0.5 * (hop * _CHANNELS[P_LOWER](nu, down)))
+    return t.entries, m.entries, t.basis
 
 
 def position_matrix_expansion(nu: int, alpha: float, order: int = 1) -> OperatorMatrix:
@@ -184,8 +162,7 @@ def position_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     nu = _require_odd_nu(nu, minimum=7)
     if order not in (1, 3, 5):
         raise DomainError(f"position expansion order must be 1, 3 or 5, got {order}")
-    up_x, down_x, _, _, basis = _expansion_pieces(nu)
-    t = 0.5 * (up_x + down_x)
+    t, _, basis = _generator_forms(nu)
     total = t.copy()
     if order >= 3:
         t3 = t @ t @ t
@@ -206,18 +183,18 @@ def momentum_matrix_expansion(nu: int, alpha: float, order: int = 1) -> Operator
     nu = _require_odd_nu(nu, minimum=7)
     if order not in (1, 3):
         raise DomainError(f"momentum expansion order must be 1 or 3, got {order}")
-    up_x, down_x, up_p, down_p, basis = _expansion_pieces(nu)
-    m = 0.5 * (down_p - up_p)
+    t, m, basis = _generator_forms(nu)
     if order == 3:
-        t = 0.5 * (up_x + down_x)
         m = m - 0.5 * (t @ t @ m)
     return OperatorMatrix(alpha * m, basis, PHYSICAL_KIND)
 
 
-def _cross_weight(nu: int, n: int) -> float:
-    a = 1.0 - (2.0 * n + 1.0) / nu
-    c = 1.0 - (2.0 * n - 1.0) / nu
-    return 0.5 * (math.sqrt(1.0 / (a * c)) - math.sqrt(a / c))
+def _first_order_map(nu: int, n):
+    """First-order map on the step n -> n + 1: direct weight of n, cross weight of n + 1."""
+    lo = 1.0 - (2.0 * n + 1.0) / nu
+    hi = 1.0 - (2.0 * n + 3.0) / nu
+    inverse = np.sqrt(1.0 / (lo * hi))
+    return 0.5 * (inverse + np.sqrt(lo / hi)), 0.5 * (inverse - np.sqrt(hi / lo))
 
 
 def boson_map_weights(nu: int, n: int) -> tuple[float, float]:
@@ -237,14 +214,10 @@ def boson_map_weights(nu: int, n: int) -> tuple[float, float]:
     left out of both maps.
     """
     nu = _require_odd_nu(nu, minimum=5)
-    _epsilon(nu, n)  # range check
-    a = 1.0 - (2.0 * n + 1.0) / nu
-    b = 1.0 - (2.0 * n + 3.0) / nu
-    if b <= 0.0:
+    if _epsilon(nu, n) <= 1.0:
         raise DomainError(
             "direct boson weight diverges at the last bound level (edge state)")
-    direct = 0.5 * (math.sqrt(1.0 / (a * b)) + math.sqrt(a / b))
-    return direct, _cross_weight(nu, n)
+    return float(_first_order_map(nu, n)[0]), float(_first_order_map(nu, n - 1)[1])
 
 
 def approx_boson_ops(nu: int) -> BosonPair:
@@ -269,22 +242,10 @@ def approx_boson_ops(nu: int) -> BosonPair:
     which lies outside the two-channel form.
     """
     nu = _require_odd_nu(nu, minimum=7)
-    plus, minus, basis = _physical_ladders(nu)
-    d = plus.shape[0]
+    ladder = _branch_ladder(nu)
+    direct, cross = _first_order_map(nu, np.arange((nu - 3) // 2))
     scale = 1.0 / math.sqrt(nu)
-    direct = np.zeros(d)
-    cross = np.zeros(d)
-    for n in range(d):
-        cross[n] = _cross_weight(nu, n)
-        if n < d - 1:
-            direct[n] = boson_map_weights(nu, n)[0]
-    create = scale * (plus @ np.diag(direct) + minus @ np.diag(cross))
-    return BosonPair(
-        create=OperatorMatrix(create, basis, PHYSICAL_KIND),
-        annihilate=OperatorMatrix(create.T, basis, PHYSICAL_KIND),
-        nu=nu,
-        kind=APPROX_BOSON,
-    )
+    return _pair(nu, APPROX_BOSON, scale * (ladder * direct), scale * (ladder * cross))
 
 
 def consistent_boson_ops(nu: int) -> BosonPair:
@@ -307,17 +268,11 @@ def consistent_boson_ops(nu: int) -> BosonPair:
     transpose of the creation matrix.
     """
     nu = _require_odd_nu(nu, minimum=7)
-    plus, minus, basis = _physical_ladders(nu)
-    n = np.arange(plus.shape[0], dtype=float)
-    direct = 1.0 / np.sqrt(1.0 - (n + 1.0) / nu)
-    cross = n / (nu * np.sqrt(1.0 - n / nu))
-    create = (plus @ np.diag(direct) + minus @ np.diag(cross)) / math.sqrt(nu)
-    return BosonPair(
-        create=OperatorMatrix(create, basis, PHYSICAL_KIND),
-        annihilate=OperatorMatrix(create.T, basis, PHYSICAL_KIND),
-        nu=nu,
-        kind=CONSISTENT_BOSON,
-    )
+    upper = np.arange(1, (nu - 1) // 2, dtype=float)  # the upper level of each step
+    root = np.sqrt(1.0 - upper / nu)
+    ladder = _branch_ladder(nu)
+    return _pair(nu, CONSISTENT_BOSON, (ladder * (1.0 / root)) / math.sqrt(nu),
+                 (ladder * (upper / (nu * root))) / math.sqrt(nu))
 
 
 def interaction_frequency(spec: PotentialSpec) -> float:

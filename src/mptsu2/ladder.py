@@ -117,12 +117,32 @@ class LadderTriple(NamedTuple):
         return self.plus.kind
 
 
+def _raising_squares(nu: int, n):
+    """(n + 1)(nu - n - 1), the squared raising coefficient, for an int or an array of levels."""
+    return (n + 1) * (nu - n - 1)
+
+
+def _branch_ladder(nu: int) -> np.ndarray:
+    """Raising coefficients of the bound branch's steps n -> n + 1, n = 0 .. (nu - 5)/2."""
+    return np.sqrt(_raising_squares(nu, np.arange((nu - 3) // 2, dtype=float)))
+
+
+def _branch_operator(nu: int, below, above=0.0) -> OperatorMatrix:
+    """Bound-branch matrix with ``below`` on the n -> n + 1 diagonal, ``above`` on n + 1 -> n."""
+    d = (nu - 1) // 2
+    n = np.arange(d - 1)
+    m = np.zeros((d, d))
+    m[n + 1, n] = below
+    m[n, n + 1] = above
+    return OperatorMatrix(m, _labels(nu, d), PHYSICAL_KIND)
+
+
 def lowering_coefficient(nu: int, n: int) -> float:
     """Coefficient of the step n -> n - 1: sqrt(n (nu - n)); zero only at n = 0."""
     nu = _require_odd_nu(nu)
     if n < 0 or n > nu - 1:
         raise DomainError(f"n = {n} outside the spin-j ladder [0, {nu - 1}]")
-    return math.sqrt(n * (nu - n))
+    return math.sqrt(_raising_squares(nu, n - 1))
 
 
 def raising_coefficient(nu: int, n: int) -> float:
@@ -130,16 +150,14 @@ def raising_coefficient(nu: int, n: int) -> float:
     nu = _require_odd_nu(nu)
     if n < 0 or n > nu - 1:
         raise DomainError(f"n = {n} outside the spin-j ladder [0, {nu - 1}]")
-    return math.sqrt((n + 1) * (nu - n - 1))
+    return math.sqrt(_raising_squares(nu, n))
 
 
 def build_su2_matrices(nu: int) -> LadderTriple:
     """Full spin-j matrices (dim nu) of the raising/lowering/projection generators."""
     nu = _require_odd_nu(nu)
-    plus = np.zeros((nu, nu))
-    for n in range(nu - 1):
-        plus[n + 1, n] = raising_coefficient(nu, n)
-    zero = np.diag([n - (nu - 1.0) / 2.0 for n in range(nu)])
+    plus = np.diag(np.sqrt(_raising_squares(nu, np.arange(nu - 1, dtype=float))), -1)
+    zero = np.diag(np.arange(nu, dtype=float) - (nu - 1.0) / 2.0)
     basis = _labels(nu, nu)
     return LadderTriple(
         plus=OperatorMatrix(plus, basis, FULL_KIND),
@@ -203,12 +221,9 @@ def sinh_matrix(nu: int) -> OperatorMatrix:
     and is never materialized.
     """
     nu = _require_odd_nu(nu, minimum=5)
-    d = (nu - 1) // 2
-    m = np.zeros((d, d))
-    for n in range(1, d):
-        m[n - 1, n] = math.sqrt(n * (nu - n) / ((nu - 2 * n - 1.0) * (nu - 2 * n + 1.0)))
-        m[n, n - 1] = m[n - 1, n]
-    return OperatorMatrix(m, _labels(nu, d), PHYSICAL_KIND)
+    n = np.arange((nu - 3) // 2, dtype=float)
+    w = np.sqrt(_raising_squares(nu, n) / ((nu - 2 * n - 3.0) * (nu - 2 * n - 1.0)))
+    return _branch_operator(nu, w, w)
 
 
 def cosh_ddx_matrix(nu: int) -> OperatorMatrix:
@@ -219,14 +234,10 @@ def cosh_ddx_matrix(nu: int) -> OperatorMatrix:
     integration-by-parts identity).
     """
     nu = _require_odd_nu(nu, minimum=5)
-    d = (nu - 1) // 2
-    m = np.zeros((d, d))
-    for n in range(1, d):
-        m[n - 1, n] = 0.5 * math.sqrt(n * (nu - n) * (nu - 2 * n - 1.0) / (nu - 2 * n + 1.0))
-    for n in range(d - 1):
-        m[n + 1, n] = -0.5 * math.sqrt(
-            (n + 1) * (nu - n - 1) * (nu - 2 * n - 1.0) / (nu - 2 * n - 3.0))
-    return OperatorMatrix(m, _labels(nu, d), PHYSICAL_KIND)
+    n = np.arange((nu - 3) // 2, dtype=float)
+    steps, two_eps = _raising_squares(nu, n), nu - 2 * n - 1.0
+    return _branch_operator(nu, -0.5 * np.sqrt(steps * two_eps / (two_eps - 2.0)),
+                            0.5 * np.sqrt(steps * (two_eps - 2.0) / two_eps))
 
 
 def _ladder_action(spec: PotentialSpec, n: int, x, sign: int):

@@ -204,20 +204,14 @@ def gauss_legendre(order: int) -> QuadratureRule:
     k = np.arange(1, order + 1)
     x = np.cos(math.pi * (k - 0.25) / (order + 0.5))
     for _ in range(100):
-        if order == 1:
-            p, dp = x.copy(), np.ones_like(x)
-        else:
-            p, dp = _legendre_and_derivative(order, x)
+        p, dp = _legendre_and_derivative(order, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     # Mirror halves: enforces exact symmetry and pins the odd-order center at 0.
     x = 0.5 * (x - x[::-1])
-    if order == 1:
-        p, dp = x.copy(), np.ones_like(x)
-    else:
-        p, dp = _legendre_and_derivative(order, x)
+    p, dp = _legendre_and_derivative(order, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     w = 0.5 * (w + w[::-1])
     idx = np.argsort(x)

@@ -218,7 +218,7 @@ class TestUnitFreeRows:
     """
 
     SCALES = [dict(alpha=1e3), dict(alpha=1024.0, hbar=0.25, mu=8.0), dict(hbar=1e3),
-              dict(alpha=1e-5), dict(alpha=1e-30)]
+              dict(alpha=1e-5), dict(alpha=1e-30), dict(alpha=1e100)]
     ALGEBRA_ROWS = ["commutator [P+,P-] = 2 P0", "commutator [P0,P-] = -P-",
                     "commutator [P0,P+] = +P+", "Casimir = j(j+1) I"]
     # Each rescaled row, the name in ``checks`` that feeds it and a wrapper
@@ -283,6 +283,17 @@ class TestUnitFreeRows:
         found = {r.name: r for r in checks.algebra_checks(nu)}[row]
         assert not found.passed
         assert found.measured == pytest.approx(2e-12, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e100, 1e-100])
+    def test_planted_energy_defect_fails_at_any_scale(self, monkeypatch, alpha):
+        # Read in absolute terms, rounding alone would fail the row at
+        # alpha = 1e100, and no defect could fail it at 1e-100.
+        energy = checks.energy
+        monkeypatch.setattr(checks, "energy", lambda spec, n: energy(spec, n) * (1.0 + 1e-14))
+        rows = {r.name: r for r in states_checks(PotentialSpec.for_integer_q(30, alpha=alpha))}
+        found = rows["energy equals -(alpha hbar)^2 eps^2 / 2 mu"]
+        assert not found.passed
+        assert found.measured == pytest.approx(1e-14, rel=0.05)
 
     @pytest.mark.parametrize("row", list(PLANTS))
     def test_planted_relative_defect_fails_at_any_scale(self, monkeypatch, row):

@@ -1,6 +1,7 @@
 """Generator expansions of x and momentum, and the approximate boson pairs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mptsu2.expansion import (
     position_matrix_expansion,
     renormalized_generators,
 )
-from mptsu2.ladder import cosh_ddx_matrix, sinh_matrix
+from mptsu2.ladder import build_su2_matrices, cosh_ddx_matrix, raising_coefficient, sinh_matrix
 from mptsu2.oracle import (
     POSITION_X,
     OracleConfig,
@@ -334,3 +335,59 @@ class TestInteractionFrequency:
         scaled = PotentialSpec.for_integer_q(3, alpha=2.0)
         assert interaction_frequency(scaled) == pytest.approx(
             4.0 * interaction_frequency(base), rel=1e-12)
+
+
+class TestScalarViewsMatchMatrices:
+    """The per-level functions and the branch matrices read one set of weights.
+
+    Every comparison is bit for bit, and every builder runs with warnings as
+    errors: the closed raising channels divide by zero at the edge level
+    (eps = 1), which must be silenced where it happens, not leak out.
+    """
+
+    NUS = [5, 7, 21, 61, 201]
+    CHANNELS = ["x-raise", "x-lower", "p-raise", "p-lower"]
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_su2_subdiagonal_is_the_raising_coefficient(self, nu):
+        found = np.diagonal(build_su2_matrices(nu).plus.entries, -1)
+        want = np.array([raising_coefficient(nu, n) for n in range(nu - 1)])
+        assert found.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu", NUS)
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_expansion_weights_are_the_channel_coefficients(self, nu, channel):
+        found = np.array(getattr(expansion_weights(nu), channel.replace("-", "_")))
+        edge = (nu - 3) // 2
+        want = [channel_coefficient(nu, n, channel) for n in range(edge)]
+        if channel.endswith("raise"):
+            with pytest.raises(DomainError, match="channel closed"):
+                channel_coefficient(nu, edge, channel)
+            want.append(math.inf)
+        else:
+            want.append(channel_coefficient(nu, edge, channel))
+        assert found.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("nu", NUS[1:])
+    def test_approx_direct_entries_are_the_map_weights(self, nu):
+        found = np.diagonal(approx_boson_ops(nu).create.entries, -1)
+        want = np.array([(1.0 / math.sqrt(nu))
+                         * (raising_coefficient(nu, n) * boson_map_weights(nu, n)[0])
+                         for n in range((nu - 3) // 2)])
+        assert found.tobytes() == want.tobytes()
+        with pytest.raises(DomainError, match="edge state"):
+            boson_map_weights(nu, (nu - 3) // 2)
+
+    @pytest.mark.parametrize("nu", NUS[1:])
+    def test_branch_builders_warn_nothing(self, nu):
+        built = [sinh_matrix(nu), cosh_ddx_matrix(nu),
+                 position_matrix_expansion(nu, 1.0, 5), momentum_matrix_expansion(nu, 1.0, 3)]
+        for build in (renormalized_generators, approx_boson_ops, consistent_boson_ops):
+            built += build(nu)[:2]
+        assert all(np.all(np.isfinite(m.entries)) for m in built)

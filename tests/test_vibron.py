@@ -254,9 +254,10 @@ class TestInteractions:
     def test_zero_cross_weights_reduce_to_weighted_crude(self):
         # With the cross channel silenced, only direct-weight products dress
         # the crude exchange pattern and the polyad is conserved again.
-        from mptsu2.expansion import _physical_ladders, boson_map_weights as weights
+        from mptsu2.expansion import boson_map_weights as weights
+        from mptsu2.ladder import build_su2_matrices, project_physical
         nu = 7
-        plus, minus, _ = _physical_ladders(nu)
+        plus = project_physical(build_su2_matrices(nu)).plus.entries
         d = plus.shape[0]
         direct = np.array([weights(nu, n)[0] if n < d - 1 else 0.0 for n in range(d)])
         create = (plus @ np.diag(direct)) / math.sqrt(nu)
