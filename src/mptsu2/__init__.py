@@ -15,11 +15,11 @@ _EXPORTS = {
     "errors": ("DomainError", "EvaluationError"),
     "specfun": ("QuadratureRule", "gauss_legendre", "gegenbauer", "gegenbauer_derivative",
                 "integrate", "log_gamma"),
-    "states": ("PotentialSpec", "StateLabel", "WellNumbers", "bound_state_labels",
-               "depth_for_integer_q", "energy", "normalization_constant", "wavefunction",
-               "wavefunction_derivative", "well_numbers"),
-    "ladder": ("LadderTriple", "OperatorMatrix", "apply_lowering", "apply_raising",
-               "build_su2_matrices", "casimir", "cosh_ddx_matrix", "hamiltonian_diagonal",
+    "states": ("OperatorMatrix", "PotentialSpec", "StateLabel", "WellNumbers",
+               "bound_state_labels", "depth_for_integer_q", "energy", "normalization_constant",
+               "wavefunction", "wavefunction_derivative", "well_numbers"),
+    "ladder": ("LadderTriple", "apply_lowering", "apply_raising", "build_su2_matrices",
+               "casimir", "cosh_ddx_matrix", "hamiltonian_diagonal",
                "lowering_coefficient", "normalization_chain", "project_physical",
                "raising_coefficient", "sinh_matrix"),
     "oracle": ("COSH_DDX_OVER_ALPHA", "DDX", "IDENTITY", "POSITION_X", "POTENTIAL",

@@ -12,13 +12,12 @@ import math
 import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
 from . import __version__
 from .errors import DomainError, EvaluationError
-from .ladder import OperatorMatrix, cosh_ddx_matrix, sinh_matrix
 from .oracle import (
     COSH_DDX_OVER_ALPHA,
     DDX,
@@ -27,7 +26,8 @@ from .oracle import (
     OracleConfig,
     observable_matrix,
 )
-from .states import PotentialSpec, bound_state_labels, energy, integer_q, well_numbers
+from .states import (OperatorMatrix, PotentialSpec, bound_state_labels, energy, integer_q,
+                     well_numbers)
 from .suites import SUITES
 
 if TYPE_CHECKING:
@@ -39,35 +39,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _add_well_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=int, default=None,
-                        help="integer well parameter (dimensionless preset)")
-    parser.add_argument("--D", type=float, default=None, help="well depth")
-    parser.add_argument("--alpha", type=float, default=None, help="range parameter")
-    parser.add_argument("--mu", type=float, default=None, help="reduced mass")
-    parser.add_argument("--hbar", type=float, default=None, help="action constant")
-
-
-def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default csv)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags override its values")
-
-
-def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--oracle-order", type=int, default=None,
-                        help="node count of the oracle's quadrature rule; the "
-                             "default q + 2 is exact, smaller values "
-                             "under-resolve deep wells on purpose")
-    parser.add_argument("--oracle-panels", type=int, default=None,
-                        help="accepted (>= 1) and ignored: the oracle's rules "
-                             "have no panels; kept only while the benchmark "
-                             "passes it")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_TABLE`` command, with its options in table order."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -76,89 +49,60 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix elements, generator expansions, and coupled-model "
                     "comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_spec = sub.add_parser("spectrum", help="bound-state energies and labels")
-    _add_well_arguments(p_spec)
-    _add_output_arguments(p_spec)
-
-    p_mat = sub.add_parser("matelem", help="matrix elements of one operator")
-    _add_well_arguments(p_mat)
-    _add_output_arguments(p_mat)
-    _add_oracle_arguments(p_mat)
-    p_mat.add_argument("--op", choices=("sinh", "coshd", "x", "p"),
-                       help="operator (required)")
-    p_mat.add_argument("--method", choices=("closed", "oracle", "expansion"),
-                       help="how the matrix is computed (required)")
-    p_mat.add_argument("--order", type=int, default=None,
-                       help="expansion order (x: 1/3/5, p: 1/3)")
-
-    p_ver = sub.add_parser("verify", help="run invariant suites")
-    _add_well_arguments(p_ver)
-    _add_output_arguments(p_ver)
-    _add_oracle_arguments(p_ver)
-    p_ver.add_argument("--suite", choices=SUITES, help="suite to run (default all)")
-    p_ver.add_argument("--nu", type=int, default=None,
-                       help="multiplet dimension for the algebra suite")
-    p_ver.add_argument("--lambda", dest="lam", type=float,
-                       help="coupling used by the vibron suite (default 0.05)")
-
-    p_vib = sub.add_parser("vibron", help="coupled two-oscillator spectra")
-    _add_well_arguments(p_vib)
-    _add_output_arguments(p_vib)
-    _add_oracle_arguments(p_vib)
-    p_vib.add_argument("--lambda", dest="lam", type=float, help="coupling (required)")
-    p_vib.add_argument("--model",
-                       choices=("su2", "exact", "crude", "zA-zB", "compare"),
-                       help="model to solve, or compare all four (required)")
-
-    p_par = sub.add_parser("params", help="well / spectroscopic / algebraic maps")
-    _add_well_arguments(p_par)
-    _add_output_arguments(p_par)
-    p_par.add_argument("--omega-e", dest="omega_e", type=float, default=None)
-    p_par.add_argument("--xe-omega-e", dest="xe_omega_e", type=float, default=None)
-
+    for name, command in _TABLE.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **{k: v for k, v in keywords.items()
+                                    if k not in ("default", "required")})
     return parser
 
 
-# Every option parses to None when it is not on the command line, so that a
-# config file can supply it; these defaults and requirements apply after the
-# config file is merged.
-_DEFAULTS = {"verify": {"suite": "all", "lam": 0.05}}
-_REQUIRED = {"matelem": ("op", "method"), "vibron": ("lam", "model")}
+def _dest(flag: str, keywords: dict) -> str:
+    return keywords.get("dest", flag[2:].replace("-", "_"))
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _by_name(options: tuple) -> dict[str, tuple[str, dict]]:
+    """Options by each name a config key may give them: the flag's and the dest."""
+    return {name: (flag, keywords) for flag, keywords in options
+            for name in (flag[2:].replace("-", "_"), _dest(flag, keywords))}
+
+
+def _apply_config(args: argparse.Namespace) -> None:
     """Fill the options not on the command line from a JSON config file, then defaults.
 
-    Each config value goes through its option's ``type`` and ``choices`` as
-    the same text on the command line would; a value that fails, or a
-    required option that is still unset, is a usage error.
+    A key names an option by its flag or dest, with ``-`` or ``_``.  Each
+    value goes through its option's ``type`` and ``choices`` as the same
+    text on the command line would.  A key that names no option of any
+    command, a value that fails, or a required option that is still unset
+    is a usage error; a key naming only other commands' options is ignored,
+    so that one file can serve several commands.
     """
-    path = getattr(args, "config", None)
-    values = _read_config(path) if path else {}
-    command = next(a for a in parser._actions if a.dest == "command")
-    actions = {a.dest: a for a in command.choices[args.command]._actions
-               if hasattr(args, a.dest)}
+    options = _TABLE[args.command].options
+    named = _by_name(options)
+    values = _read_config(args.config) if args.config else {}
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lam"
-        action = actions.get(attr)
-        if action is None or getattr(args, attr) is not None:
+        name = key.replace("-", "_")
+        if name not in named:
+            if not any(name in _by_name(c.options) for c in _TABLE.values()):
+                raise DomainError(f"config key {key!r} names no option of any command")
+            continue
+        flag, keywords = named[name]
+        dest = _dest(flag, keywords)
+        if getattr(args, dest) is not None:
             continue
         try:
-            converted = action.type(str(value)) if action.type else str(value)
-            if action.choices is not None and converted not in action.choices:
+            converted = keywords.get("type", str)(str(value))
+            if "choices" in keywords and converted not in keywords["choices"]:
                 raise ValueError
         except ValueError:
             raise DomainError(f"config value {key} = {value!r} is not a valid "
-                              f"{action.option_strings[0]} argument") from None
-        setattr(args, attr, converted)
-    for attr, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    missing = [actions[a].option_strings[0] for a in _REQUIRED.get(args.command, ())
-               if getattr(args, a) is None]
+                              f"{flag} argument") from None
+        setattr(args, dest, converted)
+    for flag, keywords in options:
+        if getattr(args, _dest(flag, keywords)) is None:
+            setattr(args, _dest(flag, keywords), keywords.get("default"))
+    missing = [flag for flag, keywords in options
+               if keywords.get("required") and getattr(args, _dest(flag, keywords)) is None]
     if missing:
         raise DomainError(f"the following arguments are required: {', '.join(missing)}")
 
@@ -177,27 +121,22 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve_spec(args: argparse.Namespace, required: bool = True) -> PotentialSpec | None:
-    q = getattr(args, "q", None)
-    depth = getattr(args, "D", None)
-    if q is not None and depth is not None:
+    if args.q is not None and args.D is not None:
         raise DomainError("specify the well by exactly one of --q or --D")
-    alpha = args.alpha if args.alpha is not None else 1.0
-    mu = args.mu if args.mu is not None else 1.0
-    hbar = args.hbar if args.hbar is not None else 1.0
-    if q is not None:
-        return PotentialSpec.for_integer_q(q, alpha=alpha, mu=mu, hbar=hbar)
-    if depth is not None:
-        return PotentialSpec(D=depth, alpha=alpha, mu=mu, hbar=hbar)
+    scales = {"alpha": args.alpha, "mu": args.mu, "hbar": args.hbar}
+    if args.q is not None:
+        return PotentialSpec.for_integer_q(args.q, **scales)
+    if args.D is not None:
+        return PotentialSpec(D=args.D, **scales)
     if required:
         raise DomainError("a well must be specified via --q or --D")
     return None
 
 
 def _resolve_oracle(args: argparse.Namespace) -> OracleConfig:
-    panels = getattr(args, "oracle_panels", None)
-    if panels is not None and panels < 1:
+    if args.oracle_panels is not None and args.oracle_panels < 1:
         raise DomainError("--oracle-panels must be at least 1")
-    return OracleConfig(getattr(args, "oracle_order", None))
+    return OracleConfig(args.oracle_order)
 
 
 def _resolve_lambda(args: argparse.Namespace) -> float:
@@ -232,8 +171,7 @@ def _emit(command: str, well: dict, rows: list[dict], meta: dict,
     written by ``jsontext.chunks`` in batches of rows, so the whole document
     is never held as one string.
     """
-    fmt = args.format if args.format is not None else "csv"
-    if fmt == "json":
+    if args.format == "json":
         from . import jsontext  # only JSON runs compile the writer
 
         chunks = jsontext.chunks(command, well, rows, meta)
@@ -301,6 +239,8 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     observables = {"sinh": SINH_ALPHA_X, "coshd": COSH_DDX_OVER_ALPHA,
                    "x": POSITION_X, "p": DDX}
     if method == "closed":
+        from .ladder import cosh_ddx_matrix, sinh_matrix
+
         nu = 2 * integer_q(spec, "the closed-form matrix") + 1
         matrix = sinh_matrix(nu) if op == "sinh" else cosh_ddx_matrix(nu)
         rows = _matrix_rows(matrix)
@@ -310,15 +250,12 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
         from .expansion import momentum_matrix_expansion, position_matrix_expansion
 
         nu = 2 * integer_q(spec, "the series expansion") + 1
-        order = args.order if args.order is not None else 1
-        if op == "x":
-            matrix = position_matrix_expansion(nu, spec.alpha, order)
-        else:
-            matrix = momentum_matrix_expansion(nu, spec.alpha, order)
+        expand = position_matrix_expansion if op == "x" else momentum_matrix_expansion
+        matrix = expand(nu, spec.alpha, args.order)
         reference = observable_matrix(spec, observables[op], cfg).entries
         rows = _matrix_rows(matrix, reference)
-        meta["expansion_order"] = order
-        if order == 5:
+        meta["expansion_order"] = args.order
+        if args.order == 5:
             meta["note"] = ("order 5 extrapolates the series one term past the "
                             "validated truncation")
     _emit("matelem", _well_summary(spec), rows, meta, args)
@@ -355,22 +292,13 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
     meta = _meta()
     if args.model == "compare":
         report = compare_models(spec, lam, cfg)
-        rows = []
-        for i in range(report.dim):
-            rows.append({
-                "index": i,
-                "polyad": report.polyads[i],
-                "e_su2": report.eigenvalues["su2"][i],
-                "e_exact": report.eigenvalues["exact"][i],
-                "e_crude": report.eigenvalues["crude"][i],
-                "e_zazb": report.eigenvalues["zA-zB"][i],
-                "dev_su2": report.deviations["su2"][i],
-                "dev_crude": report.deviations["crude"][i],
-                "dev_zazb": report.deviations["zA-zB"][i],
-            })
-        meta["max_low_polyad_deviation"] = {
-            k: report.max_low_polyad_deviation[k] for k in sorted(
-                report.max_low_polyad_deviation)}
+        column = {"su2": "su2", "exact": "exact", "crude": "crude", "zA-zB": "zazb"}
+        series = [(f"e_{c}", report.eigenvalues[m]) for m, c in column.items()]
+        series += [(f"dev_{c}", report.deviations[m]) for m, c in column.items()
+                   if m != "exact"]
+        rows = [{"index": i, "polyad": p, **{name: v[i] for name, v in series}}
+                for i, p in enumerate(report.polyads)]
+        meta["max_low_polyad_deviation"] = dict(sorted(report.max_low_polyad_deviation.items()))
     else:
         model = coupled_model(spec, args.model, lam, cfg)
         rows = [{"index": i, "eigenvalue": v} for i, v in enumerate(spectrum(model))]
@@ -384,23 +312,19 @@ def _cmd_vibron(args: argparse.Namespace) -> int:
 def _cmd_params(args: argparse.Namespace) -> int:
     from .vibron import SpectroParams, spectro_from_potential, vibron_params_from_spectro
 
-    from_spectro = args.omega_e is not None or args.xe_omega_e is not None
-    if from_spectro:
+    if args.omega_e is not None or args.xe_omega_e is not None:
         if args.omega_e is None or args.xe_omega_e is None:
             raise DomainError("both --omega-e and --xe-omega-e are required together")
-        if getattr(args, "q", None) is not None or getattr(args, "D", None) is not None:
+        if args.q is not None or args.D is not None:
             raise DomainError("specify either a well or spectroscopic constants, not both")
         sp = SpectroParams(args.omega_e, args.xe_omega_e)
-        hbar = args.hbar if args.hbar is not None else 1.0
-        vp = vibron_params_from_spectro(sp, hbar=hbar)
+        vp = vibron_params_from_spectro(sp, hbar=args.hbar)
         q = vp.N // 2
         if vp.N % 2 != 0:
             sys.stderr.write(
                 f"error: boson number {vp.N} is odd; no integer-q well matches\n")
             return EXIT_USAGE
-        alpha = args.alpha if args.alpha is not None else 1.0
-        mu = args.mu if args.mu is not None else 1.0
-        spec = PotentialSpec.for_integer_q(q, alpha=alpha, mu=mu, hbar=hbar)
+        spec = PotentialSpec.for_integer_q(q, alpha=args.alpha, mu=args.mu, hbar=args.hbar)
     else:
         spec = _resolve_spec(args)
         sp = spectro_from_potential(spec)
@@ -416,33 +340,77 @@ def _cmd_params(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "matelem": _cmd_matelem,
-    "verify": _cmd_verify,
-    "vibron": _cmd_vibron,
-    "params": _cmd_params,
+class _Command(NamedTuple):
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    library: str | None
+    handler: Callable[[argparse.Namespace], int]
+
+
+# Each option is its flag and its ``add_argument`` keywords, except that
+# ``default`` and ``required`` apply after the config merge: every option
+# parses to None when it is not on the command line, so that a config file
+# can supply it.
+_COMMON = (
+    ("--q", {"type": int, "help": "integer well parameter (dimensionless preset)"}),
+    ("--D", {"type": float, "help": "well depth"}),
+    ("--alpha", {"type": float, "default": 1.0, "help": "range parameter"}),
+    ("--mu", {"type": float, "default": 1.0, "help": "reduced mass"}),
+    ("--hbar", {"type": float, "default": 1.0, "help": "action constant"}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv",
+                  "help": "output format (default csv)"}),
+    ("--out", {"help": "output path (default stdout)"}),
+    ("--config", {"help": "JSON config file; explicit flags override its values"}),
+)
+_ORACLE = (
+    ("--oracle-order", {"type": int, "help": "node count of the oracle's quadrature rule; "
+                        "the default q + 2 is exact, smaller values under-resolve deep "
+                        "wells on purpose"}),
+    ("--oracle-panels", {"type": int, "help": "accepted (>= 1) and ignored: the oracle's "
+                         "rules have no panels; kept only while the benchmark passes it"}),
+)
+_TABLE = {
+    "spectrum": _Command("bound-state energies and labels", _COMMON, None, _cmd_spectrum),
+    "matelem": _Command("matrix elements of one operator", _COMMON + _ORACLE + (
+        ("--op", {"choices": ("sinh", "coshd", "x", "p"), "required": True,
+                  "help": "operator (required)"}),
+        ("--method", {"choices": ("closed", "oracle", "expansion"), "required": True,
+                      "help": "how the matrix is computed (required)"}),
+        ("--order", {"type": int, "default": 1, "help": "expansion order (x: 1/3/5, p: 1/3)"}),
+    ), None, _cmd_matelem),
+    "verify": _Command("run invariant suites", _COMMON + _ORACLE + (
+        ("--suite", {"choices": SUITES, "default": "all", "help": "suite to run (default all)"}),
+        ("--nu", {"type": int, "help": "multiplet dimension for the algebra suite"}),
+        ("--lambda", {"dest": "lam", "type": float, "default": 0.05,
+                      "help": "coupling used by the vibron suite (default 0.05)"}),
+    ), "checks", _cmd_verify),
+    "vibron": _Command("coupled two-oscillator spectra", _COMMON + _ORACLE + (
+        ("--lambda", {"dest": "lam", "type": float, "required": True,
+                      "help": "coupling (required)"}),
+        ("--model", {"choices": ("su2", "exact", "crude", "zA-zB", "compare"),
+                     "required": True, "help": "model to solve, or compare all four (required)"}),
+    ), "vibron", _cmd_vibron),
+    "params": _Command("well / spectroscopic / algebraic maps", _COMMON + (
+        ("--omega-e", {"type": float}),
+        ("--xe-omega-e", {"type": float}),
+    ), "vibron", _cmd_params),
 }
-
-
-# The library module a command needs beyond those imported above.  ``main``
-# imports it before argparse: without cached bytecode each module is compiled
-# at import, with up to about 1 MB of transient heap, and doing that on top
-# of the parser's state raised the peak RSS of verify and vibron processes by
-# 0.2-0.3 MB.  Each handler still imports what it uses; this only orders the
-# compiles.
-_LIBRARIES = {"verify": "checks", "vibron": "vibron", "params": "vibron"}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _LIBRARIES:
-        import_module(f".{_LIBRARIES[argv[0]]}", __package__)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command's library is imported before argparse: without cached
+    # bytecode each module is compiled at import, with up to about 1 MB of
+    # transient heap, and doing that on top of the parser's state raised the
+    # peak RSS of verify and vibron processes by 0.2-0.3 MB.  Each handler
+    # still imports what it uses; this only orders the compiles.
+    library = _TABLE[argv[0]].library if argv and argv[0] in _TABLE else None
+    if library:
+        import_module(f".{library}", __package__)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(parser, args)
-        return _COMMANDS[args.command](args)
+        _apply_config(args)
+        return _TABLE[args.command].handler(args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

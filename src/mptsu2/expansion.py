@@ -29,10 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .ladder import (PHYSICAL_KIND, OperatorMatrix, _branch_ladder, _branch_operator,
-                     _require_odd_nu)
+from .ladder import _branch_ladder, _branch_operator, _require_odd_nu
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
-from .states import PotentialSpec, integer_q, well_numbers
+from .states import PHYSICAL_KIND, OperatorMatrix, PotentialSpec, integer_q, well_numbers
 
 __all__ = [
     "ExpansionWeights",

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DomainError
 from .specfun import log_gamma
 from .states import (
+    FULL_KIND,
+    PHYSICAL_KIND,
+    OperatorMatrix,
     PotentialSpec,
     StateLabel,
     _check_bound,
@@ -30,7 +33,6 @@ from .states import (
 )
 
 __all__ = [
-    "OperatorMatrix",
     "LadderTriple",
     "lowering_coefficient",
     "raising_coefficient",
@@ -44,51 +46,6 @@ __all__ = [
     "apply_lowering",
     "apply_raising",
 ]
-
-FULL_KIND = "full-spin-j"
-PHYSICAL_KIND = "physical"
-TWO_OSC_KIND = "two-oscillator"
-
-
-class OperatorMatrix(namedtuple("OperatorMatrix", "entries basis kind")):
-    """A real dense matrix over an ordered basis, immutable after construction.
-
-    ``kind`` records the space: the full spin-j multiplet (dim nu), the
-    physical bound-state branch (dim (nu - 1)/2), or a two-oscillator
-    product space.  ``basis`` lists StateLabel values ascending in n for the
-    single-well kinds, or (n1, n2) pairs for the product kind.
-
-    ``entries`` is copied into a read-only float64 array, unless it already
-    is a read-only float64 ndarray that owns its data: such an array is
-    adopted as is, so a builder that freezes its new matrix hands it over
-    without a second d x d copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, entries: np.ndarray, basis: tuple, kind: str):
-        m = entries
-        if not (type(m) is np.ndarray and m.dtype == np.float64
-                and m.flags.owndata and not m.flags.writeable):
-            m = np.array(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("operator matrix must be square")
-        if len(basis) != m.shape[0]:
-            raise DomainError("basis length must match matrix dimension")
-        if basis and isinstance(basis[0], StateLabel):
-            nu = basis[0].nu
-            if kind == FULL_KIND and m.shape[0] != int(round(nu)):
-                raise DomainError("full spin-j matrices must have dimension nu")
-            if kind == PHYSICAL_KIND and m.shape[0] != (int(round(nu)) - 1) // 2:
-                raise DomainError(
-                    "physical matrices must cover the (nu - 1)/2 bound states")
-        m.setflags(write=False)
-        return super().__new__(cls, m, basis, kind)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def _labels(nu: int, count: int) -> tuple[StateLabel, ...]:
     return tuple(StateLabel.from_nu_n(float(nu), n) for n in range(count))

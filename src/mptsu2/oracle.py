@@ -31,9 +31,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .ladder import PHYSICAL_KIND, OperatorMatrix
 from .specfun import QuadratureRule, gauss_legendre, integrate
 from .states import (
+    PHYSICAL_KIND,
+    OperatorMatrix,
     PotentialSpec,
     _levels_at,
     bound_state_labels,

@@ -12,7 +12,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .ladder import OperatorMatrix, TWO_OSC_KIND
+from .states import TWO_OSC_KIND, OperatorMatrix
 
 __all__ = ["TwoOscBasis", "pair_basis", "PairModel", "spectrum"]
 
@@ -44,13 +44,13 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _slab_entries(d: int) -> int:
-    """Entries in one gathered block chunk of a d x d matrix: max(2^13, d^1.5).
+    """Entries in the largest temporary of one gathered chunk of d pairs: max(2^13, d).
 
-    d^1.5 keeps each temporary a 1/sqrt(d) share of one d x d array, and
-    the 2^13 floor keeps numpy's per-call cost small next to the arithmetic
-    when d is small.
+    d keeps each temporary the size of the eigenvalue array the solve
+    returns, and the 2^13 floor keeps numpy's per-call cost small next to
+    the arithmetic when d is small.
     """
-    return max(2 ** 13, d * math.isqrt(d))
+    return max(2 ** 13, d)
 
 
 def _offsets(m: np.ndarray) -> np.ndarray:
@@ -255,10 +255,11 @@ def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray
     between the blocks) is rejected (``DomainError``), as is a gathered
     block with a non-finite entry.  Blocks of equal size s come as ``(idx,
     stack)``: row b of ``idx`` (k, s) lists one block of ``labels``
-    ascending, and ``stack[b]`` is that block, gathered about
-    ``_slab_entries(d)`` entries (at least one block) at a time and, unless
-    the bound is 0, symmetrized as (b + b^T) * 0.5: bit for bit, either way,
-    a whole-matrix symmetrization.
+    ascending, and ``stack[b]`` is that block.  Blocks are gathered as many
+    at a time as keep ``PairModel.block``'s largest temporary, (n, k, s) or
+    (k, s, s), within ``_slab_entries(d)`` entries (at least one block), and,
+    unless the bound is 0, symmetrized as (b + b^T) * 0.5: bit for bit,
+    either way, a whole-matrix symmetrization.
     """
     bound = _symmetry_bound(model)
     if not bound < math.inf:
@@ -274,7 +275,7 @@ def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray
         idx = order[start:start + count].reshape(-1, s)
         start += count
         stack = np.empty((count // s, s, s))
-        step = max(1, _slab_entries(d) // (s * s))
+        step = max(1, _slab_entries(d) // (max(model.n, s) * s))
         for b in range(0, len(idx), step):
             chunk = stack[b:b + step]
             chunk[...] = model.block(idx[b:b + step])

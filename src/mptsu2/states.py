@@ -1,7 +1,9 @@
 """Bound states of the modified Poschl-Teller well V(x) = -D / cosh^2(alpha x).
 
 Exposes the well parameters, the derived quantum numbers, the discrete
-energies, and normalized wavefunctions with their analytic derivatives.
+energies, normalized wavefunctions with their analytic derivatives, and
+``OperatorMatrix``, the matrix over these levels (or their pairs) that every
+matrix builder returns.
 Energies and wavefunctions accept any well with at least one bound state;
 the su(2) machinery needs an integer well-depth parameter q (odd nu = 2q + 1)
 of at least its computation's ``MIN_Q`` entry, which :func:`integer_q` checks.
@@ -23,6 +25,7 @@ __all__ = [
     "PotentialSpec",
     "WellNumbers",
     "StateLabel",
+    "OperatorMatrix",
     "well_numbers",
     "depth_for_integer_q",
     "energy",
@@ -110,6 +113,51 @@ class StateLabel(NamedTuple):
     def from_nu_n(cls, nu: float, n: int) -> "StateLabel":
         j = (nu - 1.0) / 2.0
         return cls(nu=nu, n=n, epsilon=(nu - 2.0 * n - 1.0) / 2.0, j=j, m=n - j)
+
+
+FULL_KIND = "full-spin-j"
+PHYSICAL_KIND = "physical"
+TWO_OSC_KIND = "two-oscillator"
+
+
+class OperatorMatrix(namedtuple("OperatorMatrix", "entries basis kind")):
+    """A real dense matrix over an ordered basis, immutable after construction.
+
+    ``kind`` records the space: the full spin-j multiplet (dim nu), the
+    physical bound-state branch (dim (nu - 1)/2), or a two-oscillator
+    product space.  ``basis`` lists StateLabel values ascending in n for the
+    single-well kinds, or (n1, n2) pairs for the product kind.
+
+    ``entries`` is copied into a read-only float64 array, unless it already
+    is a read-only float64 ndarray that owns its data: such an array is
+    adopted as is, so a builder that freezes its new matrix hands it over
+    without a second d x d copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries: np.ndarray, basis: tuple, kind: str):
+        m = entries
+        if not (type(m) is np.ndarray and m.dtype == np.float64
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DomainError("operator matrix must be square")
+        if len(basis) != m.shape[0]:
+            raise DomainError("basis length must match matrix dimension")
+        if basis and isinstance(basis[0], StateLabel):
+            nu = basis[0].nu
+            if kind == FULL_KIND and m.shape[0] != int(round(nu)):
+                raise DomainError("full spin-j matrices must have dimension nu")
+            if kind == PHYSICAL_KIND and m.shape[0] != (int(round(nu)) - 1) // 2:
+                raise DomainError(
+                    "physical matrices must cover the (nu - 1)/2 bound states")
+        m.setflags(write=False)
+        return super().__new__(cls, m, basis, kind)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
 
 def _too_deep(q: float) -> DomainError:

@@ -42,10 +42,9 @@ from .expansion import (
     interaction_frequency,
     renormalized_generators,
 )
-from .ladder import OperatorMatrix
 from .oracle import OracleConfig, derivative_matrix, position_from_derivative
 from .pairs import PairModel, TwoOscBasis, _solve, pair_basis, spectrum  # re-exports the last two
-from .states import PotentialSpec, energy, integer_q, well_numbers
+from .states import OperatorMatrix, PotentialSpec, energy, integer_q, well_numbers
 
 __all__ = [
     "SpectroParams",

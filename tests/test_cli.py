@@ -610,6 +610,81 @@ class TestOutputContract:
         assert out == run_cli(capsys, "spectrum", "--q", "3", "--alpha", "0.5",
                               "--format", "json")[1]
 
+    # A valid value of each option, and each command's base options.  The
+    # option's value replaces the base one, and the options in INSTEAD_OF_Q
+    # replace the base --q with what they need beside them.  Each value
+    # changes the base output, except the UNSEEN ones: --oracle-panels is
+    # ignored, and verify's coupling moves no row of the states suite.
+    VALUES = {"--q": "4", "--D": "10", "--alpha": "0.5", "--mu": "2", "--hbar": "0.5",
+              "--format": "csv", "--out": "out.txt", "--oracle-order": "3",
+              "--oracle-panels": "2", "--op": "p", "--method": "oracle", "--order": "3",
+              "--suite": "matelem", "--nu": "9", "--lambda": "0.03", "--model": "su2",
+              "--omega-e": "5.5", "--xe-omega-e": "0.5"}
+    BASE = {"spectrum": {"--q": "3"},
+            "matelem": {"--q": "3", "--op": "x", "--method": "expansion"},
+            "verify": {"--q": "3", "--suite": "states"},
+            "vibron": {"--q": "3", "--lambda": "0.02", "--model": "compare"},
+            "params": {"--q": "3"}}
+    INSTEAD_OF_Q = {"--D": {}, "--nu": {"--suite": "algebra"},
+                    "--omega-e": {"--xe-omega-e": "0.5"}, "--xe-omega-e": {"--omega-e": "5.5"}}
+    UNSEEN = {"--oracle-panels", "verify --lambda"}
+
+    @pytest.mark.parametrize("command, flag", [
+        (name, flag) for name, command in cli._TABLE.items()
+        for flag, _ in command.options if flag != "--config"])
+    def test_every_option_converts_from_config_like_its_flag(self, capsys, tmp_path,
+                                                             monkeypatch, command, flag):
+        def argv(options):
+            return [command, *(item for pair in options.items() for item in pair)]
+
+        monkeypatch.chdir(tmp_path)
+        base = {**self.BASE[command], "--format": "json"}
+        before = run_cli(capsys, *argv(base))[1]
+        if flag in self.INSTEAD_OF_Q:
+            del base["--q"]
+            base.update(self.INSTEAD_OF_Q[flag])
+        base.pop(flag, None)
+        text = self.VALUES[flag]
+        try:
+            value = json.loads(text)  # a JSON number where the text is one
+        except ValueError:
+            value = text
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({flag[2:]: value}))
+        runs = []
+        for extra in (["--config", str(config)], [flag, text]):
+            runs.append(run_cli(capsys, *argv(base), *extra))
+            if flag == "--out":  # the file written, read and removed before the next run
+                runs[-1] += ((tmp_path / text).read_text(),)
+                (tmp_path / text).unlink()
+        assert runs[0][0] == 0, runs[0][2]
+        assert runs[0] == runs[1]
+        unseen = flag in self.UNSEEN or f"{command} {flag}" in self.UNSEEN
+        assert (runs[0][1] == before) == unseen
+
+    @pytest.mark.parametrize("argv, key", [
+        (("verify", "--q", "3"), "suit"),
+        (("spectrum", "--q", "3"), "formt"),
+        (("spectrum", "--q", "3"), "command"),
+    ])
+    def test_config_key_naming_no_option_is_usage_error(self, capsys, tmp_path, argv, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: "json"}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config key {key!r}" in err
+
+    @pytest.mark.parametrize("argv", [("spectrum",), ("vibron",)])
+    def test_config_keys_of_other_commands_are_ignored(self, capsys, tmp_path, argv):
+        # lambda and model are vibron's options; spectrum takes the file too.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"q": 3, "lambda": 0.02, "model": "su2"}))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+        flags = ("--lambda", "0.02", "--model", "su2") if argv[0] == "vibron" else ()
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--q", "3", *flags)[1]
+
     @pytest.mark.parametrize("text", [
         '{"q": "three"}', '{"q": 3.5}', '{"q": true}', '{"q": [3]}',
         '{"q": 3, "format": "xml"}', '{"q": 3',
@@ -706,21 +781,25 @@ class TestStartUp:
     @pytest.mark.parametrize("argv, libraries", [
         (("matelem", "--op", "sinh", "--method", "oracle"), []),
         (("spectrum",), []),
-        (("matelem", "--op", "x", "--method", "expansion"), ["expansion"]),
-        (("params",), ["expansion", "pairs", "vibron"]),
-        (("vibron", "--model", "su2", "--lambda", "0.05"), ["expansion", "pairs", "vibron"]),
-        (("verify", "--suite", "states"), ["checks", "expansion", "pairs", "vibron"]),
-    ], ids=["matelem-oracle", "spectrum", "matelem-expansion", "params", "vibron", "verify"])
+        (("matelem", "--op", "sinh", "--method", "closed"), ["ladder"]),
+        (("matelem", "--op", "x", "--method", "expansion"), ["expansion", "ladder"]),
+        (("params",), ["expansion", "ladder", "pairs", "vibron"]),
+        (("vibron", "--model", "su2", "--lambda", "0.05"),
+         ["expansion", "ladder", "pairs", "vibron"]),
+        (("verify", "--suite", "states"), ["checks", "expansion", "ladder", "pairs", "vibron"]),
+    ], ids=["matelem-oracle", "spectrum", "matelem-closed", "matelem-expansion", "params",
+            "vibron", "verify"])
     def test_a_command_imports_only_its_libraries(self, argv, libraries):
         # The oracle path is always imported; the rest only by the commands
-        # that run it, and, except matelem's expansion branch, before argparse.
+        # that run it, and, except matelem's closed and expansion branches,
+        # before argparse.
         script = textwrap.dedent("""
             import contextlib, io, sys
             from mptsu2 import cli
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main() == 0
             loaded = list(sys.modules)  # in the order the imports began
-            names = [m for m in ("checks", "expansion", "pairs", "vibron")
+            names = [m for m in ("checks", "expansion", "ladder", "pairs", "vibron")
                      if f"mptsu2.{m}" in loaded]
             late = [m for m in names
                     if loaded.index(f"mptsu2.{m}") > loaded.index("argparse")]

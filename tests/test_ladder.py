@@ -7,8 +7,6 @@ import pytest
 
 from mptsu2.errors import DomainError
 from mptsu2.ladder import (
-    TWO_OSC_KIND,
-    OperatorMatrix,
     apply_lowering,
     apply_raising,
     build_su2_matrices,
@@ -21,7 +19,8 @@ from mptsu2.ladder import (
     raising_coefficient,
     sinh_matrix,
 )
-from mptsu2.states import PotentialSpec, energy, wavefunction, well_numbers
+from mptsu2.states import (TWO_OSC_KIND, OperatorMatrix, PotentialSpec, energy, wavefunction,
+                           well_numbers)
 
 ALL_NU = tuple(range(3, 43, 2))
 

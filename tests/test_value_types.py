@@ -11,17 +11,18 @@ import mptsu2
 from mptsu2.checks import CheckResult
 from mptsu2.errors import DomainError
 from mptsu2.expansion import expansion_weights, renormalized_generators
-from mptsu2.ladder import (
+from mptsu2.ladder import build_su2_matrices, sinh_matrix
+from mptsu2.oracle import SINH_ALPHA_X, Observable, OracleConfig
+from mptsu2.specfun import QuadratureRule, gauss_legendre
+from mptsu2.states import (
     FULL_KIND,
     PHYSICAL_KIND,
     TWO_OSC_KIND,
     OperatorMatrix,
-    build_su2_matrices,
-    sinh_matrix,
+    PotentialSpec,
+    StateLabel,
+    well_numbers,
 )
-from mptsu2.oracle import SINH_ALPHA_X, Observable, OracleConfig
-from mptsu2.specfun import QuadratureRule, gauss_legendre
-from mptsu2.states import PotentialSpec, StateLabel, well_numbers
 from mptsu2.vibron import (
     SpectroParams,
     VibronParams,

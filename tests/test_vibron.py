@@ -805,6 +805,16 @@ class TestResourceUse:
                 "harmonic": lambda: harmonic_model(spec, basis, 0.03)}[builder]
         assert traced_peak(call) <= 1.25 * (q * q) ** 2 * 8
 
+    @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
+    def test_zero_coupling_blocks_gather_in_bounded_memory(self, model):
+        # At lambda = 0 each of the d = q^2 pairs is a 1 x 1 block.  Gathered
+        # in one chunk, PairModel.block's (n, k, s) temporaries held q d
+        # doubles; the stacked blocks themselves are d.
+        q = 200
+        form = coupled_model(PotentialSpec.for_integer_q(q), model, 0.0)
+        peak = traced_peak(lambda: sum(len(idx) for idx, _ in _symmetric_blocks(form)))
+        assert peak <= 8 * q * q * 8
+
     def test_factor_solve_holds_no_pair_pattern(self):
         # The blocks are read off the factors, so no d x d array of any
         # dtype is formed; a boolean pattern alone would be 1/8 of a dense one.
