@@ -383,28 +383,28 @@ _TABLE = {
         ("--nu", {"type": int, "help": "multiplet dimension for the algebra suite"}),
         ("--lambda", {"dest": "lam", "type": float, "default": 0.05,
                       "help": "coupling used by the vibron suite (default 0.05)"}),
-    ), ("ladder", "checks"), _cmd_verify),
+    ), ("ladder", "expansion", "pairs", "vibron", "checks"), _cmd_verify),
     "vibron": _Command("coupled two-oscillator spectra", _COMMON + _ORACLE + (
         ("--lambda", {"dest": "lam", "type": float, "required": True,
                       "help": "coupling (required)"}),
         ("--model", {"choices": ("su2", "exact", "crude", "zA-zB", "compare"),
                      "required": True, "help": "model to solve, or compare all four (required)"}),
-    ), ("ladder", "vibron"), _cmd_vibron),
+    ), ("ladder", "expansion", "pairs", "vibron"), _cmd_vibron),
     "params": _Command("well / spectroscopic / algebraic maps", _COMMON + (
         ("--omega-e", {"type": float}),
         ("--xe-omega-e", {"type": float}),
-    ), ("ladder", "vibron"), _cmd_params),
+    ), ("ladder", "expansion", "pairs", "vibron"), _cmd_params),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command's libraries are imported before argparse, in table order.
+    # A command's libraries are imported before argparse, leaves first.
     # Without cached bytecode each is compiled at import, with up to about
-    # 1 MB of transient heap; compiling on top of the parser's state, or
-    # ladder inside the imports of checks or vibron, raised the peak RSS of
-    # verify and vibron processes by 0.1-0.3 MB.  Handlers still import what
-    # they use; this only orders the compiles.
+    # 1 MB of transient heap; compiling on top of the parser's state, or one
+    # module inside another's import, raised the peak RSS of verify and
+    # vibron processes by 0.1-0.3 MB.  Handlers still import what they use;
+    # this only orders the compiles.
     for library in _TABLE[argv[0]].libraries if argv and argv[0] in _TABLE else ():
         import_module(f".{library}", __package__)
     args = build_parser().parse_args(argv)
