@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, EvaluationError
+from .ladder import cosh_ddx_matrix, sinh_matrix
 from .oracle import (
     COSH_DDX_OVER_ALPHA,
     DDX,
@@ -239,8 +240,6 @@ def _cmd_matelem(args: argparse.Namespace) -> int:
     observables = {"sinh": SINH_ALPHA_X, "coshd": COSH_DDX_OVER_ALPHA,
                    "x": POSITION_X, "p": DDX}
     if method == "closed":
-        from .ladder import cosh_ddx_matrix, sinh_matrix
-
         nu = 2 * integer_q(spec, "the closed-form matrix") + 1
         matrix = sinh_matrix(nu) if op == "sinh" else cosh_ddx_matrix(nu)
         rows = _matrix_rows(matrix)
@@ -343,7 +342,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 class _Command(NamedTuple):
     help: str
     options: tuple[tuple[str, dict], ...]
-    libraries: tuple[str, ...]
+    library: str | None
     handler: Callable[[argparse.Namespace], int]
 
 
@@ -370,42 +369,42 @@ _ORACLE = (
                          "rules have no panels; kept only while the benchmark passes it"}),
 )
 _TABLE = {
-    "spectrum": _Command("bound-state energies and labels", _COMMON, (), _cmd_spectrum),
+    "spectrum": _Command("bound-state energies and labels", _COMMON, None, _cmd_spectrum),
     "matelem": _Command("matrix elements of one operator", _COMMON + _ORACLE + (
         ("--op", {"choices": ("sinh", "coshd", "x", "p"), "required": True,
                   "help": "operator (required)"}),
         ("--method", {"choices": ("closed", "oracle", "expansion"), "required": True,
                       "help": "how the matrix is computed (required)"}),
         ("--order", {"type": int, "default": 1, "help": "expansion order (x: 1/3/5, p: 1/3)"}),
-    ), (), _cmd_matelem),
+    ), None, _cmd_matelem),
     "verify": _Command("run invariant suites", _COMMON + _ORACLE + (
         ("--suite", {"choices": SUITES, "default": "all", "help": "suite to run (default all)"}),
         ("--nu", {"type": int, "help": "multiplet dimension for the algebra suite"}),
         ("--lambda", {"dest": "lam", "type": float, "default": 0.05,
                       "help": "coupling used by the vibron suite (default 0.05)"}),
-    ), ("ladder", "expansion", "pairs", "vibron", "checks"), _cmd_verify),
+    ), "checks", _cmd_verify),
     "vibron": _Command("coupled two-oscillator spectra", _COMMON + _ORACLE + (
         ("--lambda", {"dest": "lam", "type": float, "required": True,
                       "help": "coupling (required)"}),
         ("--model", {"choices": ("su2", "exact", "crude", "zA-zB", "compare"),
                      "required": True, "help": "model to solve, or compare all four (required)"}),
-    ), ("ladder", "expansion", "pairs", "vibron"), _cmd_vibron),
+    ), "vibron", _cmd_vibron),
     "params": _Command("well / spectroscopic / algebraic maps", _COMMON + (
         ("--omega-e", {"type": float}),
         ("--xe-omega-e", {"type": float}),
-    ), ("ladder", "expansion", "pairs", "vibron"), _cmd_params),
+    ), "vibron", _cmd_params),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command's libraries are imported before argparse, leaves first.
-    # Without cached bytecode each is compiled at import, with up to about
-    # 1 MB of transient heap; compiling on top of the parser's state, or one
-    # module inside another's import, raised the peak RSS of verify and
-    # vibron processes by 0.1-0.3 MB.  Handlers still import what they use;
-    # this only orders the compiles.
-    for library in _TABLE[argv[0]].libraries if argv and argv[0] in _TABLE else ():
+    # A command's library is imported before argparse: without cached
+    # bytecode each module is compiled at import, with up to about 1 MB of
+    # transient heap, and doing that on top of the parser's state raised the
+    # peak RSS of verify and vibron processes by 0.2-0.3 MB.  Each handler
+    # still imports what it uses; this only orders the compiles.
+    library = _TABLE[argv[0]].library if argv and argv[0] in _TABLE else None
+    if library:
         import_module(f".{library}", __package__)
     args = build_parser().parse_args(argv)
     try:

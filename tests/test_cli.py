@@ -781,25 +781,21 @@ class TestStartUp:
     @pytest.mark.parametrize("argv, libraries", [
         (("matelem", "--op", "sinh", "--method", "oracle"), []),
         (("spectrum",), []),
-        (("matelem", "--op", "sinh", "--method", "closed"), ["ladder"]),
-        (("matelem", "--op", "x", "--method", "expansion"), ["expansion", "ladder"]),
-        (("params",), ["expansion", "ladder", "pairs", "vibron"]),
-        (("vibron", "--model", "su2", "--lambda", "0.05"),
-         ["expansion", "ladder", "pairs", "vibron"]),
-        (("verify", "--suite", "states"), ["checks", "expansion", "ladder", "pairs", "vibron"]),
-    ], ids=["matelem-oracle", "spectrum", "matelem-closed", "matelem-expansion", "params",
-            "vibron", "verify"])
+        (("matelem", "--op", "x", "--method", "expansion"), ["expansion"]),
+        (("params",), ["expansion", "pairs", "vibron"]),
+        (("vibron", "--model", "su2", "--lambda", "0.05"), ["expansion", "pairs", "vibron"]),
+        (("verify", "--suite", "states"), ["checks", "expansion", "pairs", "vibron"]),
+    ], ids=["matelem-oracle", "spectrum", "matelem-expansion", "params", "vibron", "verify"])
     def test_a_command_imports_only_its_libraries(self, argv, libraries):
         # The oracle path is always imported; the rest only by the commands
-        # that run it, and, except matelem's closed and expansion branches,
-        # before argparse.
+        # that run it, and, except matelem's expansion branch, before argparse.
         script = textwrap.dedent("""
             import contextlib, io, sys
             from mptsu2 import cli
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main() == 0
             loaded = list(sys.modules)  # in the order the imports began
-            names = [m for m in ("checks", "expansion", "ladder", "pairs", "vibron")
+            names = [m for m in ("checks", "expansion", "pairs", "vibron")
                      if f"mptsu2.{m}" in loaded]
             late = [m for m in names
                     if loaded.index(f"mptsu2.{m}") > loaded.index("argparse")]
