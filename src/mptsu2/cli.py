@@ -74,15 +74,18 @@ def _apply_config(args: argparse.Namespace) -> None:
     A key names an option by its flag or dest, with ``-`` or ``_``.  Each
     value goes through its option's ``type`` and ``choices`` as the same
     text on the command line would.  A key that names no option of any
-    command, a value that fails, or a required option that is still unset
-    is a usage error; a key naming only other commands' options is ignored,
-    so that one file can serve several commands.
+    command, a ``config`` key (a file names no other file), a value that
+    fails, or a required option that is still unset is a usage error; a
+    key naming only other commands' options is ignored, so that one file
+    can serve several commands.
     """
     options = _TABLE[args.command].options
     named = _by_name(options)
     values = _read_config(args.config) if args.config else {}
     for key, value in values.items():
         name = key.replace("-", "_")
+        if name == "config":
+            raise DomainError(f"config key {key!r} cannot name another config file")
         if name not in named:
             if not any(name in _by_name(c.options) for c in _TABLE.values()):
                 raise DomainError(f"config key {key!r} names no option of any command")

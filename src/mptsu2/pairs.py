@@ -2,6 +2,11 @@
 
 A d x d array of the d = q^2 pairs costs 48 MiB at q = 50, so blocks, spectra and
 bounds come from a model's n x n factors; ``_symmetry_bound`` gates both solver and verify.
+The solver gathers the blocks that the factors prove decoupled, polyads or polyad
+parities, and splits each into its two exchange sectors (Iachello & Levine, *Algebraic
+Theory of Molecules*, 1995) where ``_exchange_bound`` proves the model symmetric under
+oscillator exchange, as every coupled model is; a parity block of d / 2 pairs becomes
+two sectors of about d / 4.  Eigenvectors are computed only where they are read.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def _slab_entries(d: int) -> int:
 
     d keeps each temporary the size of the eigenvalue array the solve
     returns, and the 2^13 floor keeps numpy's per-call cost small next to
-    the arithmetic when d is small.
+    the arithmetic when d is small.  A chunk holds at least one block's
+    column gather, n s entries for a block of s pairs.
     """
     return max(2 ** 13, d)
 
@@ -111,6 +117,10 @@ class PairModel:
         h *= self.scale
         return h
 
+    def _live(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The factors (A_k, B_k) of the terms that contribute: w_k != 0 and scale != 0."""
+        return [(a, b) for w, a, b in self.terms if w != 0.0 and self.scale != 0.0]
+
     def labels(self) -> np.ndarray:
         """Each pair index's block label, the lowest index in its block, proven in O(n^2).
 
@@ -120,7 +130,7 @@ class PairModel:
         whose polyads differ modulo g: the blocks are polyads (g = 0),
         polyad parities (g = 2), or single levels without a live term.
         """
-        live = [(a, b) for w, a, b in self.terms if w != 0.0 and self.scale != 0.0]
+        live = self._live()
         if not live:
             return np.arange(self.dim)
 
@@ -131,26 +141,31 @@ class PairModel:
                                   return_index=True, return_inverse=True)
         return first[key]
 
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """H[idx[b], idx[b]] for each row b of idx (k, s), as a new (k, s, s) array."""
-        i1, i2 = np.divmod(idx, self.n)
-        stack = np.arange(len(idx))[:, None]
+    def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """H[rows[b], cols[b]] for rows (k, s) and cols (k, t), as a new (k, s, t) array.
 
-        def gather(m: np.ndarray, i: np.ndarray) -> np.ndarray:
-            # m[i[b, :, None], i[b, None, :]] for each block b, copied row by
-            # row from m[:, i], several times faster than the 2-d fancy index.
-            return m[:, i].transpose(1, 0, 2)[stack, i]
+        ``cols`` defaults to ``rows``, which gathers square blocks.
+        """
+        cols = rows if cols is None else cols
+        r1, r2 = np.divmod(rows, self.n)
+        c1, c2 = np.divmod(cols, self.n)
+        stack = np.arange(len(rows))[:, None]
+
+        def gather(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+            # m[r[b, :, None], c[b, None, :]] for each block b, copied row by
+            # row from m[:, c], several times faster than the 2-d fancy index.
+            return m[:, c].transpose(1, 0, 2)[stack, r]
 
         def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            t = gather(a, i1)
-            t *= gather(b, i2)
+            t = gather(a, r1, c1)
+            t *= gather(b, r2, c2)
             return t
 
-        h = self._combine(product, idx.shape + idx.shape[-1:])
+        h = self._combine(product, rows.shape + cols.shape[-1:])
         h += 0.0
         if self.single is not None:
-            k = np.arange(idx.shape[1])
-            h[:, k, k] += self.single[i1] + self.single[i2]
+            b, i, j = np.nonzero(rows[:, :, None] == cols[:, None, :])
+            h[b, i, j] += self.single[r1[b, i]] + self.single[r2[b, i]]
         return h
 
     def operator(self) -> OperatorMatrix:
@@ -248,76 +263,169 @@ def _polyad_bound(form: PairModel) -> float:
     return _bound(form, defect, 0)
 
 
-def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _stacked(key: np.ndarray) -> Iterator[np.ndarray]:
+    """Positions in ``key`` grouped by equal key, and the groups stacked by size.
+
+    Each stack is an array (k, s) whose rows list one group each, ascending;
+    stacks come in ascending s.
+    """
+    size = np.bincount(key)[key]
+    order = np.lexsort((key, size))
+    start = 0
+    for s, count in zip(*np.unique(size[order], return_counts=True)):
+        yield order[start:start + count].reshape(-1, s)
+        start += count
+
+
+def _check_finite(entries: np.ndarray) -> None:
+    # NaN propagates through min and max, which need no temporary.
+    if not (np.isfinite(entries.min()) and np.isfinite(entries.max())):
+        raise DomainError("matrix has a non-finite entry")
+
+
+def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
+              symmetrize: bool) -> np.ndarray:
+    """The stack (k, s, s) of the blocks of H over ``rows`` (k, s), or of their sectors.
+
+    With ``sign`` (k, 1, 1), entry (ab, cd) of block b is the exchange
+    sector's (H[ab, cd] + sign[b] H[ab, dc]) f_ab f_cd, where H[ab, dc] is
+    gathered as H[ba, cd] and f_ab f_cd as sqrt(f_ab^2 f_cd^2).  Gathered in
+    chunks of whole blocks, or of rows of one block, that keep
+    ``PairModel.block``'s temporaries, (n, k, s) and (k, rows, s), within
+    ``_slab_entries(d)`` entries or one block's n s columns; each chunk is
+    checked finite, and with ``symmetrize`` each block becomes (b + b^T) * 0.5.
+    """
+    n = model.n
+    k, s = rows.shape
+    stack = np.empty((k, s, s))
+    if sign is not None:
+        a, b = np.divmod(rows, n)
+        partner, half = b * n + a, np.where(a == b, 0.5, 1.0)
+    lines = max(1, max(_slab_entries(model.dim), n * s)
+                // (max(n, s) * (1 if sign is None else 2)))
+    blocks, span = (lines // s, s) if lines >= s else (1, lines)
+    for head in range(0, k, blocks):
+        whole = np.s_[head:head + blocks]
+        for line in range(0, s, span):
+            part = np.s_[head:head + blocks, line:line + span]
+            out = stack[part]
+            if sign is None:
+                out[...] = model.block(rows[part], rows[whole])
+            else:
+                both = model.block(np.concatenate((rows[part], partner[part]), axis=1),
+                                   rows[whole])
+                swapped = both[:, out.shape[1]:]
+                swapped *= sign[whole]
+                np.add(both[:, :out.shape[1]], swapped, out=out)
+                out *= np.sqrt(half[part][:, :, None] * half[whole][:, None, :])
+            _check_finite(out)
+        if symmetrize:  # numpy buffers the overlapping transpose
+            chunk = stack[whole]
+            chunk += chunk.transpose(0, 2, 1)
+            chunk *= 0.5
+    return stack
+
+
+def _symmetric_blocks(model: PairModel,
+                      split: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
 
     A ``_symmetry_bound`` above 1e-9 or not finite (inf * 0 would put NaN
-    between the blocks) is rejected (``DomainError``), as is a gathered
-    block with a non-finite entry.  Blocks of equal size s come as ``(idx,
-    stack)``: row b of ``idx`` (k, s) lists one block of ``labels``
-    ascending, and ``stack[b]`` is that block.  Blocks are gathered as many
-    at a time as keep ``PairModel.block``'s largest temporary, (n, k, s) or
-    (k, s, s), within ``_slab_entries(d)`` entries (at least one block), and,
-    unless the bound is 0, symmetrized as (b + b^T) * 0.5: bit for bit,
-    either way, a whole-matrix symmetrization.
+    between the blocks) is rejected (``DomainError``), as is a block with a
+    non-finite entry.  Blocks of equal size s come as ``(idx, stack)``: row
+    b of ``idx`` (k, s) lists one block's basis ascending, and ``stack[b]``
+    is that block, ``_gathered`` and, unless the bound is 0, symmetrized:
+    bit for bit, either way, a whole-matrix symmetrization.
+
+    Without a live term H is its pair diagonal, which comes as 1 x 1
+    blocks, read without a gather.  Otherwise the blocks are those of
+    ``labels``, or, with ``split``, each one's exchange sectors s = +-1,
+    stacked together by size.  ``split`` needs ``_exchange_bound`` to be 0,
+    so that H[ab, cd] = H[ba, dc] bit for bit.  A sector's basis is the
+    pairs ab = (a, b) with a <= b (a < b for s = -1), for the states
+    |a, a> and (|a, b> + s |b, a>) / sqrt(2), and its entries are
+    (H[ab, cd] + s H[ab, dc]) f_ab f_cd, with f = 1/sqrt(2) when a = b and
+    1 otherwise.  A sector entry that overflows is rejected as non-finite.
     """
     bound = _symmetry_bound(model)
     if not bound < math.inf:
         raise DomainError("matrix may have a non-finite entry: its factor bound is not finite")
     if bound > 1e-9:
         raise DomainError("matrix is not symmetric within 1e-9")
-    d = model.dim
+    n, d = model.n, model.dim
+    every = np.arange(d)
+    if not model._live():
+        e = np.zeros(n) if model.single is None else model.single
+        diagonal = np.add.outer(e, e).reshape(d, 1, 1)
+        diagonal += 0.0  # as ``block`` forms it
+        _check_finite(diagonal)
+        yield every[:, None], diagonal
+        return
     label = model.labels()
-    size = np.bincount(label, minlength=d)[label]
-    order = np.lexsort((label, size))
-    start = 0
-    for s, count in zip(*np.unique(size[order], return_counts=True)):
-        idx = order[start:start + count].reshape(-1, s)
-        start += count
-        stack = np.empty((count // s, s, s))
-        step = max(1, _slab_entries(d) // (max(model.n, s) * s))
-        for b in range(0, len(idx), step):
-            chunk = stack[b:b + step]
-            chunk[...] = model.block(idx[b:b + step])
-            # NaN propagates through min and max, which need no temporary.
-            if not (np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
-                raise DomainError("matrix has a non-finite entry")
-            if bound:  # numpy buffers the overlapping transpose
-                chunk += chunk.transpose(0, 2, 1)
-                chunk *= 0.5
-        yield idx, stack
+    if split:  # n (n + 1) / 2 members of sectors +1, then n (n - 1) / 2 of -1, keyed apart
+        first, second = np.divmod(every, n)
+        plus, minus = first <= second, first < second
+        members = np.concatenate((every[plus], every[minus]))
+        key = np.concatenate((label[plus], label[minus] + d))
+        signs = np.where(every < plus.sum(), 1.0, -1.0)
+    else:
+        members, key = every, label
+    for pos in _stacked(key):
+        rows = members[pos]
+        yield rows, _gathered(model, rows, signs[pos[:, :1, None]] if split else None,
+                              bound != 0.0)
 
 
-def _solve(model: PairModel) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues, each with its eigenvector's dominant basis index.
+def _solve(model: PairModel, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues and, with ``vectors``, each eigenvector's dominant basis index.
 
-    Each stack of ``_symmetric_blocks`` is one LAPACK ``eigh`` call.  The
-    dominant index is the largest |component|, the first in basis order on
-    ties, found per block, where the eigenvectors live.  The sort is stable.
+    Blocks are split into their exchange sectors when ``_exchange_bound``
+    is 0.  Each stack of ``_symmetric_blocks`` is one LAPACK call, ``eigh``
+    with ``vectors`` and ``eigvalsh`` without, but for 1 x 1 blocks, whose
+    eigenpair (entry, 1) LAPACK returns exactly, so it is read directly.
+    The dominant index is the largest |component| in the pair basis, the
+    first in basis order on ties, found per block, where the eigenvectors
+    live: a sector component v on a < b stands for v / sqrt(2) on (a, b)
+    and (b, a).  The sort is stable; without ``vectors`` the index is None.
     """
-    values = np.empty(model.dim)
-    dominant = np.empty(model.dim, dtype=int)
-    for idx, stack in _symmetric_blocks(model):
-        w, v = np.linalg.eigh(stack)
-        values[idx] = w
-        # argmax along axis 1 would copy v to make that axis contiguous; the
-        # first entry equal to the column maximum is the same index.
-        size = np.abs(v, out=v)
-        top = (size == size.max(axis=1, keepdims=True)).argmax(axis=1)
-        dominant[idx] = np.take_along_axis(idx, top, axis=1)
+    split = _exchange_bound(model) == 0.0
+    values, dominant = [], []
+    for idx, stack in _symmetric_blocks(model, split):
+        if stack.shape[1] == 1:
+            w, v = stack[:, 0], np.ones_like(stack) if vectors else None
+        elif vectors:
+            w, v = np.linalg.eigh(stack)
+        else:
+            w, v = np.linalg.eigvalsh(stack), None
+        values.append(w.ravel())
+        if vectors:
+            np.abs(v, out=v)
+            if split:
+                a, b = np.divmod(idx, model.n)
+                v *= np.where(a == b, 1.0, math.sqrt(0.5))[:, :, None]
+            # argmax along axis 1 would copy v to make that axis contiguous; the
+            # first entry equal to the column maximum is the same index.
+            top = (v == v.max(axis=1, keepdims=True)).argmax(axis=1)
+            dominant.append(np.take_along_axis(idx, top, axis=1).ravel())
+        del stack, v  # not held while the next stack is gathered
+    values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    return values[order], dominant[order]
+    return values[order], np.concatenate(dominant)[order] if vectors else None
 
 
 def spectrum(model: PairModel) -> list[float]:
     """Ascending eigenvalues of a (nearly) symmetric two-oscillator matrix in factor form.
 
-    LAPACK solves each exactly decoupled block of (H + H^T) / 2, gathered
-    from the factors, with no d x d array, no change to the model and no
-    eigenvectors kept.  ``DomainError`` for a non-finite entry, a
-    ``_symmetry_bound`` above 1e-9 or an input that is not a ``PairModel``.
+    LAPACK ``eigvalsh`` solves each exactly decoupled block of (H + H^T) / 2,
+    gathered from the factors: the exchange sectors of each polyad or
+    parity block when the model is proven exchange-symmetric, and no block
+    at all without a live term, whose eigenvalues are the sorted pair
+    diagonal e[n1] + e[n2].  No d x d array is formed, the model is not
+    changed and no eigenvector is computed.  ``DomainError`` for a
+    non-finite entry, a ``_symmetry_bound`` above 1e-9 or an input that is
+    not a ``PairModel``.
     """
     if not isinstance(model, PairModel):
         raise DomainError("spectrum solves a PairModel (see coupled_model); "
                           "use numpy.linalg.eigvalsh for a dense matrix")
-    return _solve(model)[0].tolist()
+    return _solve(model, vectors=False)[0].tolist()

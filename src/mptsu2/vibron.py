@@ -258,9 +258,9 @@ class ComparisonReport(NamedTuple):
 
     Eigenvalues are paired by sorted position; ``polyads`` carries the
     polyad of each exact eigenvector's dominant component (its largest
-    |component|, found within the eigenvector's block; the first in basis
-    order on ties), which also defines the low-polyad (n1 + n2 <= 2)
-    deviation summary.
+    |component| in the pair basis, found within the eigenvector's exchange
+    sector; the first in basis order on ties), which also defines the
+    low-polyad (n1 + n2 <= 2) deviation summary.
     """
 
     q: int
@@ -316,13 +316,14 @@ def compare_models(spec: PotentialSpec, lam: float,
     the crude one (lam hbar omega0 / N = lam hbar omega-tilde / nu), so the
     su2 column is the crude solve.  Each model is solved from its factor
     form (``coupled_model``), so no d x d array is formed, only the
-    gathered blocks.  The exact eigenvectors stay in their blocks, where
-    each one's dominant basis index is read off for the polyad labels.
+    gathered exchange sectors.  Only the exact model's eigenvectors are
+    computed; they stay in their sectors, where each one's dominant basis
+    index is read off for the polyad labels.
     """
     q = integer_q(spec, "the model comparison")
     exact_vals, dominant = _solve(coupled_model(spec, "exact", lam, cfg))
     polyads = tuple(np.add(*np.divmod(dominant, q)).tolist())
-    values = {name: _solve(coupled_model(spec, name, lam, cfg))[0]
+    values = {name: _solve(coupled_model(spec, name, lam, cfg), vectors=False)[0]
               for name in INTERACTION_LEVELS}
     values = {"su2": values["crude"], "exact": exact_vals, **values}
     low = [i for i, p in enumerate(polyads) if p <= 2]

@@ -675,6 +675,18 @@ class TestOutputContract:
         assert out == ""
         assert f"config key {key!r}" in err
 
+    def test_config_key_in_a_config_file_is_usage_error(self, capsys, tmp_path):
+        # --config is set by the time its file is read, so the key was skipped
+        # and other.json never opened.
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"format": "json"}))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"config": str(other), "q": 2}))
+        code, out, err = run_cli(capsys, "spectrum", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "config key 'config'" in err
+
     @pytest.mark.parametrize("argv", [("spectrum",), ("vibron",)])
     def test_config_keys_of_other_commands_are_ignored(self, capsys, tmp_path, argv):
         # lambda and model are vibron's options; spectrum takes the file too.
@@ -761,7 +773,9 @@ class TestStartUp:
             for argv in (["spectrum"], ["params"],
                          ["matelem", "--op", "sinh", "--method", "oracle"],
                          ["verify", "--suite", "all"],
-                         ["vibron", "--model", "compare", "--lambda", "0.05"]):
+                         ["vibron", "--model", "compare", "--lambda", "0.05"],
+                         ["vibron", "--model", "exact", "--lambda", "0.05"],
+                         ["vibron", "--model", "su2", "--lambda", "0.05"]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main([*argv, "--q", "5"]) == 0, argv
             print("numpy.ma" in sys.modules)

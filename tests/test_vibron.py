@@ -16,7 +16,13 @@ from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
 from mptsu2.oracle import OracleConfig, derivative_matrix, position_from_derivative
-from mptsu2.pairs import _slab_entries, _solve, _symmetric_blocks, _symmetry_bound
+from mptsu2.pairs import (
+    _exchange_bound,
+    _slab_entries,
+    _solve,
+    _symmetric_blocks,
+    _symmetry_bound,
+)
 from mptsu2.states import PotentialSpec, energy, well_numbers
 from mptsu2.vibron import (
     PairModel,
@@ -372,10 +378,12 @@ class TestOneSymmetryProof:
 
     @pytest.mark.parametrize("scale", [{}, dict(alpha=0.7, mu=1.9, hbar=1.3)],
                              ids=["unit", "scaled"])
-    @pytest.mark.parametrize("lam", [0.037, -0.021])
+    @pytest.mark.parametrize("lam", [0.037, -0.021, 0.0])
     @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
     @pytest.mark.parametrize("q", [3, 10, 17, 30])
     def test_models_are_solved_as_gathered(self, q, model, lam, scale):
+        # spectrum solves the exchange sectors of the gathered label blocks
+        # (at lam = 0 the 1 x 1 pair diagonal) by eigvalsh.
         spec = PotentialSpec.for_integer_q(q, **scale)
         form = coupled_model(spec, model, lam)
         assert _symmetry_bound(form) == 0.0
@@ -383,9 +391,58 @@ class TestOneSymmetryProof:
         for idx, stack in _symmetric_blocks(form):
             assert stack.tobytes() == form.block(idx).tobytes()
             values[idx] = np.linalg.eigh(stack)[0]
+        sectors = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                                          for _, stack in _symmetric_blocks(form, split=True)]))
         dense = np.linalg.eigvalsh(public_dense(spec, model, lam))
-        assert np.max(np.abs(np.sort(values) - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert np.array_equal(spectrum(form), np.sort(values))
+        for found in (np.sort(values), sectors):
+            assert np.max(np.abs(found - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(spectrum(form), sectors)
+
+    @pytest.mark.parametrize("lam", [0.037, -0.021])
+    @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
+    @pytest.mark.parametrize("q", [3, 17])
+    def test_sectors_are_the_exchange_combinations(self, q, model, lam):
+        # Sector s of pairs ab (a <= b, a < b for s = -1) has entries
+        # (H[ab, cd] + s H[ab, dc]) f_ab f_cd, f = 1/sqrt(2) on a = b; a sector
+        # with no a = b may be either.  At q = 17 the exact and zA-zB sectors
+        # are gathered in row slabs.
+        form = coupled_model(PotentialSpec.for_integer_q(q), model, lam)
+        assert _exchange_bound(form) == 0.0
+        h = form.operator().entries
+        a, b = np.divmod(np.arange(q * q), q)
+        swap = b * q + a
+        seen = []
+        for idx, stack in _symmetric_blocks(form, split=True):
+            for rows, block in zip(idx, stack):
+                i, j = np.divmod(rows, q)
+                f2 = np.where(i == j, 0.5, 1.0)
+                expected = []
+                for sign in [1] if (i == j).any() else [1, -1]:
+                    e = h[rows[:, None], rows] + sign * h[rows[:, None], swap[rows]]
+                    e *= np.sqrt(f2[:, None] * f2[None, :])
+                    expected.append(e.tobytes())
+                assert block.tobytes() in expected
+                seen.extend(rows.tolist())
+        assert sorted(seen) == sorted(np.flatnonzero(a <= b).tolist()
+                                      + np.flatnonzero(a < b).tolist())
+
+    def test_unproven_exchange_is_not_split(self):
+        # A (x) B with A != B: the sector formula would take H[ab, dc] for
+        # H[ba, cd], so the solve keeps the parity blocks.
+        n = 5
+        rng = np.random.default_rng(4)
+        t = np.diag(rng.normal(size=n - 1), 1)
+        model = PairModel(((1.0, tridiagonal(n), t + t.T),), 0.3, np.linspace(0.0, 2.0, n))
+        assert _exchange_bound(model) > 0.0
+        dense = np.linalg.eigvalsh(model.operator().entries)
+
+        def solved(*split):
+            return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                                           for _, stack in _symmetric_blocks(model, *split)]))
+
+        assert np.max(np.abs(solved(True) - dense)) > 1e-3
+        assert np.max(np.abs(solved() - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.array_equal(spectrum(model), solved())
 
     @pytest.mark.parametrize("q, flag, value", [(10, "alpha", 1e3), (40, "hbar", 1e2),
                                                 (10, "alpha", 1e100), (10, "alpha", 1e-100)])
@@ -689,6 +746,21 @@ class TestCompareModels:
         assert sorted(report.polyads)[0] == 0
         assert set(report.eigenvalues) == {"su2", "exact", "crude", "zA-zB"}
 
+    @pytest.mark.parametrize("lam", [0.037, -0.021])
+    @pytest.mark.parametrize("q", [10, 17])
+    def test_polyads_are_those_of_the_parity_block_eigenvectors(self, q, lam):
+        # The exact model is solved by exchange sector; its labels are read
+        # as eigh of its whole parity blocks gives them.
+        spec = PotentialSpec.for_integer_q(q)
+        values = np.empty(q * q)
+        dominant = np.empty(q * q, dtype=int)
+        for idx, stack in _symmetric_blocks(coupled_model(spec, "exact", lam)):
+            w, v = np.linalg.eigh(stack)
+            values[idx] = w
+            dominant[idx] = np.take_along_axis(idx, np.argmax(np.abs(v), axis=1), axis=1)
+        dominant = dominant[np.argsort(values, kind="stable")]
+        assert compare_models(spec, lam).polyads == tuple((dominant // q + dominant % q).tolist())
+
     def test_requires_q_at_least_three(self):
         with pytest.raises(DomainError):
             compare_models(PotentialSpec.for_integer_q(2), 0.05)
@@ -814,6 +886,13 @@ class TestResourceUse:
         form = coupled_model(PotentialSpec.for_integer_q(q), model, 0.0)
         peak = traced_peak(lambda: sum(len(idx) for idx, _ in _symmetric_blocks(form)))
         assert peak <= 8 * q * q * 8
+
+    def test_sector_solve_holds_less_than_a_parity_block(self):
+        # The exact model's parity blocks hold d / 2 pairs each, its exchange
+        # sectors about d / 4, solved without eigenvectors.
+        q = 50
+        form = coupled_model(PotentialSpec.for_integer_q(q), "exact", 0.05)
+        assert traced_peak(lambda: spectrum(form)) < (q * q // 2) ** 2 * 8
 
     def test_factor_solve_holds_no_pair_pattern(self):
         # The blocks are read off the factors, so no d x d array of any
