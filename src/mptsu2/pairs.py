@@ -287,13 +287,13 @@ def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
               symmetrize: bool) -> np.ndarray:
     """The stack (k, s, s) of the blocks of H over ``rows`` (k, s), or of their sectors.
 
-    With ``sign`` (k, 1, 1), entry (ab, cd) of block b is the exchange
-    sector's (H[ab, cd] + sign[b] H[ab, dc]) f_ab f_cd, where H[ab, dc] is
-    gathered as H[ba, cd] and f_ab f_cd as sqrt(f_ab^2 f_cd^2).  Gathered in
-    chunks of whole blocks, or of rows of one block, that keep
-    ``PairModel.block``'s temporaries, (n, k, s) and (k, rows, s), within
-    ``_slab_entries(d)`` entries or one block's n s columns; each chunk is
-    checked finite, and with ``symmetrize`` each block becomes (b + b^T) * 0.5.
+    With ``sign`` (k, 1, 1), block b is the exchange sector ``sign[b]`` of
+    ``_symmetric_blocks``, with H[ab, dc] gathered as H[ba, cd] and f_ab f_cd
+    as sqrt(f_ab^2 f_cd^2).  Gathered in chunks of whole blocks, or of rows
+    of one block, that keep ``PairModel.block``'s temporaries, (n, k, s) and
+    (k, rows, s), within ``_slab_entries(d)`` entries or one block's n s
+    columns; each chunk is checked finite, and with ``symmetrize`` each
+    block becomes (b + b^T) * 0.5.
     """
     n = model.n
     k, s = rows.shape

@@ -537,6 +537,27 @@ class TestSpectrumSolver:
         dense = np.linalg.eigvalsh(a)
         assert np.max(np.abs(block_values(model) - dense)) <= 1e-12 * np.linalg.norm(a, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), density=st.floats(0.0, 1.0), diagonal=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_exchange_sectors_match_dense(self, n, density, diagonal, seed):
+        # A (x) B + B (x) A is proven exchange-symmetric, so its blocks, from
+        # single levels to one whole block, are solved by exchange sector.
+        rng = np.random.default_rng(seed)
+
+        def factor():
+            a = rng.normal(size=(n, n))
+            keep = np.triu(rng.random((n, n)) < density)
+            return np.where(keep | keep.T, a + a.T, 0.0)
+
+        a, b = factor(), factor()
+        model = PairModel(((1.0, a, b), (1.0, b, a)), rng.normal(),
+                          rng.normal(size=n) if diagonal else None)
+        assert _exchange_bound(model) == 0.0
+        h = model.operator().entries
+        dense = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(np.asarray(spectrum(model)) - dense)) <= 1e-12 * np.linalg.norm(h, 2)
+
     def test_diagonal_returned_bit_for_bit(self):
         e = np.random.default_rng(3).normal(size=7)
         model = PairModel((), single=e)
