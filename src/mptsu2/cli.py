@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -167,29 +167,45 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _emit(command: str, well: dict, rows: list[dict], meta: dict,
+def _csv_chunks(rows: Iterable[dict]) -> Iterator[str]:
+    """CSV text in ``jsontext.batches`` of rows, the header (the first row's keys) first."""
+    import csv
+    import io
+
+    from .jsontext import batches
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    columns = None
+    for batch in batches(rows):
+        if columns is None:
+            columns = list(batch[0])
+            writer.writerow(columns)
+        writer.writerows([_format_cell(row[c]) for c in columns] for row in batch)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+    if columns is None:
+        writer.writerow([])
+        yield buffer.getvalue()
+
+
+def _emit(command: str, well: dict, rows: Iterable[dict], meta: dict,
           args: argparse.Namespace) -> None:
     """Write the rows as CSV or JSON to --out or stdout.
 
-    JSON is the text of ``json.dumps(payload, indent=2)`` plus a newline,
-    written by ``jsontext.chunks`` in batches of rows, so the whole document
-    is never held as one string.
+    Both formats draw the rows in batches of 128 (``jsontext.batches``)
+    and write each batch as it is encoded, so neither the document nor,
+    when ``rows`` is a generator, more than one batch of rows is held.
+    JSON is the text of ``json.dumps(payload, indent=2)`` plus a newline
+    (``jsontext.chunks``).
     """
     if args.format == "json":
-        from . import jsontext  # only JSON runs compile the writer
+        from . import jsontext
 
         chunks = jsontext.chunks(command, well, rows, meta)
     else:
-        import csv
-        import io
-
-        columns = list(rows[0].keys()) if rows else []
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
-        chunks = [buffer.getvalue()]
+        chunks = _csv_chunks(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
@@ -218,13 +234,21 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _matrix_rows(matrix: OperatorMatrix,
-                 reference: np.ndarray | None = None) -> list[dict]:
-    rows = [{"row": i, "col": j, "value": v}
-            for i, line in enumerate(matrix.entries.tolist()) for j, v in enumerate(line)]
-    if reference is not None:
-        for row, d in zip(rows, np.abs(matrix.entries - reference).ravel().tolist()):
-            row["deviation"] = d
-    return rows
+                 reference: np.ndarray | None = None) -> Iterator[dict]:
+    """The entries as rows {row, col, value} (and deviation from ``reference``), on demand.
+
+    One matrix row's floats are converted at a time, so a writer that
+    draws them in batches never holds q^2 rows.
+    """
+    entries = matrix.entries
+    deviation = None if reference is None else np.abs(entries - reference)
+    for i, line in enumerate(entries):
+        if deviation is None:
+            for j, v in enumerate(line.tolist()):
+                yield {"row": i, "col": j, "value": v}
+        else:
+            for j, (v, d) in enumerate(zip(line.tolist(), deviation[i].tolist())):
+                yield {"row": i, "col": j, "value": v, "deviation": d}
 
 
 def _cmd_matelem(args: argparse.Namespace) -> int:

@@ -4,17 +4,20 @@ An indent turns json's C encoder off, and its pure-Python encoder took
 about 20 ms for the 2601 rows of a q = 50 matrix.  Here each row whose keys
 are str and whose values are float, int or str fills a template made once
 per key tuple; any other row, and the payload around the rows, is written
-by ``json.dumps`` itself.  The text is the same byte for byte.
+by ``json.dumps`` itself.  The text is the same byte for byte.  Rows are
+drawn from any iterable ``_BATCH`` at a time (``batches``, which the CSV
+writer uses too), so a generator's rows are formed one batch at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-__all__ = ["chunks"]
+__all__ = ["batches", "chunks"]
 
 
 # How json.dumps writes a value of exactly these types.
@@ -41,15 +44,24 @@ def _row(row: Any, templates: dict) -> str:
         return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
 
 
-def chunks(command: str, well: dict, rows: list, meta: dict) -> Iterable[str]:
+def batches(rows: Iterable) -> Iterator[list]:
+    """Lists of up to ``_BATCH`` rows, each drawn from ``rows`` only when it is due."""
+    rows = iter(rows)
+    while batch := list(islice(rows, _BATCH)):
+        yield batch
+
+
+def chunks(command: str, well: dict, rows: Iterable, meta: dict) -> Iterator[str]:
     """``json.dumps(payload, indent=2) + "\\n"`` in chunks of ``_BATCH`` rows (9-13 KiB).
 
-    Small batches keep the peak low: the rows are still held while they are
-    written, and 1024-row batches added about 0.2 MB to a q = 50 process.
+    Only one batch of rows is held at a time when ``rows`` forms them on
+    demand; 1024-row batches added about 0.2 MB to a q = 50 process.
     """
     yield json.dumps({"command": command, "well": well}, indent=2)[:-2] + ',\n  "rows": ['
     templates: dict = {}
-    for start in range(0, len(rows), _BATCH):
-        texts = [_row(row, templates) for row in rows[start:start + _BATCH]]
-        yield ("\n" if start == 0 else ",\n") + ",\n".join(texts)
-    yield ("\n  ]," if rows else "],") + json.dumps({"meta": meta}, indent=2)[1:] + "\n"
+    separator = "\n"
+    for batch in batches(rows):
+        yield separator + ",\n".join([_row(row, templates) for row in batch])
+        separator = ",\n"
+    close = "\n  ]," if separator != "\n" else "],"
+    yield close + json.dumps({"meta": meta}, indent=2)[1:] + "\n"

@@ -295,13 +295,17 @@ def coupled_model(spec: PotentialSpec, model: str, lam: float,
 
     ``su2`` is ``su2_hamiltonian``'s model with its well-bottom diagonal;
     ``exact``, ``crude`` and ``zA-zB`` add their ``coupling`` to the
-    bound-state diagonal of ``diagonal_energies``.
+    bound-state diagonal of ``diagonal_energies``.  At lam = 0 those three
+    are that diagonal alone, and no coupling (for ``exact``, no oracle
+    matrix) is built: without a live term the diagonal is all the solver reads.
     """
     if model == "su2":
         q = integer_q(spec, "the su2 model")
         vp = vibron_params_from_spectro(spectro_from_potential(spec), lam=lam,
                                         hbar=spec.hbar)
         return _su2_model(vp, q)
+    if lam == 0.0:
+        return PairModel((), single=_level_energies(spec, integer_q(spec, f"the {model} model")))
     form = coupling(spec, model, lam, cfg)
     return form.with_diagonal(_level_energies(spec, form.n))
 

@@ -484,25 +484,73 @@ ROWS = st.lists(st.one_of(
 ), max_size=8)
 
 
+def traced_peak(call):
+    """tracemalloc peak of ``call()`` above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def csv_text(rows):
+    """The CSV of the rows by one ``csv.writer`` over the whole list."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    columns = list(rows[0]) if rows else []
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cli._format_cell(row[c]) for c in columns])
+    return buffer.getvalue()
+
+
 class TestJsonWriter:
-    """``_emit`` writes json.dumps(payload, indent=2) + "\\n" byte for byte."""
+    """``_emit`` writes json.dumps(payload, indent=2) + "\\n" byte for byte.
+
+    And CSV as one ``csv.writer`` over the whole row list would, with rows
+    drawn from the same batches.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(well=st.dictionaries(TEXT, SCALARS, max_size=3), rows=ROWS,
            meta=st.dictionaries(TEXT, VALUES, max_size=3))
     def test_text_is_json_dumps(self, well, rows, meta):
+        # Rows come as a list or as a one-shot generator, which is read once.
         payload = {"command": "cmd", "well": well, "rows": rows, "meta": meta}
-        assert emit_json(well, rows, meta) == json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
+        assert emit_json(well, rows, meta) == text
+        assert emit_json(well, (row for row in rows), meta) == text
 
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_batches_join_to_the_document(self, count, batch, monkeypatch):
+    def test_batches_join_to_the_document(self, count, batch, one_shot, monkeypatch):
         rows = [{"row": i, "value": i / 3.0} if i % 3 else {} for i in range(count)]
         payload = {"command": "cmd", "well": {}, "rows": rows, "meta": {"a": [1, {}]}}
         monkeypatch.setattr(jsontext, "_BATCH", batch)
-        chunks = list(jsontext.chunks("cmd", {}, rows, payload["meta"]))
+        given_rows = (row for row in rows) if one_shot else rows
+        chunks = list(jsontext.chunks("cmd", {}, given_rows, payload["meta"]))
         assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
         assert len(chunks) == 2 + -(-count // batch)
+
+    @pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 6, 7])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_csv_batches_join_to_the_document(self, count, batch, one_shot, monkeypatch):
+        # The header comes with the first batch; no rows is an empty header line.
+        rows = [{"row": i, "value": i / 3.0, "flag": i % 2 == 0, "name": f"r,{i}\""}
+                for i in range(count)]
+        monkeypatch.setattr(jsontext, "_BATCH", batch)
+        chunks = list(cli._csv_chunks((row for row in rows) if one_shot else rows))
+        assert "".join(chunks) == csv_text(rows)
+        assert len(chunks) == max(1, -(-count // batch))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit("cmd", {}, iter(rows), {}, argparse.Namespace(format="csv", out=None))
+        assert out.getvalue() == csv_text(rows)
 
     def test_out_file_is_stdout(self, capsys, tmp_path):
         argv = ["matelem", "--q", "12", "--op", "p", "--method", "oracle", "--format", "json"]
@@ -512,22 +560,32 @@ class TestJsonWriter:
         assert target.read_text(encoding="utf-8") == out
 
     def test_peak_is_below_the_document_length(self, tmp_path):
-        # The rows are written in batches, so the document is never one string.
+        # The rows are formed and written in batches, so neither the document
+        # nor the 6400 rows are ever held whole.
         spec = PotentialSpec.for_integer_q(80)
-        rows = cli._matrix_rows(observable_matrix(spec, DDX))
+        matrix = observable_matrix(spec, DDX)
         target = tmp_path / "m.json"
         args = argparse.Namespace(format="json", out=str(target))
         well, meta = cli._well_summary(spec), cli._meta()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            cli._emit("matelem", well, rows, meta, args)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(rows) == 6400
+        peak = traced_peak(lambda: cli._emit("matelem", well, cli._matrix_rows(matrix),
+                                             meta, args))
+        assert len(json.loads(target.read_text(encoding="utf-8"))["rows"]) == 6400
         assert peak < target.stat().st_size
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("op", ["sinh", "p"])
+    def test_matelem_run_holds_no_row_list(self, op, fmt, tmp_path):
+        # A whole q = 200 run, oracle included: its level arrays set the
+        # peak at about 8.4 matrices of q x q doubles.  The 40000 rows, if
+        # held as a list of dicts, would add about 20 more.
+        q = 200
+        target = tmp_path / f"m.{fmt}"
+        argv = ["matelem", "--q", str(q), "--op", op, "--method", "oracle",
+                "--format", fmt, "--out", str(target)]
+        peak = traced_peak(lambda: main(argv))
+        text = target.read_text(encoding="utf-8")
+        assert len(json.loads(text)["rows"] if fmt == "json" else text.splitlines()[1:]) == q * q
+        assert peak < 10 * q * q * 8
 
 
 class TestOutputContract:

@@ -817,11 +817,26 @@ class TestResourceUse:
         exact_interaction(Q3, pair_basis(3), 0.05)
         assert calls == ["ddx"]
 
-    def test_full_verify_suite_builds_four_derivative_matrices(self, monkeypatch):
-        # matelem, expansion (x), and the exact model at lambda = 0 and at lambda.
+    def test_full_verify_suite_builds_three_derivative_matrices(self, monkeypatch):
+        # matelem, expansion (x), and the exact coupling at lambda; the
+        # lambda = 0 row's models are their pair diagonals.
         calls = self.count_ddx(monkeypatch)
         suite_for("all", PotentialSpec.for_integer_q(8), None)
-        assert calls.count("ddx") == 4
+        assert calls.count("ddx") == 3
+
+    def test_zero_coupling_comparison_builds_no_coupling(self, monkeypatch):
+        # No oracle matrix and no boson coupling: at lambda = 0 every model
+        # is read off its pair diagonal.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coupling was built at lambda = 0")
+
+        monkeypatch.setattr(vibron, "derivative_matrix", refuse)
+        monkeypatch.setattr(vibron, "_boson_creation", refuse)
+        for q in (3, 10):
+            report = compare_models(PotentialSpec.for_integer_q(q), 0.0)
+            assert max(max(d) for d in report.deviations.values()) == 0.0
+        with pytest.raises(AssertionError, match="lambda = 0"):
+            compare_models(Q3, 0.05)
 
     @pytest.mark.parametrize("run", ["compare_models", "vibron_checks"])
     def test_peak_memory_is_at_most_four_dense_matrices(self, run):
