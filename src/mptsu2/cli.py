@@ -408,7 +408,8 @@ _TABLE = {
         ("--suite", {"choices": SUITES, "default": "all", "help": "suite to run (default all)"}),
         ("--nu", {"type": int, "help": "multiplet dimension for the algebra suite"}),
         ("--lambda", {"dest": "lam", "type": float, "default": 0.05,
-                      "help": "coupling used by the vibron suite (default 0.05)"}),
+                      "help": "coupling of the vibron suite's models; moves no row short of "
+                      "overflow, each read at lambda = 0 or proven 0 (default 0.05)"}),
     ), "checks", _cmd_verify),
     "vibron": _Command("coupled two-oscillator spectra", _COMMON + _ORACLE + (
         ("--lambda", {"dest": "lam", "type": float, "required": True,

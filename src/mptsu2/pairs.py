@@ -49,12 +49,11 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _slab_entries(d: int) -> int:
-    """Entries in the largest temporary of one gathered chunk of d pairs: max(2^13, d).
+    """Entries in one gathered chunk of the blocks of d pairs: max(2^13, d).
 
     d keeps each temporary the size of the eigenvalue array the solve
     returns, and the 2^13 floor keeps numpy's per-call cost small next to
-    the arithmetic when d is small.  A chunk holds at least one block's
-    column gather, n s entries for a block of s pairs.
+    the arithmetic when d is small.
     """
     return max(2 ** 13, d)
 
@@ -70,13 +69,13 @@ class PairModel:
 
     H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
     |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
-    when ``single`` (e) is set.  Consumers read H by gathered blocks
-    (``block``), whose layout ``labels`` proves.  Each entry is the product
+    when ``single`` (e) is set.  The solver gathers H (``_products``) by
+    the blocks that ``labels`` proves.  Each entry is the product
     A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms, combined in the same
     order everywhere, so blocks and the dense ``operator`` agree bit for bit.
 
-    A block adds +0.0, turning each -0.0 into +0.0, as ``operator`` does
-    with a diagonal: LAPACK's Householder steps take the sign of a zero, so
+    A gathered entry adds +0.0, turning each -0.0 into +0.0, as ``operator``
+    does with a diagonal: LAPACK's Householder steps take the sign of a zero, so
     the eigenvalues' last bits would otherwise depend on how products
     rounded to zero, and blocks symmetric by value would not be bitwise.
     """
@@ -141,32 +140,13 @@ class PairModel:
                                   return_index=True, return_inverse=True)
         return first[key]
 
-    def block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """H[rows[b], cols[b]] for rows (k, s) and cols (k, t), as a new (k, s, t) array.
-
-        ``cols`` defaults to ``rows``, which gathers square blocks.
-        """
-        cols = rows if cols is None else cols
-        r1, r2 = np.divmod(rows, self.n)
-        c1, c2 = np.divmod(cols, self.n)
-        stack = np.arange(len(rows))[:, None]
-
-        def gather(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-            # m[r[b, :, None], c[b, None, :]] for each block b, copied row by
-            # row from m[:, c], several times faster than the 2-d fancy index.
-            return m[:, c].transpose(1, 0, 2)[stack, r]
-
+    def _products(self, at1: np.ndarray, at2: np.ndarray) -> np.ndarray:
+        """H[ab, cd] less the pair diagonal, at1 = a n + c and at2 = b n + d, plus 0.0."""
         def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            t = gather(a, r1, c1)
-            t *= gather(b, r2, c2)
-            return t
-
-        h = self._combine(product, rows.shape + cols.shape[-1:])
-        h += 0.0
-        if self.single is not None:
-            b, i, j = np.nonzero(rows[:, :, None] == cols[:, None, :])
-            h[b, i, j] += self.single[r1[b, i]] + self.single[r2[b, i]]
-        return h
+            t = a.take(at1)
+            return np.multiply(t, b.take(at2), out=t)
+        h = self._combine(product, at1.shape)
+        return np.add(h, 0.0, out=h)
 
     def operator(self) -> OperatorMatrix:
         """The dense, frozen matrix, adopted by ``OperatorMatrix`` uncopied.
@@ -287,42 +267,41 @@ def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
               symmetrize: bool) -> np.ndarray:
     """The stack (k, s, s) of the blocks of H over ``rows`` (k, s), or of their sectors.
 
-    With ``sign`` (k, 1, 1), block b is the exchange sector ``sign[b]`` of
-    ``_symmetric_blocks``, with H[ab, dc] gathered as H[ba, cd] and f_ab f_cd
-    as sqrt(f_ab^2 f_cd^2).  Gathered in chunks of whole blocks, or of rows
-    of one block, that keep ``PairModel.block``'s temporaries, (n, k, s) and
-    (k, rows, s), within ``_slab_entries(d)`` entries or one block's n s
-    columns; each chunk is checked finite, and with ``symmetrize`` each
+    The stack's rows are formed in order, ``_slab_entries(d)`` entries at a
+    time: row ab of block b holds H[ab, cd] over the block's pairs cd, with
+    e[a] + e[b] at its own column.  With ``sign`` (k, 1), block b is the
+    exchange sector ``sign[b]``: (H[ab, cd] + sign[b] H[ab, dc]) sqrt(f_ab^2 f_cd^2).
+    Each chunk is checked finite, and with ``symmetrize`` each finished
     block becomes (b + b^T) * 0.5.
     """
-    n = model.n
-    k, s = rows.shape
+    n, (k, s) = model.n, rows.shape
     stack = np.empty((k, s, s))
-    if sign is not None:
-        a, b = np.divmod(rows, n)
-        partner, half = b * n + a, np.where(a == b, 0.5, 1.0)
-    lines = max(1, max(_slab_entries(model.dim), n * s)
-                // (max(n, s) * (1 if sign is None else 2)))
-    blocks, span = (lines // s, s) if lines >= s else (1, lines)
-    for head in range(0, k, blocks):
-        whole = np.s_[head:head + blocks]
-        for line in range(0, s, span):
-            part = np.s_[head:head + blocks, line:line + span]
-            out = stack[part]
-            if sign is None:
-                out[...] = model.block(rows[part], rows[whole])
-            else:
-                both = model.block(np.concatenate((rows[part], partner[part]), axis=1),
-                                   rows[whole])
-                swapped = both[:, out.shape[1]:]
-                swapped *= sign[whole]
-                np.add(both[:, :out.shape[1]], swapped, out=out)
-                out *= np.sqrt(half[part][:, :, None] * half[whole][:, None, :])
-            _check_finite(out)
-        if symmetrize:  # numpy buffers the overlapping transpose
-            chunk = stack[whole]
-            chunk += chunk.transpose(0, 2, 1)
-            chunk *= 0.5
+    hi, lo = np.divmod(rows, n)
+    a, b = hi.ravel(), lo.ravel()
+    e = np.zeros(n) if model.single is None else model.single
+    diagonal = e[a] + e[b]
+    if sign is not None:  # H[ab, dc] meets the pair diagonal only where a = b
+        partner_diagonal, half = np.where(a == b, diagonal, 0.0), np.where(hi == lo, 0.5, 1.0)
+    lines, done = max(1, _slab_entries(model.dim) // s), 0
+    for start in range(0, k * s, lines):
+        line = np.arange(start, min(start + lines, k * s))
+        (block, column), here = np.divmod(line, s), np.arange(len(line))
+        c, d = hi[block], lo[block]
+        ra, rb = a[line, None] * n, b[line, None] * n
+        h = model._products(ra + c, rb + d)
+        h[here, column] += diagonal[line]
+        if sign is not None:
+            swapped = model._products(ra + d, rb + c)
+            swapped[here, column] += partner_diagonal[line]
+            swapped *= sign[block]
+            h += swapped
+            h *= np.sqrt(half.ravel()[line, None] * half[block])
+        _check_finite(h)
+        stack.reshape(k * s, s)[start:start + lines] = h
+        if symmetrize:  # the blocks this chunk finished
+            chunk = stack[done:(line[-1] + 1) // s]
+            np.multiply(chunk + chunk.transpose(0, 2, 1), 0.5, out=chunk)
+            done += len(chunk)
     return stack
 
 
@@ -357,7 +336,7 @@ def _symmetric_blocks(model: PairModel,
     if not model._live():
         e = np.zeros(n) if model.single is None else model.single
         diagonal = np.add.outer(e, e).reshape(d, 1, 1)
-        diagonal += 0.0  # as ``block`` forms it
+        diagonal += 0.0  # as ``_products`` forms it
         _check_finite(diagonal)
         yield every[:, None], diagonal
         return
@@ -372,7 +351,7 @@ def _symmetric_blocks(model: PairModel,
         members, key = every, label
     for pos in _stacked(key):
         rows = members[pos]
-        yield rows, _gathered(model, rows, signs[pos[:, :1, None]] if split else None,
+        yield rows, _gathered(model, rows, signs[pos[:, :1]] if split else None,
                               bound != 0.0)
 
 

@@ -388,8 +388,9 @@ class TestOneSymmetryProof:
         form = coupled_model(spec, model, lam)
         assert _symmetry_bound(form) == 0.0
         values = np.full(form.dim, np.nan)
+        h = form.operator().entries
         for idx, stack in _symmetric_blocks(form):
-            assert stack.tobytes() == form.block(idx).tobytes()
+            assert stack.tobytes() == h[idx[:, :, None], idx[:, None, :]].tobytes()
             values[idx] = np.linalg.eigh(stack)[0]
         sectors = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
                                           for _, stack in _symmetric_blocks(form, split=True)]))
@@ -400,12 +401,13 @@ class TestOneSymmetryProof:
 
     @pytest.mark.parametrize("lam", [0.037, -0.021])
     @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
-    @pytest.mark.parametrize("q", [3, 17])
+    @pytest.mark.parametrize("q", [3, 17, 30])
     def test_sectors_are_the_exchange_combinations(self, q, model, lam):
         # Sector s of pairs ab (a <= b, a < b for s = -1) has entries
         # (H[ab, cd] + s H[ab, dc]) f_ab f_cd, f = 1/sqrt(2) on a = b; a sector
-        # with no a = b may be either.  At q = 17 the exact and zA-zB sectors
-        # are gathered in row slabs.
+        # with no a = b may be either.  At q = 30 the exact and zA-zB sector
+        # stacks are gathered in chunks that end mid-block, and an su2 or
+        # crude chunk spans several blocks.
         form = coupled_model(PotentialSpec.for_integer_q(q), model, lam)
         assert _exchange_bound(form) == 0.0
         h = form.operator().entries
@@ -621,14 +623,19 @@ class TestSpectrumSolver:
     def chunked_with(term):
         """T (x) T at n = 14 plus ``term``, which must keep its two parity blocks.
 
-        Each block of 98 is a gathered chunk of its own, so the six plants
-        reach both chunks.
+        The stack's 196 rows are gathered _slab_entries(d) // 98 at a time,
+        so a chunk ends mid-block, and the six plants' rows (i, k) fall in
+        more than one chunk.
         """
         n = 14
         t = tridiagonal(n)
         base = PairModel(((1.0, t, t),), single=np.arange(float(n)))
-        assert _slab_entries(n * n) < 98 ** 2
-        assert [idx.shape for idx, _ in _symmetric_blocks(base)] == [(2, 98)]
+        (idx, _), = _symmetric_blocks(base)
+        assert idx.shape == (2, 98)
+        line = np.argsort(idx.ravel())
+        chunk = line[[i * n + k for i, _, k, _ in TestSpectrumSolver.PLANTS]] // (
+            _slab_entries(n * n) // 98)
+        assert len(set(chunk.tolist())) > 1
         model = PairModel(base.terms + (term,), single=base.single)
         assert np.array_equal(model.labels(), base.labels())
         return model
@@ -913,15 +920,20 @@ class TestResourceUse:
                 "harmonic": lambda: harmonic_model(spec, basis, 0.03)}[builder]
         assert traced_peak(call) <= 1.25 * (q * q) ** 2 * 8
 
-    @pytest.mark.parametrize("model", ["su2", "exact", "crude", "zA-zB"])
-    def test_zero_coupling_blocks_gather_in_bounded_memory(self, model):
-        # At lambda = 0 each of the d = q^2 pairs is a 1 x 1 block.  Gathered
-        # in one chunk, PairModel.block's (n, k, s) temporaries held q d
-        # doubles; the stacked blocks themselves are d.
-        q = 200
-        form = coupled_model(PotentialSpec.for_integer_q(q), model, 0.0)
+    @pytest.mark.parametrize("model, q, lam", [("su2", 200, 0.0), ("exact", 200, 0.0),
+                                               ("crude", 200, 0.0), ("zA-zB", 200, 0.0),
+                                               ("exact", 60, 0.05)])
+    def test_blocks_gather_in_bounded_memory(self, model, q, lam):
+        # Each stack is gathered _slab_entries(d) entries at a time, so besides
+        # the largest stack nothing holds more than a few chunks.  At lambda = 0
+        # each of the d = q^2 pairs is a 1 x 1 block read off the pair
+        # diagonal, so the stacked blocks themselves are d doubles.
+        form = coupled_model(PotentialSpec.for_integer_q(q), model, lam)
+        largest = max(stack.nbytes for _, stack in _symmetric_blocks(form))
         peak = traced_peak(lambda: sum(len(idx) for idx, _ in _symmetric_blocks(form)))
-        assert peak <= 8 * q * q * 8
+        assert peak - largest <= 20 * _slab_entries(q * q) * 8
+        if lam == 0.0:
+            assert peak <= 8 * q * q * 8
 
     def test_sector_solve_holds_less_than_a_parity_block(self):
         # The exact model's parity blocks hold d / 2 pairs each, its exchange
