@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("DomainError", "EvaluationError"),
-    "specfun": ("QuadratureRule", "gauss_legendre", "gegenbauer", "gegenbauer_derivative",
-                "integrate", "log_gamma"),
+    "specfun": ("QuadratureRule", "gauss_legendre", "integrate", "log_gamma"),
     "states": ("OperatorMatrix", "PotentialSpec", "StateLabel", "WellNumbers",
                "bound_state_labels", "depth_for_integer_q", "energy", "normalization_constant",
                "wavefunction", "wavefunction_derivative", "well_numbers"),

@@ -30,7 +30,7 @@ from .oracle import (
     observable_matrix,
 )
 from .pairs import _exchange_bound, _max_abs, _polyad_bound, _symmetry_bound
-from .states import MIN_Q, PotentialSpec, energy, integer_q, wavefunction, well_numbers
+from .states import MIN_Q, PotentialSpec, _ladder, energy, integer_q, wavefunction, well_numbers
 from .suites import SUITES
 from .vibron import compare_models, coupling
 
@@ -110,10 +110,9 @@ def states_checks(spec: PotentialSpec,
     dense = np.linspace(-12.0 / spec.alpha, 12.0 / spec.alpha, 4801)
     zero = 1e-12 * math.sqrt(spec.alpha)  # psi scales as sqrt(alpha)
     node_dev = 0
-    # One level a call: (n_max + 1, 4801) arrays would add ~6 MB to the peak
-    # RSS of a q = 30 verify and save little, as the recurrence dominates here.
-    for n in range(wn.n_max + 1):
-        values = wavefunction(spec, n, dense)
+    # The levels one at a time from one recurrence: an (n_max + 1, 4801)
+    # array would add about 6 MB to the peak RSS of a q = 30 verify.
+    for n, values in enumerate(_ladder(spec, dense, wn.n_max)):
         signs = np.sign(values[np.abs(values) > zero])
         flips = int(np.sum(signs[1:] != signs[:-1]))
         node_dev = max(node_dev, abs(flips - n))

@@ -447,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory{f': {exc}' if str(exc) else ''}\n")
+        return EXIT_INTERNAL
 
 
 def run() -> NoReturn:

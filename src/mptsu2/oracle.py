@@ -1,8 +1,13 @@
 """Exact quadrature matrix elements between bound states.
 
-This is the independent ground truth against which every closed form and
-generator expansion in the package is checked: nothing here knows about
-ladder coefficients, only about wavefunctions and Gauss rules.
+This is the ground truth against which every closed form and generator
+expansion in the package is checked.  Nothing here knows about ladder
+coefficients, only about wavefunctions and Gauss rules; but the levels come
+from :mod:`~mptsu2.states`' sinh ladder recurrence, whose coefficients are
+the closed-form sinh matrix derived a second way (from the Legendre-order
+relation rather than the su(2) algebra).  So "sinh closed form vs oracle"
+compares two derivations of the same coefficients, and the independent
+check of the levels is their comparison with 60-digit values in the tests.
 
 In u = tanh(alpha x) the n-th bound state is N_n (1 - u^2)^((q - n) / 2)
 C_n(u), and dx = du / (alpha (1 - u^2)).  For an integer well parameter q
@@ -13,9 +18,9 @@ polynomial in theta = arccos(u), by the composite midpoint rule.  With
 q + 2 nodes both are exact, so no truncation window enters.  All levels
 come from one call each of :func:`~mptsu2.states.wavefunction` and
 :func:`~mptsu2.states.wavefunction_derivative` at x = artanh(u) / alpha,
-which share one evaluation of the norms, and a whole matrix is one
-contraction.  x is not algebraic in u; its matrix comes from d/dx by the
-commutator identity [H, x] = -(hbar^2 / mu) d/dx.
+each one O(q) recurrence a node, and a whole matrix is one contraction.
+x is not algebraic in u; its matrix comes from d/dx by the commutator
+identity [H, x] = -(hbar^2 / mu) d/dx.
 
 All matrices are real: R holds <n'| d/dx |n>, and the physical momentum
 matrix -i hbar R is never stored.  Everything is a pure function of its
@@ -36,7 +41,6 @@ from .states import (
     PHYSICAL_KIND,
     OperatorMatrix,
     PotentialSpec,
-    _levels_at,
     bound_state_labels,
     integer_q,
     wavefunction,
@@ -95,10 +99,10 @@ class OracleConfig(namedtuple("OracleConfig", "rule_order", defaults=(None,))):
 
     ``rule_order`` None (the default) takes q + 2 nodes, exact for every
     built-in observable of every integer well.  Measured: Gram = I to
-    4.3e-13 up to q = 150; sinh and cosh-d/dx match their closed forms to
-    1.2e-11 at q = 99 and 3.7e-11 at q = 150 (rounding, mostly from the
-    artanh round trip).  More nodes change only the rounding; fewer
-    under-resolve deep wells on purpose.
+    4.5e-13 at every q up to 150 and 5.7e-12 at q = 800; sinh and cosh-d/dx
+    match their closed forms to 1.1e-11 at q = 99, 2.1e-11 at q = 150 and
+    2.1e-9 at q = 800 (rounding, mostly from the artanh round trip).  More
+    nodes change only the rounding; fewer under-resolve deep wells on purpose.
     """
 
     __slots__ = ()
@@ -119,9 +123,8 @@ def _contract(spec: PotentialSpec, obs: Observable, to_x: Callable, a: float, b:
 
     def integrand(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, jacobian = to_x(t)
-        at = _levels_at(spec, levels, x)
-        bra = wavefunction(spec, levels, x, at)
-        ket = wavefunction_derivative(spec, levels, x, at) if obs.acts_on_derivative else bra
+        bra = wavefunction(spec, levels, x)
+        ket = wavefunction_derivative(spec, levels, x) if obs.acts_on_derivative else bra
         return bra * (obs.weight(x, spec) * jacobian), ket
 
     return integrate(integrand, a, b, rule, panels)

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import gegenbauer, gegenbauer_derivative, log_gamma
+from .errors import DomainError, EvaluationError
+from .specfun import _log_half_gamma_ratio, log_gamma
 
 __all__ = [
     "PotentialSpec",
@@ -255,8 +255,9 @@ def normalization_constant(q: float, n: int, alpha: float) -> float:
     """Normalization factor of the n-th bound state of a q-well.
 
     The factorial ratio is evaluated in log space (x! = Gamma(x + 1)) so deep
-    wells (q up to ~60) do not overflow.  Requires q - n > 0; at q = n the
-    state sits on the dissociation edge and is not normalizable.
+    wells do not overflow.  Requires q - n > 0; at q = n the state sits on
+    the dissociation edge and is not normalizable.  EvaluationError once the
+    factor is below the normal float range (from n = 493 at q = 2000).
     """
     if n < 0 or n != int(n):
         raise DomainError(f"level index must be a non-negative integer, got {n}")
@@ -272,53 +273,89 @@ def normalization_constant(q: float, n: int, alpha: float) -> float:
         - log_gamma(q - n)
         - log_gamma(2.0 * q - n + 1.0)
     )
-    return math.exp(0.5 * log_n2)
+    norm = math.exp(0.5 * log_n2)
+    if norm < sys.float_info.min:
+        raise EvaluationError(f"the norm of level n = {n} of a q = {q} well underflows")
+    return norm
 
 
-def _log_sech(y: np.ndarray) -> np.ndarray:
-    """log(sech(y)), stable for large |y|."""
-    a = np.abs(y)
-    return math.log(2.0) - a - np.log1p(np.exp(-2.0 * a))
+def _sinh_steps(q: float, top: int) -> np.ndarray:
+    """S_(n,n+1) = <n + 1| sinh(alpha x) |n> for n < top and any real q.
 
-
-def _levels_at(spec: PotentialSpec, n, x):
-    """eps = q - n, the norms, u = tanh(alpha x) and log sech(alpha x) for levels n."""
-    wn = _check_bound(spec, n)
-    norm = np.reshape([normalization_constant(wn.q, m, spec.alpha)
-                       for m in np.ravel(n).tolist()], np.shape(n))
-    y = spec.alpha * np.asarray(x, dtype=float)
-    return wn.q - n, norm, np.tanh(y), _log_sech(y)
-
-
-def wavefunction(spec: PotentialSpec, n, x, at=None):
-    """Normalized bound-state wavefunction at x (scalar or array).
-
-    Built from the sech^epsilon envelope and a Gegenbauer polynomial in
-    u = tanh(alpha x); the envelope is evaluated in log space so the tails
-    stay accurate far beyond the well.  ``n`` is a level, or levels of shape
-    (k, 1) with a 1-d x: one row per level, each checked to be bound, all
-    from one Gegenbauer recurrence, and each its lone call bit for bit.
-    ``at`` is ``_levels_at(spec, n, x)`` when the caller already holds it,
-    so that psi and its derivative at the same points share one set of norms.
+    psi_n is N_n P_q^(n - q)(tanh(alpha x)), and the order recurrence of the Ferrers
+    functions P_q^mu (DLMF 14.10.1) is the paper's ladder relation; S is symmetric.
     """
-    eps, norm, u, log_sech = at or _levels_at(spec, n, x)
-    value = norm * np.exp(eps * log_sech) * gegenbauer(n, eps + 0.5, u)
-    return value if np.ndim(value) else float(value)
+    n = np.arange(top, dtype=float)
+    return 0.5 * np.sqrt((n + 1.0) * (2.0 * q - n) / ((q - n) * (q - n - 1.0)))
 
 
-def wavefunction_derivative(spec: PotentialSpec, n, x, at=None):
-    """Analytic d(psi_n)/dx at x (scalar or array).
+def _ladder(spec: PotentialSpec, x, top: int, derivative: bool = False):
+    """Yield psi_n(x), or d(psi_n)/dx, for n = 0 .. top; no level depends on ``top``.
 
-    Chain rule through u = tanh(alpha x) with the Gegenbauer
-    degree-lowering identity; no finite differences involved.  ``n`` and
-    ``at`` are taken as by :func:`wavefunction`.
+    With u = tanh(alpha x), psi_n = g_n sech^eps_n and the ladder relation reads
+    S_(n,n+1) g_(n+1) = u g_n - S_(n,n-1) sech^2 g_(n-1), from g_0 = N_0.  g is held
+    as a mantissa times 2^E, rescaled exactly at every 16th level once some g
+    leaves [2^-400, 2^400] (a step grows g by at most 2 max(1, 1 / S_(0,1))
+    < 2^13, and shrinks it by less), and leaves as g_n exp(eps_n log sech + E ln 2).
     """
-    eps, norm, u, log_sech = at or _levels_at(spec, n, x)
-    lam = eps + 0.5
-    poly_term = norm * np.exp((eps + 2.0) * log_sech) * gegenbauer_derivative(n, lam, u)
-    envelope_term = -eps * u * norm * np.exp(eps * log_sech) * gegenbauer(n, lam, u)
-    value = spec.alpha * (envelope_term + poly_term)
-    return value if np.ndim(value) else float(value)
+    q, alpha = well_numbers(spec).q, spec.alpha
+    u = np.tanh(alpha * np.asarray(x, dtype=float))
+    log_sech = np.abs(alpha * np.asarray(x, dtype=float))
+    log_sech = math.log(2.0) - log_sech - np.log1p(np.exp(-2.0 * log_sech))  # stable at any x
+    sech2, steps, shift, exponent = np.exp(2.0 * log_sech), _sinh_steps(q, top), 0.0, 0
+    # N_0^2 = alpha Gamma(q + 1/2) / (sqrt(pi) Gamma(q)), to a few ulp at any q.
+    norm = math.sqrt(alpha) * math.exp(0.5 * _log_half_gamma_ratio(q) - 0.25 * math.log(math.pi))
+    prev, cur = np.zeros_like(u), np.full_like(u, norm)
+    for n in range(top + 1):
+        lowered = prev * sech2
+        lowered *= steps[n - 1] if n else 0.0
+        step = u * cur
+        value = log_sech * (q - n)  # then the envelope, in place
+        np.exp(np.add(value, shift, out=value), out=value)
+        value *= (2.0 * lowered - step) * (alpha * (q - n)) if derivative else cur
+        if n < top:
+            step -= lowered
+            step /= steps[n]
+            prev, cur = cur, step
+            if n % 16 == 15:
+                big = np.maximum(np.abs(prev), np.abs(cur))
+                if not 2.0 ** -400 < big.min() <= big.max() < 2.0 ** 400:
+                    e = np.frexp(big)[1]
+                    prev, cur, exponent = np.ldexp(prev, -e), np.ldexp(cur, -e), exponent + e
+                    shift = exponent * math.log(2.0)
+        del lowered, step  # the caller holds one level, the recurrence two
+        yield value
+
+
+def _evaluate(spec: PotentialSpec, n, x, derivative: bool):
+    _check_bound(spec, n)
+    x = np.asarray(x, dtype=float)
+    wanted = np.ravel(n).astype(int)
+    out = np.empty((wanted.size, x.size))
+    for m, row in enumerate(_ladder(spec, x.ravel(), wanted.max(), derivative)):
+        out[wanted == m] = row
+    out = out.reshape(np.broadcast_shapes(np.shape(n), x.shape))
+    return out if out.ndim else float(out)
+
+
+def wavefunction(spec: PotentialSpec, n, x):
+    """Normalized bound-state wavefunction N_n sech^eps C_n^(eps + 1/2)(tanh) at x.
+
+    Every level up to n comes from one O(n) recurrence a point, finite at any
+    depth and any x.  ``n`` is a level, or levels of shape (k, 1) with a 1-d x:
+    one row per level, each checked to be bound and its lone call bit for bit.
+    """
+    return _evaluate(spec, n, x, derivative=False)
+
+
+def wavefunction_derivative(spec: PotentialSpec, n, x):
+    """Analytic d(psi_n)/dx at x, taking ``n`` as :func:`wavefunction` does.
+
+    By the Gegenbauer lowering identity, with (2 eps_n + 1) N_n / N_(n-1)
+    = 2 eps_n S_(n,n-1): d(psi_n)/dx = alpha eps_n (2 S_(n,n-1) sech psi_(n-1)
+    - tanh psi_n), both levels from the recurrence; no finite differences.
+    """
+    return _evaluate(spec, n, x, derivative=True)
 
 
 def bound_state_labels(spec: PotentialSpec) -> tuple[StateLabel, ...]:

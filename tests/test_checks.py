@@ -14,7 +14,7 @@ import pytest
 from mptsu2 import checks, cli
 from mptsu2.checks import states_checks, vibron_checks
 from mptsu2.pairs import PairModel, _exchange_bound, _polyad_bound, _symmetry_bound
-from mptsu2.states import PotentialSpec, wavefunction
+from mptsu2.states import PotentialSpec, _ladder, wavefunction
 from mptsu2.vibron import coupling
 
 WELLS = [((q,), {}) for q in (3, 10, 17, 30)] + [((10,), dict(alpha=0.7, mu=1.9, hbar=1.3))]
@@ -153,14 +153,22 @@ class TestOverflow:
 
 class TestStatesSuite:
     def test_parity_row_takes_every_level_in_one_call_per_half_grid(self, monkeypatch):
-        calls = []
+        calls, shapes = [], []
         monkeypatch.setattr(checks, "wavefunction", lambda spec, n, x: calls.append(
             (np.shape(n), len(x))) or wavefunction(spec, n, x))
+
+        def ladder(spec, x, top):
+            calls.append(("ladder", top, len(x)))
+            for values in _ladder(spec, x, top):
+                shapes.append(values.shape)
+                yield values
+
+        monkeypatch.setattr(checks, "_ladder", ladder)
         states_checks(PotentialSpec.for_integer_q(30))
         assert calls.count(((30, 1), 241)) == 2
-        assert calls.count(((), 4801)) == 30  # the node row: one level a call
-        assert len(calls) == 32
-
+        assert calls.count(("ladder", 29, 4801)) == 1  # the node row: one recurrence,
+        assert shapes == [(4801,)] * 30  # its levels one at a time
+        assert len(calls) == 3
 
 
 def planted(matrix, size, i=0, j=1):
@@ -200,11 +208,11 @@ def spectra_apart(f):
 
 
 def wiggle(f):
-    """Wraps ``wavefunction`` to add an alternating 1e-9 max|psi| to its values."""
-    def wavefunction(spec, n, x):
-        v = f(spec, n, x)
-        return v + 1e-9 * np.abs(v).max() * (-1.0) ** np.arange(np.shape(v)[-1])
-    return wavefunction
+    """Wraps ``_ladder`` to add an alternating 1e-9 max|psi| to each level's values."""
+    def ladder(spec, x, top):
+        for v in f(spec, x, top):
+            yield v + 1e-9 * np.abs(v).max() * (-1.0) ** np.arange(np.shape(v)[-1])
+    return ladder
 
 
 class TestUnitFreeRows:
@@ -233,7 +241,7 @@ class TestUnitFreeRows:
             ("position_matrix_expansion", at_order(1, 0, 1)),
         "x expansion connects opposite parity only":
             ("position_matrix_expansion", at_order(5, 0, 0)),
-        "node count equals n": ("wavefunction", wiggle),
+        "node count equals n": ("_ladder", wiggle),
         "all model spectra coincide at lambda = 0": ("compare_models", spectra_apart),
         "crude interaction commutes with polyad":
             ("coupling", coupling_plus("crude", unit(10, 1, 0), unit(10, 1, 0))),
@@ -258,7 +266,7 @@ class TestUnitFreeRows:
         assert cli.main(["verify", "--q", "10", "--suite", "all", "--alpha", repr(alpha)]) == 0
         assert ",fail" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("q", [3, 10, 30, 61, 64, 80, 120, 150])
+    @pytest.mark.parametrize("q", [3, 10, 30, 61, 64, 80, 120, 150, 300])
     def test_full_suite_passes_at_every_depth(self, capsys, q):
         code = cli.main(["verify", "--q", str(q), "--suite", "all", "--format", "json"])
         rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["rows"]}

@@ -24,6 +24,7 @@ import mptsu2
 from mptsu2 import cli, jsontext
 from mptsu2.cli import main
 from mptsu2.errors import DomainError
+from mptsu2.ladder import sinh_matrix
 from mptsu2.oracle import DDX, observable_matrix
 from mptsu2.states import MAX_Q, PotentialSpec
 
@@ -110,6 +111,23 @@ class TestMatelem:
         _, oracle_rows = parse_csv(out_oracle)
         for a, b in zip(closed_rows, oracle_rows):
             assert abs(float(a["value"]) - float(b["value"])) < 1e-8
+
+    @pytest.mark.parametrize("op", ["sinh", "p"])
+    def test_oracle_runs_past_q_735(self, capsys, tmp_path, op):
+        # The oracle once exited 3 from q = 735: the Gegenbauer polynomial
+        # overflowed where its sech^eps envelope underflowed.
+        q, out = 800, tmp_path / "matrix.csv"
+        code, _, err = run_cli(capsys, "matelem", "--q", str(q), "--op", op,
+                               "--method", "oracle", "--out", str(out))
+        assert (code, err) == (0, "")
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + q * q  # the header, then row-major entries
+        above, below = (np.array([float(lines[1 + n * q + n + s].split(",")[2])
+                                  for n in range(q - 1)]) for s in (1, q))
+        if op == "sinh":
+            assert np.max(np.abs(above - np.diag(sinh_matrix(2 * q + 1).entries, 1))) < 1e-8
+        else:  # R is antisymmetric, and its band nonzero
+            assert np.max(np.abs(above + below)) < 1e-8 and np.min(np.abs(above)) > 0.1
 
     def test_expansion_emits_deviation_column(self, capsys):
         code, out, _ = run_cli(capsys, "matelem", "--q", "11", "--op", "x",
@@ -879,7 +897,7 @@ class TestStartUp:
         assert proc.stdout == f"{libraries} {late}\n"
 
     def test_package_names_resolve_to_their_home_modules(self):
-        assert len(mptsu2._HOME) == 72
+        assert len(mptsu2._HOME) == 70
         for name, home in mptsu2._HOME.items():
             module = importlib.import_module(f"mptsu2.{home}")
             assert getattr(mptsu2, name) is getattr(module, name), name
@@ -916,6 +934,17 @@ class TestExitCodes:
                                "/nonexistent-dir/x.csv")
         assert code == 3
         assert "i/o" in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 3.72 GiB for an array", ""])
+    def test_out_of_memory_is_three(self, capsys, monkeypatch, message):
+        def exhausted(args):
+            raise MemoryError(*([message] if message else []))
+
+        monkeypatch.setitem(cli._TABLE, "spectrum",
+                            cli._TABLE["spectrum"]._replace(handler=exhausted))
+        code, out, err = run_cli(capsys, "spectrum", "--q", "3")
+        assert (code, out) == (3, "")
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("module", ["mptsu2", "mptsu2.cli"])

@@ -20,7 +20,8 @@ from mptsu2.oracle import (
     observable_matrix,
     position_from_derivative,
 )
-from mptsu2.states import PotentialSpec, energy, well_numbers
+from mptsu2.states import (PotentialSpec, energy, wavefunction, wavefunction_derivative,
+                           well_numbers)
 
 Q3 = PotentialSpec.for_integer_q(3)
 
@@ -101,7 +102,7 @@ class TestObservableMatrix:
 
 
 class TestOneEvaluationPerMatrix:
-    """Every level comes from one states call per evaluator and matrix."""
+    """Every level comes from one states call, and one recurrence, per evaluator and matrix."""
 
     @pytest.mark.parametrize("obs, derivative_calls", [
         (IDENTITY, 0), (SINH_ALPHA_X, 0), (POTENTIAL, 0),
@@ -112,9 +113,11 @@ class TestOneEvaluationPerMatrix:
 
         calls = []
         for name in ("wavefunction", "wavefunction_derivative"):
-            monkeypatch.setattr(oracle, name, lambda spec, n, x, *at, f=getattr(oracle, name),
-                                name=name: calls.append((name, np.shape(n)))
-                                or f(spec, n, x, *at))
+            monkeypatch.setattr(oracle, name, lambda spec, n, x, f=getattr(oracle, name),
+                                name=name: calls.append((name, np.shape(n))) or f(spec, n, x))
+        runs, ladder = [], states._ladder
+        monkeypatch.setattr(states, "_ladder", lambda spec, x, top, derivative=False: runs.append(
+            (top, derivative)) or ladder(spec, x, top, derivative))
         norms, norm = [], states.normalization_constant
         monkeypatch.setattr(states, "normalization_constant",
                             lambda q, n, alpha: norms.append(n) or norm(q, n, alpha))
@@ -122,7 +125,9 @@ class TestOneEvaluationPerMatrix:
         assert calls.count(("wavefunction", (10, 1))) == 1
         assert calls.count(("wavefunction_derivative", (10, 1))) == derivative_calls
         assert len(calls) == 1 + derivative_calls
-        assert norms == list(range(10))  # psi and d(psi)/dx share one norm per level
+        # One recurrence to the top level per call; no level's norm is evaluated.
+        assert runs == [(9, False)] + [(9, True)] * derivative_calls
+        assert norms == []
 
 
 class TestDerivativeMatrix:
@@ -203,11 +208,12 @@ class TestDeepWellsUnderDefaults:
 
 
 class TestMpmathReference:
-    """x and d/dx against mpmath quadrature of the closed-form states.
+    """x and d/dx against mpmath quadrature of the closed-form states, and the levels.
 
     The states are built from mpmath's own gamma and Gegenbauer functions
     and integrated with its tanh-sinh rule on the whole real line, so no
-    code path is shared with the oracle.
+    code path is shared with the oracle.  The levels themselves are checked
+    point by point against 60-digit values.
     """
 
     @staticmethod
@@ -245,3 +251,54 @@ class TestMpmathReference:
                 ref_r = mp.quad(lambda t: bra(t) * dket(t), breaks)
                 assert abs(x[n_prime, n] - float(ref_x)) < 1e-11
                 assert abs(r[n_prime, n] - float(ref_r)) < 1e-11
+
+    @staticmethod
+    def reference_level(mp, q, n, t):
+        """psi_n(t) and d(psi_n)/dt for alpha = 1, each C_n^lam by its degree recurrence."""
+        u, sech = mp.tanh(t), mp.sech(t)
+
+        def gegenbauer(degree, lam):
+            prev, cur = mp.mpf(1), 2 * lam * u
+            for k in range(2, degree + 1):
+                prev, cur = cur, (2 * (k + lam - 1) * u * cur - (k + 2 * lam - 2) * prev) / k
+            return cur if degree else prev
+
+        eps = q - n
+        lam = eps + mp.mpf(1) / 2
+        norm = mp.sqrt(mp.factorial(n) * mp.gamma(lam) * mp.gamma(2 * eps + 1)
+                       / (mp.sqrt(mp.pi) * mp.gamma(eps) * mp.gamma(2 * q - n + 1)))
+        poly = gegenbauer(n, lam)
+        lowered = gegenbauer(n - 1, lam + 1) if n else 0
+        return (norm * sech ** eps * poly,
+                norm * sech ** eps * (2 * lam * sech ** 2 * lowered - eps * u * poly))
+
+    @pytest.mark.parametrize("spec", [PotentialSpec.for_integer_q(150),
+                                      PotentialSpec.for_integer_q(800),
+                                      PotentialSpec.for_integer_q(2000),
+                                      PotentialSpec(D=40.45, alpha=1.0)],
+                             ids=["q=150", "q=800", "q=2000", "q=8.51"])
+    def test_levels_pointwise(self, spec):
+        """Levels 0, 1, mid, top - 1 and top out to the far tails, relative to each value.
+
+        The reference sums C_n^lam by its recurrence in the degree at fixed
+        lam, in 60-digit arithmetic with mpmath's gamma for the norm; the
+        levels under test come from the sinh ladder recurrence in n, with
+        lam moving, and a norm from Stirling's series.  A reference below
+        the normal float range must read below it too.  In the tails of the
+        deeper wells the recurrence rescales its values up and then down.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        wn = well_numbers(spec)
+        points = (0.0, 0.013, 0.37, 1.1, 2.9, -4.4, 8.0, 15.0, 30.0)
+        tiny = 2.2250738585072014e-308
+        with mpmath.workdps(60):
+            for n in sorted({0, 1, wn.n_max // 2, wn.n_max - 1, wn.n_max}):
+                got = zip(wavefunction(spec, n, np.array(points)),
+                          wavefunction_derivative(spec, n, np.array(points)))
+                for t, pair in zip(points, got):
+                    ref = self.reference_level(mpmath.mp, mpmath.mpf(wn.q), n, mpmath.mpf(t))
+                    for value, want in zip(pair, ref):
+                        if abs(want) < tiny:
+                            assert abs(value) < tiny, (n, t)
+                        else:
+                            assert abs(value - want) <= 1e-11 * abs(want), (n, t, value, want)

@@ -1,7 +1,6 @@
 """Special-function and quadrature primitives."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,135 +10,11 @@ from hypothesis import strategies as st
 from mptsu2.errors import DomainError, EvaluationError
 from mptsu2.specfun import (
     QuadratureRule,
+    _log_half_gamma_ratio,
     gauss_legendre,
-    gegenbauer,
-    gegenbauer_derivative,
     integrate,
     log_gamma,
 )
-
-
-def explicit_gegenbauer(n, lam, t):
-    """Closed-form low-degree polynomials, independent of the recurrence."""
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return 2.0 * lam * t
-    if n == 2:
-        return 2.0 * lam * (lam + 1.0) * t * t - lam
-    if n == 3:
-        return 4.0 / 3.0 * lam * (lam + 1.0) * (lam + 2.0) * t ** 3 \
-            - 2.0 * lam * (lam + 1.0) * t
-    raise ValueError(n)
-
-
-class TestGegenbauer:
-    def test_constant(self):
-        assert gegenbauer(0, 1.5, 0.3) == 1.0
-
-    def test_linear(self):
-        assert gegenbauer(1, 2.0, 0.5) == pytest.approx(2.0, abs=1e-15)
-
-    def test_endpoint_binomial(self):
-        # C_n^lam(1) = binom(n + 2 lam - 1, n), evaluated independently.
-        assert gegenbauer(2, 1.0, 1.0) == pytest.approx(math.comb(3, 2), abs=1e-13)
-
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_recurrence_matches_explicit_forms(self, n, lam):
-        for t in np.linspace(-1.0, 1.0, 21):
-            assert gegenbauer(n, lam, float(t)) == pytest.approx(
-                explicit_gegenbauer(n, lam, float(t)), abs=1e-12)
-
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
-    def test_parity(self, lam):
-        t = np.linspace(-1.0, 1.0, 21)
-        for n in range(31):
-            left = gegenbauer(n, lam, -t)
-            right = (-1) ** n * gegenbauer(n, lam, t)
-            assert np.max(np.abs(left - right)) < 1e-12 * max(
-                1.0, np.max(np.abs(right)))
-
-    @given(n=st.integers(0, 25), lam=st.floats(0.1, 5.0),
-           t=st.floats(-1.0, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_parity_property(self, n, lam, t):
-        scale = max(1.0, abs(gegenbauer(n, lam, t)))
-        assert abs(gegenbauer(n, lam, -t)
-                   - (-1) ** n * gegenbauer(n, lam, t)) < 1e-12 * scale
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(DomainError):
-            gegenbauer(-1, 1.0, 0.0)
-
-    def test_bad_parameter_rejected(self):
-        with pytest.raises(DomainError):
-            gegenbauer(2, -0.75, 0.0)
-
-
-class TestGegenbauerDegreeArrays:
-    """Degrees of shape (k, 1) give the rows of their lone calls, bit for bit."""
-
-    T = np.linspace(-0.999, 0.999, 41)
-
-    @staticmethod
-    def lone_rows(f, degrees, lams, t):
-        return np.array([f(int(n), float(lam), t) for n, lam in zip(degrees, lams)])
-
-    @pytest.mark.parametrize("f", [gegenbauer, gegenbauer_derivative])
-    @pytest.mark.parametrize("degrees", [[3, 0, 7, 1, 7, 2], [0], [1, 0], [0, 0, 1, 1],
-                                         [12, 5, 40, 5, 0]])
-    def test_unsorted_repeated_degrees(self, f, degrees):
-        lams = np.linspace(0.5, 9.5, len(degrees))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = f(np.array(degrees)[:, None], lams[:, None], self.T)
-            assert np.array_equal(rows, self.lone_rows(f, degrees, lams, self.T))
-            scalar_t = f(np.array(degrees)[:, None], lams[:, None], 0.3)
-        assert scalar_t.shape == (len(degrees), 1)
-        assert np.array_equal(scalar_t[:, 0], self.lone_rows(f, degrees, lams, 0.3))
-
-    @settings(max_examples=60, deadline=None)
-    @given(degrees=st.lists(st.integers(0, 60), min_size=1, max_size=12),
-           lam=st.floats(0.01, 80.0))
-    def test_rows_match_lone_calls(self, degrees, lam):
-        lams = lam + np.arange(len(degrees))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for f in (gegenbauer, gegenbauer_derivative):
-                rows = f(np.array(degrees)[:, None], lams[:, None], self.T)
-                assert np.array_equal(rows, self.lone_rows(f, degrees, lams, self.T))
-
-    def test_rows_stop_at_their_own_degree(self):
-        # Carried on to degree 200, the first row would overflow.
-        degrees, lams = np.array([[3], [200]]), np.array([[1e50], [0.5]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = gegenbauer(degrees, lams, self.T)
-        assert np.all(np.isfinite(rows))
-        assert np.array_equal(rows[0], gegenbauer(3, 1e50, self.T))
-
-    def test_a_bad_degree_or_parameter_in_the_array_is_named(self):
-        with pytest.raises(DomainError, match="got 2.5"):
-            gegenbauer(np.array([[1.0], [2.5]]), 1.0, self.T)
-        with pytest.raises(DomainError, match="got -1"):
-            gegenbauer_derivative(np.array([[2], [-1]]), 1.0, self.T)
-        with pytest.raises(DomainError, match="got -0.75"):
-            gegenbauer(np.array([[0], [2]]), np.array([[-0.9], [-0.75]]), self.T)
-
-
-class TestGegenbauerDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert gegenbauer_derivative(0, 2.0, 0.7) == 0.0
-
-    def test_linear(self):
-        assert gegenbauer_derivative(1, 2.0, 0.7) == pytest.approx(4.0, abs=1e-15)
-
-    @pytest.mark.parametrize("n,lam,t", [(2, 1.0, 0.5), (5, 2.5, -0.3), (8, 0.5, 0.9)])
-    def test_matches_finite_differences(self, n, lam, t):
-        h = 1e-6
-        fd = (gegenbauer(n, lam, t + h) - gegenbauer(n, lam, t - h)) / (2.0 * h)
-        assert gegenbauer_derivative(n, lam, t) == pytest.approx(fd, abs=1e-7)
 
 
 class TestLogGamma:
@@ -179,6 +54,24 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-2.5)
+
+
+class TestLogHalfGammaRatio:
+    """ln(Gamma(x + 1/2) / Gamma(x)), the ground state's norm, at any depth."""
+
+    def test_closed_forms(self):
+        assert _log_half_gamma_ratio(0.5) == pytest.approx(-0.5 * math.log(math.pi), abs=5e-16)
+        assert _log_half_gamma_ratio(1.0) == pytest.approx(
+            0.5 * math.log(math.pi) - math.log(2.0), abs=5e-16)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.3, 2.0, 8.51, 11.9, 12.0, 12.1, 30.0, 150.0, 800.0,
+                                   2000.0, 1e6, 8e6])
+    def test_few_ulp_against_mpmath(self, x):
+        # log_gamma(x + 1/2) - log_gamma(x) reads 1.3e-12 off at x = 1000.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpf(x) + 0.5) - mpmath.loggamma(mpmath.mpf(x))
+            assert abs(_log_half_gamma_ratio(x) - ref) < 5e-16 * max(1.0, abs(ref))
 
 
 class TestGaussLegendre:
@@ -260,6 +153,14 @@ class TestIntegrate:
     def test_cosine(self):
         got = integrate(np.cos, 0.0, math.pi / 2.0, gauss_legendre(20))
         assert got == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [52, 302])
+    def test_one_panel_on_the_reference_interval_takes_the_nodes_as_they_are(self, order):
+        # The oracle's rule in u: a node near +1 moved by an ulp once cost
+        # q = 50 its cosh-d/dx matrix 3.0e-12 instead of 7.7e-13.
+        rule, seen = gauss_legendre(order), []
+        integrate(lambda t: seen.append(t) or np.ones_like(t), -1.0, 1.0, rule)
+        assert np.array_equal(seen[0], rule.nodes)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mptsu2 import checks, expansion, ladder, oracle, vibron
-from mptsu2.errors import DomainError
+from mptsu2.errors import DomainError, EvaluationError
 from mptsu2.specfun import gauss_legendre, integrate
 from mptsu2.states import (
     INTEGER_Q_TOL,
@@ -17,6 +17,7 @@ from mptsu2.states import (
     MIN_Q,
     PotentialSpec,
     StateLabel,
+    _sinh_steps,
     bound_state_labels,
     depth_for_integer_q,
     energy,
@@ -275,6 +276,37 @@ class TestNormalization:
         with pytest.raises(DomainError):
             normalization_constant(2.0, 2, 1.0)
 
+    @pytest.mark.parametrize("n", [493, 539, 540])
+    def test_norm_below_the_normal_range_is_an_error(self, n):
+        # Subnormal from n = 493, once read as 5e-324 at n = 539 and 0.0 at n = 540.
+        with pytest.raises(EvaluationError, match=f"level n = {n} of a q = 2000 well"):
+            normalization_constant(2000, n, 1.0)
+        assert normalization_constant(2000, 492, 1.0) > 2.2250738585072014e-308
+
+
+class TestSinhSteps:
+    """The recurrence's coefficients, derived in ``states``, are the closed-form sinh matrix."""
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 30, 150, 1000])
+    def test_match_the_sinh_matrix_off_diagonals(self, q):
+        m = ladder.sinh_matrix(2 * q + 1).entries
+        steps = _sinh_steps(float(q), q - 1)
+        np.testing.assert_allclose(steps, np.diag(m, 1), rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(steps, np.diag(m, -1), rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [PotentialSpec.for_integer_q(12),
+                                      PotentialSpec(D=40.45, alpha=1.3)], ids=["q=12", "D=40.45"])
+    def test_ladder_relation_holds_pointwise(self, spec):
+        # sinh(alpha x) psi_n = s_(n-1) psi_(n-1) + s_n psi_(n+1) for every level pair.
+        top = well_numbers(spec).n_max
+        x = np.linspace(-9.0, 9.0, 181) / spec.alpha
+        psi = wavefunction(spec, np.arange(top + 1)[:, None], x)
+        steps = _sinh_steps(well_numbers(spec).q, top)
+        left = np.sinh(spec.alpha * x) * psi[:-1]
+        right = steps[:, None] * psi[1:]
+        right[1:] += steps[:-1, None] * psi[:-2]
+        assert np.max(np.abs(left - right)) < 1e-12 * np.max(np.abs(left))
+
 
 class TestWavefunction:
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -329,11 +361,13 @@ class TestLevelArrays:
     """Levels of shape (k, 1) give the rows of their lone calls, bit for bit."""
 
     @pytest.mark.parametrize("spec", [
-        *(PotentialSpec.for_integer_q(q) for q in (2, 3, 10, 30, 50, 150)),
+        *(PotentialSpec.for_integer_q(q) for q in (2, 3, 10, 30, 50, 150, 300)),
         PotentialSpec(D=3.3, alpha=1.0),
         PotentialSpec(D=12.7, alpha=1.0),
+        PotentialSpec(D=20000.0, alpha=1.0),
         PotentialSpec.for_integer_q(10, alpha=0.7, mu=1.9, hbar=1.3),
-    ], ids=["q=2", "q=3", "q=10", "q=30", "q=50", "q=150", "D=3.3", "D=12.7", "scaled"])
+    ], ids=["q=2", "q=3", "q=10", "q=30", "q=50", "q=150", "q=300", "D=3.3", "D=12.7",
+            "D=20000", "scaled"])
     @pytest.mark.parametrize("f", [wavefunction, wavefunction_derivative])
     def test_rows_are_the_lone_calls(self, spec, f):
         n_max = well_numbers(spec).n_max
@@ -347,6 +381,28 @@ class TestLevelArrays:
             lone = np.array([f(spec, int(n), x) for n in levels])
         assert rows.shape == (len(levels), len(x))
         assert np.array_equal(rows, lone)
+
+    def test_rows_are_the_lone_calls_across_rescalings(self):
+        # In the tails of a q = 2000 well the recurrence's values pass 2^400
+        # and are rescaled; a level must not depend on how far the run goes.
+        spec = PotentialSpec.for_integer_q(2000)
+        levels, x = np.array([1999, 0, 1000, 15, 16, 1000]), np.linspace(-30.0, 30.0, 61)
+        for f in (wavefunction, wavefunction_derivative):
+            rows = f(spec, levels[:, None], x)
+            assert np.array_equal(rows, [f(spec, int(n), x) for n in levels])
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.for_integer_q(3), PotentialSpec(D=40.45, alpha=1.0),
+        PotentialSpec.for_integer_q(2000)], ids=["q=3", "D=40.45", "q=2000"])
+    def test_far_tails_are_tiny_and_finite(self, spec):
+        levels = np.arange(well_numbers(spec).n_max + 1)[:, None]
+        x = np.array([-np.inf, -1e300, -1e3, 1e3, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (wavefunction, wavefunction_derivative):
+                values = f(spec, levels, x)
+                assert np.all(np.abs(values) < 1e-200)  # e^(-1000 eps) at x = 1e3
+                assert np.array_equal(values[:, [0, 1, 4, 5]], np.zeros((len(levels), 4)))
 
     def test_scalar_point(self):
         spec = PotentialSpec.for_integer_q(5)
