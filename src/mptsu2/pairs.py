@@ -1,12 +1,13 @@
-"""The two-oscillator pair space in factor form, its block solver and its bounds.
+"""The two-oscillator pair space in factor form, its block solver and its polyad bound.
 
 A d x d array of the d = q^2 pairs costs 48 MiB at q = 50, so blocks, spectra and
-bounds come from a model's n x n factors; ``_symmetry_bound`` gates both solver and verify.
-The solver gathers the blocks that the factors prove decoupled, polyads or polyad
-parities, and splits each into its two exchange sectors (Iachello & Levine, *Algebraic
-Theory of Molecules*, 1995) where ``_exchange_bound`` proves the model symmetric under
-oscillator exchange, as every coupled model is; a parity block of d / 2 pairs becomes
-two sectors of about d / 4.  Eigenvectors are computed only where they are read.
+bounds come from a model's n x n factors.  ``PairModel`` builds only an exchange pair
+c (x) c^T + c^T (x) c and self-products A (x) A with A = +-A^T, so every model is
+symmetric and symmetric under oscillator exchange bit for bit.  The solver gathers
+the blocks that the factors prove decoupled, polyads or polyad parities, and splits
+each into its two exchange sectors (Iachello & Levine, *Algebraic Theory of
+Molecules*, 1995); a parity block of d / 2 pairs becomes two sectors of about d / 4.
+Eigenvectors are computed only where they are read.
 """
 
 from __future__ import annotations
@@ -67,24 +68,43 @@ def _offsets(m: np.ndarray) -> np.ndarray:
 class PairModel:
     """A two-oscillator matrix in factor form; no d x d array is stored.
 
-    H = scale sum_k w_k A_k (x) B_k over the lexicographic pair basis
-    |n1, n2>, summed in term order, plus the pair diagonal e[n1] + e[n2]
-    when ``single`` (e) is set.  The solver gathers H (``_products``) by
-    the blocks that ``labels`` proves.  Each entry is the product
-    A_k[i1, j1] B_k[i2, j2] that ``np.kron`` forms, combined in the same
-    order everywhere, so blocks and the dense ``operator`` agree bit for bit.
+    H = scale (c (x) c^T + c^T (x) c + sum_k w_k A_k (x) A_k) over the
+    lexicographic pair basis |n1, n2>, plus the pair diagonal e[n1] + e[n2]
+    when ``single`` (e) is set; the ``exchange`` pair (c) is optional, and
+    each ``products`` factor A_k must equal +A_k^T or -A_k^T exactly
+    (``DomainError`` otherwise).  ``terms`` lists the products as
+    (w_k, A_k, B_k), the exchange pair first, summed in that order.
 
-    A gathered entry adds +0.0, turning each -0.0 into +0.0, as ``operator``
-    does with a diagonal: LAPACK's Householder steps take the sign of a zero, so
-    the eigenvalues' last bits would otherwise depend on how products
-    rounded to zero, and blocks symmetric by value would not be bitwise.
+    So H is symmetric and invariant under oscillator exchange, H[ab, cd] =
+    H[ba, dc], bit for bit: the transpose and the swap each map the
+    exchange pair's two terms onto each other and every A (x) A onto
+    itself, and a sum rounds the same in either order of its first two
+    terms only, so the exchange pair comes first.
+
+    The solver gathers H (``_products``) by the blocks that ``labels``
+    proves.  Each entry is the product A_k[i1, j1] B_k[i2, j2] that
+    ``np.kron`` forms, combined in the same order everywhere, so blocks and
+    the dense ``operator`` agree bit for bit.  A gathered entry adds +0.0,
+    turning each -0.0 into +0.0, as ``operator`` does with a diagonal:
+    LAPACK's Householder steps take the sign of a zero, so the eigenvalues'
+    last bits would otherwise depend on how products rounded to zero.
     """
 
     __slots__ = ("terms", "scale", "single")
 
-    def __init__(self, terms: tuple[tuple[float, np.ndarray, np.ndarray], ...],
+    def __init__(self, exchange: np.ndarray | None = None,
+                 products: tuple[tuple[float, np.ndarray], ...] = (),
                  scale: float = 1.0, single: np.ndarray | None = None):
-        self.terms, self.scale, self.single = terms, scale, single
+        for _, a in products:
+            if not any(np.array_equal(a, k * a.T, equal_nan=True) for k in (1, -1)):
+                raise DomainError("a product factor must equal its transpose or its negative")
+        terms = ()
+        if exchange is not None:
+            # np.kron copies its product for a transposed view
+            t = np.ascontiguousarray(exchange.T)
+            terms = ((1.0, exchange, t), (1.0, t, exchange))
+        self.terms = terms + tuple((w, a, a) for w, a in products)
+        self.scale, self.single = scale, single
 
     @property
     def n(self) -> int:
@@ -100,7 +120,9 @@ class PairModel:
         return pair_basis(self.n)
 
     def with_diagonal(self, single: np.ndarray) -> PairModel:
-        return PairModel(self.terms, self.scale, single)
+        model = PairModel(scale=self.scale, single=single)
+        model.terms = self.terms
+        return model
 
     def _combine(self, product: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  shape: tuple[int, ...]) -> np.ndarray:
@@ -165,72 +187,26 @@ class PairModel:
         return OperatorMatrix(h, self.basis.pairs, TWO_OSC_KIND)
 
 
-def _bound(form: PairModel, defect: Callable[..., float], roundings: int,
-           image: Callable[..., tuple] | None = None) -> float:
-    """A bound, from the n x n factors, on a defect of ``form``'s entries as computed.
+def _magnitude(form: PairModel) -> float:
+    """M = |scale| sum_k |w_k| max|A_k| max|B_k|, formed in the order of the entries' products.
 
-    |scale| sum_k |w_k| defect(A_k, B_k) bounds the exact defect.  An entry
-    of m terms rounds m + 2 times, so it lies within gamma M of its exact
-    value, gamma = (m + 2) u / (1 - (m + 2) u), M = |scale| sum_k |w_k|
-    max|A_k| max|B_k|; ``roundings`` counts the entries a defect subtracts.
-    The factor 1 + 4 gamma covers the relative rounding of a scaled entry
-    and of the bound itself.  inf when M, formed in the order of the
-    entries' products, is not finite: an entry can overflow.
-
-    For |H - H'|, H' summing each term's ``image`` (w, A', B'), a term adds
-    exactly 0 when its products equal its image's by value (A = +-A', B =
-    +-B'), as do the first two when each is the other's image (fl(a + b) =
-    fl(b + a)); with every term so proven, the bound is 0.
+    Each entry of the coupling is at most M up to rounding.  M is not finite
+    when a factor holds inf or NaN or a product overflows, and inf * 0 can
+    then put NaN between the blocks, where no gathered block sees it.
     """
-    def same(s: tuple, t: tuple) -> bool:
-        return s[0] == t[0] and any(np.array_equal(s[1:], k * np.array(t[1:])) for k in (1, -1))
-
-    s = abs(form.scale)
-    big = s * sum(abs(w) * (_max_abs(a) * _max_abs(b)) for w, a, b in form.terms)
-    if not math.isfinite(big):
-        return math.inf
-    proven = [image is not None and same(t, image(*t)) for t in form.terms]
-    if image is not None and len(proven) > 1 and same(form.terms[1], image(*form.terms[0])):
-        proven[:2] = True, True
-    if all(proven):
-        return 0.0
-    ops = (len(form.terms) + 2) * 2.0 ** -53
-    gamma = ops / (1.0 - ops)
-    total = s * sum(abs(w) * defect(a, b)
-                    for (w, a, b), p in zip(form.terms, proven) if not p)
-    return (total + roundings * gamma * big) * (1.0 + 4.0 * gamma)
-
-
-def _symmetry_bound(form: PairModel) -> float:
-    """Bounds max |H - H^T| of a model's coupling.
-
-    With A^T = sA + dA and B^T = sB + dB for a sign s = +-1, A^T (x) B^T
-    - A (x) B = s A (x) dB + s dA (x) B + dA (x) dB; each term takes the s
-    that gives the smaller bound.
-    """
-    def defect(a: np.ndarray, b: np.ndarray, sign: float) -> float:
-        da, db = _max_abs(a.T - sign * a), _max_abs(b.T - sign * b)
-        return _max_abs(a) * db + da * _max_abs(b) + da * db
-
-    return _bound(form, lambda a, b: min(defect(a, b, 1.0), defect(a, b, -1.0)), 2,
-                  lambda w, a, b: (w, a.T, b.T))
-
-
-def _exchange_bound(form: PairModel) -> float:
-    """Bounds max |H - H swapped| of a coupling, H swapped = scale sum_k w_k B_k (x) A_k.
-
-    An unproven term is bounded by A (x) B - B (x) A = A (x) D - D (x) A, D = B - A.
-    """
-    return _bound(form, lambda a, b: 2.0 * min(_max_abs(a), _max_abs(b)) * _max_abs(b - a),
-                  2, lambda w, a, b: (w, b, a))
+    return abs(form.scale) * sum(abs(w) * (_max_abs(a) * _max_abs(b)) for w, a, b in form.terms)
 
 
 def _polyad_bound(form: PairModel) -> float:
-    """Bounds max |[H, P]| = max |(P_i - P_j) H_ij| of a coupling, P = n1 + n2.
+    """Bounds max |[H, P]| = max |(P_i - P_j) H_ij| of a coupling, P = n1 + n2, as computed.
 
     A product A_k[i1, j1] B_k[i2, j2] lies on the diagonals u = i1 - j1 and
-    v = i2 - j2 of its factors and moves the polyad by u + v, so the
-    defect is 0 when every nonzero product conserves the polyad.
+    v = i2 - j2 of its factors and moves the polyad by u + v, so
+    |scale| sum_k |w_k| max |u + v| |A_k[., u]| |B_k[., v]| bounds the exact
+    defect, and is 0 when every nonzero product conserves the polyad.  An
+    entry of m terms rounds m + 2 times; the factor 1 + 4 gamma, gamma =
+    (m + 2) 2^-53 / (1 - (m + 2) 2^-53), covers that relative rounding and
+    the bound's own.  inf when ``_magnitude`` is not finite.
     """
     def peaks(m: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         return np.array([_max_abs(np.diagonal(m, -k)) for k in offsets])
@@ -240,7 +216,12 @@ def _polyad_bound(form: PairModel) -> float:
         step = np.abs(np.add.outer(u, v)) * np.outer(peaks(a, u), peaks(b, v))
         return float(step.max(initial=0.0))
 
-    return _bound(form, defect, 0)
+    if not math.isfinite(_magnitude(form)):
+        return math.inf
+    ops = (len(form.terms) + 2) * 2.0 ** -53
+    gamma = ops / (1.0 - ops)
+    total = abs(form.scale) * sum(abs(w) * defect(a, b) for w, a, b in form.terms)
+    return total * (1.0 + 4.0 * gamma)
 
 
 def _stacked(key: np.ndarray) -> Iterator[np.ndarray]:
@@ -263,16 +244,13 @@ def _check_finite(entries: np.ndarray) -> None:
         raise DomainError("matrix has a non-finite entry")
 
 
-def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
-              symmetrize: bool) -> np.ndarray:
-    """The stack (k, s, s) of the blocks of H over ``rows`` (k, s), or of their sectors.
+def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The stack (k, s, s) of the exchange sectors over ``rows`` (k, s), signs ``sign`` (k, 1).
 
     The stack's rows are formed in order, ``_slab_entries(d)`` entries at a
-    time: row ab of block b holds H[ab, cd] over the block's pairs cd, with
-    e[a] + e[b] at its own column.  With ``sign`` (k, 1), block b is the
-    exchange sector ``sign[b]``: (H[ab, cd] + sign[b] H[ab, dc]) sqrt(f_ab^2 f_cd^2).
-    Each chunk is checked finite, and with ``symmetrize`` each finished
-    block becomes (b + b^T) * 0.5.
+    time: row ab of sector b holds (H[ab, cd] + sign[b] H[ab, dc]) f_ab f_cd
+    over the sector's pairs cd, H with e[a] + e[b] at its own column, and
+    each chunk is checked finite.
     """
     n, (k, s) = model.n, rows.shape
     stack = np.empty((k, s, s))
@@ -280,9 +258,9 @@ def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
     a, b = hi.ravel(), lo.ravel()
     e = np.zeros(n) if model.single is None else model.single
     diagonal = e[a] + e[b]
-    if sign is not None:  # H[ab, dc] meets the pair diagonal only where a = b
-        partner_diagonal, half = np.where(a == b, diagonal, 0.0), np.where(hi == lo, 0.5, 1.0)
-    lines, done = max(1, _slab_entries(model.dim) // s), 0
+    # H[ab, dc] meets the pair diagonal only where a = b
+    partner_diagonal, half = np.where(a == b, diagonal, 0.0), np.where(hi == lo, 0.5, 1.0)
+    lines = max(1, _slab_entries(model.dim) // s)
     for start in range(0, k * s, lines):
         line = np.arange(start, min(start + lines, k * s))
         (block, column), here = np.divmod(line, s), np.arange(len(line))
@@ -290,47 +268,37 @@ def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray | None,
         ra, rb = a[line, None] * n, b[line, None] * n
         h = model._products(ra + c, rb + d)
         h[here, column] += diagonal[line]
-        if sign is not None:
-            swapped = model._products(ra + d, rb + c)
-            swapped[here, column] += partner_diagonal[line]
-            swapped *= sign[block]
-            h += swapped
-            h *= np.sqrt(half.ravel()[line, None] * half[block])
+        swapped = model._products(ra + d, rb + c)
+        swapped[here, column] += partner_diagonal[line]
+        swapped *= sign[block]
+        h += swapped
+        h *= np.sqrt(half.ravel()[line, None] * half[block])
         _check_finite(h)
         stack.reshape(k * s, s)[start:start + lines] = h
-        if symmetrize:  # the blocks this chunk finished
-            chunk = stack[done:(line[-1] + 1) // s]
-            np.multiply(chunk + chunk.transpose(0, 2, 1), 0.5, out=chunk)
-            done += len(chunk)
     return stack
 
 
-def _symmetric_blocks(model: PairModel,
-                      split: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The blocks into which (H + H^T) / 2 decouples exactly, stacked by size.
+def _symmetric_blocks(model: PairModel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The exchange sectors of the blocks into which H decouples exactly, stacked by size.
 
-    A ``_symmetry_bound`` above 1e-9 or not finite (inf * 0 would put NaN
-    between the blocks) is rejected (``DomainError``), as is a block with a
+    A model whose ``_magnitude`` is not finite is rejected (``DomainError``):
+    inf * 0 would put NaN between the blocks.  So is a block with a
     non-finite entry.  Blocks of equal size s come as ``(idx, stack)``: row
     b of ``idx`` (k, s) lists one block's basis ascending, and ``stack[b]``
-    is that block, ``_gathered`` and, unless the bound is 0, symmetrized:
-    bit for bit, either way, a whole-matrix symmetrization.
+    is that block.
 
     Without a live term H is its pair diagonal, which comes as 1 x 1
-    blocks, read without a gather.  Otherwise the blocks are those of
-    ``labels``, or, with ``split``, each one's exchange sectors s = +-1,
-    stacked together by size.  ``split`` needs ``_exchange_bound`` to be 0,
-    so that H[ab, cd] = H[ba, dc] bit for bit.  A sector's basis is the
-    pairs ab = (a, b) with a <= b (a < b for s = -1), for the states
-    |a, a> and (|a, b> + s |b, a>) / sqrt(2), and its entries are
-    (H[ab, cd] + s H[ab, dc]) f_ab f_cd, with f = 1/sqrt(2) when a = b and
-    1 otherwise.  A sector entry that overflows is rejected as non-finite.
+    blocks, read without a gather.  Otherwise each block of ``labels``
+    splits into its exchange sectors s = +-1, which are stacked together by
+    size.  A sector's basis is the pairs ab = (a, b) with a <= b (a < b for
+    s = -1), for the states |a, a> and (|a, b> + s |b, a>) / sqrt(2), and
+    its entries are (H[ab, cd] + s H[ab, dc]) f_ab f_cd, with f = 1/sqrt(2)
+    when a = b and 1 otherwise: H[ab, cd] = H[ba, dc] bit for bit, as
+    ``PairModel`` builds it.  A sector entry that overflows is rejected as
+    non-finite.
     """
-    bound = _symmetry_bound(model)
-    if not bound < math.inf:
+    if not math.isfinite(_magnitude(model)):
         raise DomainError("matrix may have a non-finite entry: its factor bound is not finite")
-    if bound > 1e-9:
-        raise DomainError("matrix is not symmetric within 1e-9")
     n, d = model.n, model.dim
     every = np.arange(d)
     if not model._live():
@@ -341,35 +309,30 @@ def _symmetric_blocks(model: PairModel,
         yield every[:, None], diagonal
         return
     label = model.labels()
-    if split:  # n (n + 1) / 2 members of sectors +1, then n (n - 1) / 2 of -1, keyed apart
-        first, second = np.divmod(every, n)
-        plus, minus = first <= second, first < second
-        members = np.concatenate((every[plus], every[minus]))
-        key = np.concatenate((label[plus], label[minus] + d))
-        signs = np.where(every < plus.sum(), 1.0, -1.0)
-    else:
-        members, key = every, label
+    # n (n + 1) / 2 members of sectors +1, then n (n - 1) / 2 of -1, keyed apart
+    first, second = np.divmod(every, n)
+    plus, minus = first <= second, first < second
+    members = np.concatenate((every[plus], every[minus]))
+    key = np.concatenate((label[plus], label[minus] + d))
+    signs = np.where(every < plus.sum(), 1.0, -1.0)
     for pos in _stacked(key):
         rows = members[pos]
-        yield rows, _gathered(model, rows, signs[pos[:, :1]] if split else None,
-                              bound != 0.0)
+        yield rows, _gathered(model, rows, signs[pos[:, :1]])
 
 
 def _solve(model: PairModel, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Ascending eigenvalues and, with ``vectors``, each eigenvector's dominant basis index.
 
-    Blocks are split into their exchange sectors when ``_exchange_bound``
-    is 0.  Each stack of ``_symmetric_blocks`` is one LAPACK call, ``eigh``
-    with ``vectors`` and ``eigvalsh`` without, but for 1 x 1 blocks, whose
+    Each stack of ``_symmetric_blocks`` is one LAPACK call, ``eigh`` with
+    ``vectors`` and ``eigvalsh`` without, but for 1 x 1 blocks, whose
     eigenpair (entry, 1) LAPACK returns exactly, so it is read directly.
     The dominant index is the largest |component| in the pair basis, the
     first in basis order on ties, found per block, where the eigenvectors
     live: a sector component v on a < b stands for v / sqrt(2) on (a, b)
     and (b, a).  The sort is stable; without ``vectors`` the index is None.
     """
-    split = _exchange_bound(model) == 0.0
     values, dominant = [], []
-    for idx, stack in _symmetric_blocks(model, split):
+    for idx, stack in _symmetric_blocks(model):
         if stack.shape[1] == 1:
             w, v = stack[:, 0], np.ones_like(stack) if vectors else None
         elif vectors:
@@ -379,9 +342,8 @@ def _solve(model: PairModel, vectors: bool = True) -> tuple[np.ndarray, np.ndarr
         values.append(w.ravel())
         if vectors:
             np.abs(v, out=v)
-            if split:
-                a, b = np.divmod(idx, model.n)
-                v *= np.where(a == b, 1.0, math.sqrt(0.5))[:, :, None]
+            a, b = np.divmod(idx, model.n)
+            v *= np.where(a == b, 1.0, math.sqrt(0.5))[:, :, None]
             # argmax along axis 1 would copy v to make that axis contiguous; the
             # first entry equal to the column maximum is the same index.
             top = (v == v.max(axis=1, keepdims=True)).argmax(axis=1)
@@ -393,16 +355,14 @@ def _solve(model: PairModel, vectors: bool = True) -> tuple[np.ndarray, np.ndarr
 
 
 def spectrum(model: PairModel) -> list[float]:
-    """Ascending eigenvalues of a (nearly) symmetric two-oscillator matrix in factor form.
+    """Ascending eigenvalues of a two-oscillator matrix in factor form.
 
-    LAPACK ``eigvalsh`` solves each exactly decoupled block of (H + H^T) / 2,
-    gathered from the factors: the exchange sectors of each polyad or
-    parity block when the model is proven exchange-symmetric, and no block
-    at all without a live term, whose eigenvalues are the sorted pair
-    diagonal e[n1] + e[n2].  No d x d array is formed, the model is not
-    changed and no eigenvector is computed.  ``DomainError`` for a
-    non-finite entry, a ``_symmetry_bound`` above 1e-9 or an input that is
-    not a ``PairModel``.
+    LAPACK ``eigvalsh`` solves the exchange sectors of each polyad or
+    parity block, gathered from the factors, and no block at all without a
+    live term, whose eigenvalues are the sorted pair diagonal e[n1] + e[n2].
+    No d x d array is formed, the model is not changed and no eigenvector
+    is computed.  ``DomainError`` for a non-finite entry, a factor
+    magnitude that is not finite or an input that is not a ``PairModel``.
     """
     if not isinstance(model, PairModel):
         raise DomainError("spectrum solves a PairModel (see coupled_model); "

@@ -10,15 +10,16 @@ Four Hamiltonians over the same two-oscillator product basis are compared:
   polyad-breaking pair-creation/annihilation blocks.
 
 Every coupling but the exact one has the exchange form
-s (c (x) c^T + c^T (x) c) for a single-oscillator creation matrix c, built
-by one Kronecker helper: su(2) takes <n+1|c|n> = sqrt(n+1) sqrt(1 - n/N)
+s (c (x) c^T + c^T (x) c) for a single-oscillator creation matrix c, the
+``PairModel`` exchange pair: su(2) takes <n+1|c|n> = sqrt(n+1) sqrt(1 - n/N)
 and s = lam hbar omega0, the harmonic reference the same c without the 1/N
 factor, crude and zA-zB the bosons of ``renormalized_generators`` /
 ``consistent_boson_ops`` and s = lam hbar omega-tilde.  As hbar omega0 / N
 = hbar omega-tilde / nu, the su(2) coupling is the crude coupling, so
 ``compare_models`` reports the crude solve as its su2 column.  The exact
 coupling stays apart: its oracle matrices of x and d/dx connect every
-pair of opposite-parity levels, not one step.
+pair of opposite-parity levels, not one step, and it is built from the
+self-products R (x) R and x (x) x.
 
 The zA-zB bosons, and why the paper's first-order map is not used for
 them, are described at ``approx_interaction``.
@@ -143,16 +144,6 @@ def _creation(dim: int, n_boson: float = math.inf) -> np.ndarray:
     return np.diag(np.sqrt(n + 1.0) * np.sqrt(1.0 - n / n_boson), -1)
 
 
-def _exchange(create: np.ndarray, scale: float) -> PairModel:
-    """Exchange coupling scale (c1+ c2 + c1 c2+) = scale (c (x) c^T + c^T (x) c).
-
-    The transpose swaps the two terms, whose products are the same, so the
-    coupling is symmetric bit for bit.
-    """
-    t = np.ascontiguousarray(create.T)  # np.kron copies its product for a transposed view
-    return PairModel(((1.0, create, t), (1.0, t, create)), scale)
-
-
 def _su2_model(vp: VibronParams, dim_single: int) -> PairModel:
     if dim_single > vp.N // 2:
         raise DomainError(
@@ -161,8 +152,8 @@ def _su2_model(vp: VibronParams, dim_single: int) -> PairModel:
     # (hbar omega0 / 2) <b+ b + b b+> with sqrt(N)-normalized su(2) bosons,
     # the normalization under which the spectroscopic map is exact.
     single = vp.energy_quantum * ((n + 0.5) - n * n / vp.N)
-    exchange = _exchange(_creation(dim_single, vp.N), vp.lam * vp.energy_quantum)
-    return exchange.with_diagonal(single)
+    return PairModel(_creation(dim_single, vp.N), scale=vp.lam * vp.energy_quantum,
+                     single=single)
 
 
 def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
@@ -177,7 +168,7 @@ def su2_hamiltonian(vp: VibronParams, basis: TwoOscBasis) -> OperatorMatrix:
 
 def diagonal_energies(spec: PotentialSpec, basis: TwoOscBasis) -> OperatorMatrix:
     """Non-interacting two-well Hamiltonian: E_{n1} + E_{n2} on the diagonal."""
-    return PairModel((), single=_level_energies(spec, basis.dim_single)).operator()
+    return PairModel(single=_level_energies(spec, basis.dim_single)).operator()
 
 
 def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
@@ -195,14 +186,15 @@ def exact_interaction(spec: PotentialSpec, basis: TwoOscBasis, lam: float,
 def _exact_coupling(spec: PotentialSpec, lam: float, cfg: OracleConfig) -> PairModel:
     """lam (-hbar^2/mu (R (x) R) + mu w^2 (X (x) X)), x derived from R projected to (R - R^T) / 2.
 
-    So R, x and the coupling are exactly (anti)symmetric.  mu w^2 X (x) X is
-    ((alpha hbar k)^2 / mu) (alpha X) (x) (alpha X), in range wherever alpha^2 is.
+    So R is exactly antisymmetric and x exactly symmetric, as ``PairModel``
+    requires of its products.  mu w^2 X (x) X is ((alpha hbar k)^2 / mu)
+    (alpha X) (x) (alpha X), in range wherever alpha^2 is.
     """
     r = derivative_matrix(spec, cfg).entries
     r = (r - r.T) * 0.5
     ax = spec.alpha * position_from_derivative(spec, r)
     weight = (spec.alpha * spec.hbar * well_numbers(spec).k) ** 2 / spec.mu
-    return PairModel(((-spec.hbar ** 2 / spec.mu, r, r), (weight, ax, ax)), lam)
+    return PairModel(products=((-spec.hbar ** 2 / spec.mu, r), (weight, ax)), scale=lam)
 
 
 def approx_interaction(nu: int, lam: float, omega_tilde: float,
@@ -223,7 +215,7 @@ def approx_interaction(nu: int, lam: float, omega_tilde: float,
     order-1/nu three-step channel -sqrt((n+1)(n+2)(n+3))/(3 nu) (and its
     n -> n-3 partner) lies outside the two-channel form and is left out.
     """
-    return _exchange(_boson_creation(nu, level), lam * hbar * omega_tilde).operator()
+    return PairModel(_boson_creation(nu, level), scale=lam * hbar * omega_tilde).operator()
 
 
 def _boson_creation(nu: int, level: str) -> np.ndarray:
@@ -244,13 +236,13 @@ def harmonic_model(spec: PotentialSpec, basis: TwoOscBasis, lam: float) -> Opera
     """
     omega = interaction_frequency(spec)
     single = -spec.D + spec.hbar * omega * (np.arange(basis.dim_single) + 0.5)
-    exchange = _exchange(_creation(basis.dim_single), lam * spec.hbar * omega)
-    return exchange.with_diagonal(single).operator()
+    return PairModel(_creation(basis.dim_single), scale=lam * spec.hbar * omega,
+                     single=single).operator()
 
 
 def polyad_operator(basis: TwoOscBasis) -> OperatorMatrix:
     """Diagonal matrix of the polyad quantum number n1 + n2."""
-    return PairModel((), single=np.arange(basis.dim_single, dtype=float)).operator()
+    return PairModel(single=np.arange(basis.dim_single, dtype=float)).operator()
 
 
 class ComparisonReport(NamedTuple):
@@ -285,8 +277,8 @@ def coupling(spec: PotentialSpec, model: str, lam: float,
     q = integer_q(spec, f"the {model} model")
     if model == "exact":
         return _exact_coupling(spec, lam, cfg)
-    return _exchange(_boson_creation(2 * q + 1, model),
-                     lam * spec.hbar * interaction_frequency(spec))
+    return PairModel(_boson_creation(2 * q + 1, model),
+                     scale=lam * spec.hbar * interaction_frequency(spec))
 
 
 def coupled_model(spec: PotentialSpec, model: str, lam: float,
@@ -305,7 +297,7 @@ def coupled_model(spec: PotentialSpec, model: str, lam: float,
                                         hbar=spec.hbar)
         return _su2_model(vp, q)
     if lam == 0.0:
-        return PairModel((), single=_level_energies(spec, integer_q(spec, f"the {model} model")))
+        return PairModel(single=_level_energies(spec, integer_q(spec, f"the {model} model")))
     form = coupling(spec, model, lam, cfg)
     return form.with_diagonal(_level_energies(spec, form.n))
 

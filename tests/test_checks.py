@@ -1,8 +1,11 @@
-"""The vibron suite's structure rows: bounds read from the n x n factors.
+"""The vibron suite's structure rows, read from the n x n factors.
 
-Each row must be at least the elementwise defect of the matrix that
-``PairModel.operator`` forms, so that a bound never passes what a dense scan
-of the same entries would fail.  Also how the states suite evaluates levels.
+The polyad row is a bound that must be at least the elementwise defect of
+the matrix that ``PairModel.operator`` forms, so that it never passes what a
+dense scan of the same entries would fail.  The symmetry and exchange rows
+report what ``PairModel`` guarantees by construction: each dense defect is
+exactly 0, and a factor that would break it is refused when the model is
+built.  Also how the states suite evaluates levels.
 """
 
 import json
@@ -13,7 +16,8 @@ import pytest
 
 from mptsu2 import checks, cli
 from mptsu2.checks import states_checks, vibron_checks
-from mptsu2.pairs import PairModel, _exchange_bound, _polyad_bound, _symmetry_bound
+from mptsu2.errors import DomainError
+from mptsu2.pairs import PairModel, _polyad_bound
 from mptsu2.states import PotentialSpec, _ladder, wavefunction
 from mptsu2.vibron import coupling
 
@@ -32,15 +36,17 @@ def dense_defects(form):
             "polyad": np.abs(np.subtract.outer(polyad, polyad) * h).max()}
 
 
-def bounds(form):
-    return {"symmetry": _symmetry_bound(form), "exchange": _exchange_bound(form),
-            "polyad": _polyad_bound(form)}
-
-
 def unit(n, i, j):
     m = np.zeros((n, n))
     m[i, j] = 1.0
     return m
+
+
+def with_product(form, w, a):
+    """``form`` plus the self-product w a (x) a, built anew through ``PairModel``."""
+    exchange = next((b for _, b, c in form.terms if b is not c), None)
+    products = tuple((v, b) for v, b, c in form.terms if b is c)
+    return PairModel(exchange, products + ((w, a),), form.scale)
 
 
 @pytest.fixture(scope="module", params=WELLS, ids=lambda w: "-".join(
@@ -54,73 +60,52 @@ class TestCouplingBounds:
     @pytest.mark.parametrize("lam", LAMBDAS)
     @pytest.mark.parametrize("model", ["exact", "crude", "zA-zB"])
     def test_each_row_is_at_least_the_dense_defect(self, well, model, lam):
+        # The polyad row bounds its defect; the symmetry and exchange defects
+        # are 0 by construction, as their rows read.
         form = coupling(well, model, lam)
-        found, dense = bounds(form), dense_defects(form)
-        for row in found:
-            assert found[row] >= dense[row], row
+        dense = dense_defects(form)
+        assert _polyad_bound(form) >= dense["polyad"]
+        assert dense["symmetry"] == dense["exchange"] == 0.0
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_polyad_and_exchange_rows_are_exactly_zero(self, well, lam):
         assert _polyad_bound(coupling(well, "crude", lam)) == 0.0
-        for model in ("exact", "crude", "zA-zB"):
-            assert _exchange_bound(coupling(well, model, lam)) == 0.0
-
-    @pytest.mark.parametrize("lam", LAMBDAS)
-    def test_exact_symmetry_row_is_near_the_dense_defect(self, well, lam):
-        exact = coupling(well, "exact", lam)
-        dense = dense_defects(exact)["symmetry"]
-        assert _symmetry_bound(exact) <= max(2.0 * dense, 1e-14)
-
-    def test_three_swap_invariant_terms_round_apart(self):
-        # The swap maps the list onto itself, but a swapped entry sums
-        # A (x) B and B (x) A around C (x) C in the other order, which rounds
-        # differently: only a list of at most two terms is exactly invariant.
-        rng = np.random.default_rng(5)
-        a, b, c = rng.normal(size=(3, 6, 6))
-        form = PairModel(((1.0, a, b), (1.0, c, c), (1.0, b, a)), 0.3)
-        dense = dense_defects(form)["exchange"]
-        assert 0.0 < dense < 1e-14
-        assert _exchange_bound(form) >= dense
-        assert _exchange_bound(PairModel(((1.0, a, b), (1.0, b, a)), 0.3)) == 0.0
+        rows = {r.name: r.measured for r in vibron_checks(well, lam)}
+        assert rows["models invariant under oscillator exchange"] == 0.0
 
     def test_rows_are_the_bounds(self, well):
         rows = {r.name: r.measured for r in vibron_checks(well, 0.037)}
         unit = (well.alpha * well.hbar) ** 2 / well.mu  # the rows' unit, 1.0 at unit scales
-        assert rows["exact interaction is symmetric"] == _symmetry_bound(
-            coupling(well, "exact", 0.037)) / unit == 0.0
-        assert rows["crude interaction commutes with polyad"] == 0.0
+        assert rows["crude interaction commutes with polyad"] == _polyad_bound(
+            coupling(well, "crude", 0.037)) / unit == 0.0
+        assert rows["exact interaction is symmetric"] == 0.0
         assert rows["models invariant under oscillator exchange"] == 0.0
 
 
 class TestPlantedDefects:
-    """A planted term is caught (its row fails) and still bounded by its row."""
+    """A planted factor is refused, or caught (its row fails) and still bounded by its row."""
 
     Q10 = PotentialSpec.for_integer_q(10)
 
-    def planted(self, model, size, a, b):
-        """The model's coupling at lambda = 0.037 plus size * a (x) b."""
+    def planted(self, model, size, a):
+        """The model's coupling at lambda = 0.037 plus size * a (x) a."""
         base = coupling(self.Q10, model, 0.037)
-        return PairModel(base.terms + ((size / base.scale, a, b),), base.scale)
+        return with_product(base, size / base.scale, a)
 
     @pytest.mark.parametrize("i, j, k, l", [(0, 1, 0, 1), (9, 8, 0, 1), (3, 3, 2, 7)])
     def test_asymmetric_term(self, i, j, k, l):
-        form = self.planted("exact", 2e-9, unit(10, i, j), unit(10, k, l))
-        dense = dense_defects(form)["symmetry"]
-        assert dense > 1e-10
-        assert _symmetry_bound(form) >= dense
-
-    @pytest.mark.parametrize("model", ["exact", "crude"])
-    def test_term_not_invariant_under_swap(self, model):
-        form = self.planted(model, 2e-9, unit(10, 0, 1), unit(10, 2, 3))
-        dense = dense_defects(form)["exchange"]
-        assert dense > 1e-10
-        assert _exchange_bound(form) >= dense
-        single = PairModel(((2e-9, unit(10, 0, 1), unit(10, 2, 3)),))
-        assert _exchange_bound(single) >= dense_defects(single)["exchange"] > 1e-10
+        # E_ij (i != j) equals neither its transpose nor its negative.
+        for p, r in {(i, j), (k, l)}:
+            if p != r:
+                with pytest.raises(DomainError, match="transpose"):
+                    self.planted("exact", 2e-9, unit(10, p, r))
 
     @pytest.mark.parametrize("i, j, k, l", [(1, 0, 1, 0), (0, 2, 3, 3), (5, 4, 6, 4)])
     def test_polyad_breaking_term(self, i, j, k, l):
-        form = self.planted("crude", 1e-9, unit(10, i, j), unit(10, k, l))
+        # A = E_ij + E_ji + E_kl + E_lk is symmetric, and A (x) A moves the
+        # polyad by the sum of two of its offsets +-(i - j), +-(k - l).
+        a = unit(10, i, j) + unit(10, j, i) + unit(10, k, l) + unit(10, l, k)
+        form = self.planted("crude", 1e-9, a)
         dense = dense_defects(form)["polyad"]
         assert dense > 1e-12
         assert _polyad_bound(form) >= dense
@@ -133,11 +118,11 @@ class TestOverflow:
         a = np.zeros((30, 30))
         a[0, 1] = a[1, 0] = 1.0
         a[28, 29] = a[29, 28] = 1e200
-        form = PairModel(((1.0, a, a),))
+        form = PairModel(products=((1.0, a),))
         with np.errstate(over="ignore"):
             assert np.isinf(form.operator().entries).any()
-        assert _symmetry_bound(form) == math.inf
-        assert _exchange_bound(form) == math.inf
+        assert checks._by_construction(form) == math.inf
+        assert checks._by_construction(PairModel(products=((1.0, a * 1e-200),)), form) == math.inf
 
     def test_verify_fails_the_overflowing_rows(self, capsys):
         code = cli.main(["verify", "--q", "30", "--suite", "vibron", "--lambda", "1e305",
@@ -170,6 +155,12 @@ class TestStatesSuite:
         assert shapes == [(4801,)] * 30  # its levels one at a time
         assert len(calls) == 3
 
+    def test_node_row_resolves_the_top_levels_at_depth(self):
+        # 4801 points on +-12 / alpha put about two points on a node spacing
+        # of the top levels at q = 1000, where the row read 304.
+        rows = {r.name: r for r in states_checks(PotentialSpec.for_integer_q(1000))}
+        assert rows["node count equals n"].measured == 0.0
+
 
 def planted(matrix, size, i=0, j=1):
     """An object whose entries are ``matrix``'s plus size * max|entries| at (i, j)."""
@@ -184,15 +175,15 @@ def at_order(order, i, j):
         planted(f(nu, alpha, o), 1e-9, i, j) if o == order else f(nu, alpha, o))
 
 
-def coupling_plus(model, a, b):
-    """Wraps ``coupling`` to add a (x) b to one model, 1e-9 of its first term's size."""
+def coupling_plus(model, a):
+    """Wraps ``coupling`` to add a (x) a to one model, 1e-9 of its first term's size."""
     def wrap(f):
         def coupling(spec, name, lam, cfg):
             form = f(spec, name, lam, cfg)
             if name != model:
                 return form
             big = max(np.abs(x).max() for x in form.terms[0][1:])
-            return PairModel(form.terms + ((1e-9 * big * big, a, b),), form.scale)
+            return with_product(form, 1e-9 * big * big, a)
         return coupling
     return wrap
 
@@ -231,7 +222,8 @@ class TestUnitFreeRows:
                     "commutator [P0,P+] = +P+", "Casimir = j(j+1) I"]
     # Each rescaled row, the name in ``checks`` that feeds it and a wrapper
     # of that name that plants a defect of relative size 1e-9 (1e-8 for the
-    # antisymmetry row, whose tolerance is 1e-8).
+    # antisymmetry row, whose tolerance is 1e-8).  The symmetry and exchange
+    # rows have none: no model that breaks them can be built.
     PLANTS = {
         "derivative matrix antisymmetry":
             ("derivative_matrix", lambda f: lambda spec, cfg: planted(f(spec, cfg), 1e-8)),
@@ -244,11 +236,7 @@ class TestUnitFreeRows:
         "node count equals n": ("_ladder", wiggle),
         "all model spectra coincide at lambda = 0": ("compare_models", spectra_apart),
         "crude interaction commutes with polyad":
-            ("coupling", coupling_plus("crude", unit(10, 1, 0), unit(10, 1, 0))),
-        "exact interaction is symmetric":
-            ("coupling", coupling_plus("exact", unit(10, 0, 1), unit(10, 0, 1))),
-        "models invariant under oscillator exchange":
-            ("coupling", coupling_plus("zA-zB", unit(10, 0, 1), unit(10, 2, 3))),
+            ("coupling", coupling_plus("crude", unit(10, 1, 0) + unit(10, 0, 1))),
     }
 
     @pytest.mark.parametrize("q", [10, 30])

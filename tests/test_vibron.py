@@ -16,13 +16,7 @@ from mptsu2.checks import suite_for, vibron_checks
 from mptsu2.errors import DomainError
 from mptsu2.expansion import boson_map_weights, interaction_frequency
 from mptsu2.oracle import OracleConfig, derivative_matrix, position_from_derivative
-from mptsu2.pairs import (
-    _exchange_bound,
-    _slab_entries,
-    _solve,
-    _symmetric_blocks,
-    _symmetry_bound,
-)
+from mptsu2.pairs import _magnitude, _slab_entries, _solve, _symmetric_blocks
 from mptsu2.states import PotentialSpec, energy, well_numbers
 from mptsu2.vibron import (
     PairModel,
@@ -42,23 +36,55 @@ from mptsu2.vibron import (
     su2_hamiltonian,
     vibron_params_from_spectro,
 )
-from mptsu2.vibron import (
-    _boson_creation,
-    _creation,
-    _exact_coupling,
-    _exchange,
-    _su2_model,
-)
+from mptsu2.vibron import _boson_creation, _creation, _exact_coupling, _su2_model
 
 Q3 = PotentialSpec.for_integer_q(3)
 
 
 def block_values(model):
-    """Ascending eigenvalues gathered from the block solver."""
-    values = np.full(model.dim, np.nan)
-    for idx, stack in _symmetric_blocks(model):
-        values[idx] = np.linalg.eigh(stack)[0]
-    return np.sort(values, kind="stable")
+    """Ascending eigenvalues of the stacks gathered by the sector solver."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
+                                   for _, stack in _symmetric_blocks(model)]), kind="stable")
+
+
+def sector(h, rows, sign):
+    """Exchange sector ``sign`` of the dense H over ``rows``.
+
+    Its entries are (H[ab, cd] + sign H[ab, dc]) f_ab f_cd, with f = 1/sqrt(2)
+    on a = b and 1 otherwise.
+    """
+    n = math.isqrt(h.shape[0])
+    a, b = np.divmod(rows, n)
+    f2 = np.where(a == b, 0.5, 1.0)
+    e = h[rows[:, None], rows] + sign * h[rows[:, None], b * n + a]
+    e *= np.sqrt(f2[:, None] * f2[None, :])
+    return e
+
+
+def sector_bytes(h, rows):
+    """The bytes of each sector the dense H may have over ``rows``: +1 only if a pair has a = b.
+
+    Without coupling either formula gives a single pair's diagonal entry h,
+    as the solver reads it: (h + h) / 2 on a = b, and h +- 0.0 otherwise.
+    """
+    a, b = np.divmod(rows, math.isqrt(h.shape[0]))
+    return [sector(h, rows, sign).tobytes() for sign in ([1] if (a == b).any() else [1, -1])]
+
+
+def sector_members(n):
+    """The pairs of both sectors of a model with n levels, a <= b and a < b, sorted together."""
+    a, b = np.divmod(np.arange(n * n), n)
+    return sorted(np.flatnonzero(a <= b).tolist() + np.flatnonzero(a < b).tolist())
+
+
+def random_factor(rng, n, density, sign=None):
+    """A random n x n factor, about ``density`` nonzero; ``sign`` times its transpose if given."""
+    a = rng.normal(size=(n, n))
+    keep = rng.random((n, n)) < density
+    if sign is None:
+        return np.where(keep, a, 0.0)
+    keep = np.triu(keep)
+    return np.where(keep | keep.T, a + sign * a.T, 0.0)
 
 
 def tridiagonal(n):
@@ -312,7 +338,7 @@ class TestInPlaceBuilders:
             k = np.kron(create, create.T)
             expected = k + k.T
             expected *= scale
-            dense = _exchange(create, scale).operator().entries
+            dense = PairModel(create, scale=scale).operator().entries
             assert dense.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("q", [3, 10, 17])
@@ -338,6 +364,8 @@ class TestInPlaceBuilders:
         # The blocks proven from the factors are polyads (su2, crude),
         # polyad parities (exact, zA-zB) or, without coupling, single
         # levels, and the dense matrix has no nonzero entry between them.
+        # Each gathered stack is the exchange sectors of those blocks, or,
+        # without coupling, the 1 x 1 pair diagonal of every pair.
         spec = PotentialSpec.for_integer_q(q, alpha=0.7, mu=1.9, hbar=1.3)
         form = coupled_model(spec, model, lam)
         polyad = np.add.outer(np.arange(q), np.arange(q)).ravel()
@@ -348,15 +376,14 @@ class TestInPlaceBuilders:
         dense = form.operator().entries
         linked = (dense != 0.0) | (dense.T != 0.0)
         assert not linked[label[:, None] != label[None, :]].any()
-        sym = (dense + dense.T) * 0.5
         blocks = list(_symmetric_blocks(form))
         assert len(blocks) > 0
-        seen = np.concatenate([idx.ravel() for idx, _ in blocks])
-        assert sorted(seen.tolist()) == list(range(q * q))
+        seen = sorted(np.concatenate([idx.ravel() for idx, _ in blocks]).tolist())
+        assert seen == (list(range(q * q)) if lam == 0.0 else sector_members(q))
         for idx, stack in blocks:
-            assert np.all(label[idx] == idx[:, :1])
-            expected = sym[idx[:, :, None], idx[:, None, :]]
-            assert stack.tobytes() == expected.tobytes()
+            assert np.all(label[idx] == label[idx[:, :1]])
+            for rows, block in zip(idx, stack):
+                assert block.tobytes() in sector_bytes(dense, rows)
 
 
 def public_dense(spec, model, lam):
@@ -374,7 +401,7 @@ def public_dense(spec, model, lam):
 
 
 class TestOneSymmetryProof:
-    """``_symmetry_bound`` proves every model symmetric bit for bit, so no block is symmetrized."""
+    """Every model is symmetric and exchange-symmetric by construction, and solved by sector."""
 
     @pytest.mark.parametrize("scale", [{}, dict(alpha=0.7, mu=1.9, hbar=1.3)],
                              ids=["unit", "scaled"])
@@ -386,17 +413,14 @@ class TestOneSymmetryProof:
         # (at lam = 0 the 1 x 1 pair diagonal) by eigvalsh.
         spec = PotentialSpec.for_integer_q(q, **scale)
         form = coupled_model(spec, model, lam)
-        assert _symmetry_bound(form) == 0.0
-        values = np.full(form.dim, np.nan)
         h = form.operator().entries
+        assert np.array_equal(h, h.T)
         for idx, stack in _symmetric_blocks(form):
-            assert stack.tobytes() == h[idx[:, :, None], idx[:, None, :]].tobytes()
-            values[idx] = np.linalg.eigh(stack)[0]
-        sectors = np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
-                                          for _, stack in _symmetric_blocks(form, split=True)]))
+            for rows, block in zip(idx, stack):
+                assert block.tobytes() in sector_bytes(h, rows)
+        sectors = block_values(form)
         dense = np.linalg.eigvalsh(public_dense(spec, model, lam))
-        for found in (np.sort(values), sectors):
-            assert np.max(np.abs(found - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert np.max(np.abs(sectors - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(spectrum(form), sectors)
 
     @pytest.mark.parametrize("lam", [0.037, -0.021])
@@ -409,42 +433,15 @@ class TestOneSymmetryProof:
         # stacks are gathered in chunks that end mid-block, and an su2 or
         # crude chunk spans several blocks.
         form = coupled_model(PotentialSpec.for_integer_q(q), model, lam)
-        assert _exchange_bound(form) == 0.0
         h = form.operator().entries
-        a, b = np.divmod(np.arange(q * q), q)
-        swap = b * q + a
+        swapped = h.reshape(q, q, q, q).transpose(1, 0, 3, 2).reshape(q * q, q * q)
+        assert np.array_equal(h, swapped)
         seen = []
-        for idx, stack in _symmetric_blocks(form, split=True):
+        for idx, stack in _symmetric_blocks(form):
             for rows, block in zip(idx, stack):
-                i, j = np.divmod(rows, q)
-                f2 = np.where(i == j, 0.5, 1.0)
-                expected = []
-                for sign in [1] if (i == j).any() else [1, -1]:
-                    e = h[rows[:, None], rows] + sign * h[rows[:, None], swap[rows]]
-                    e *= np.sqrt(f2[:, None] * f2[None, :])
-                    expected.append(e.tobytes())
-                assert block.tobytes() in expected
+                assert block.tobytes() in sector_bytes(h, rows)
                 seen.extend(rows.tolist())
-        assert sorted(seen) == sorted(np.flatnonzero(a <= b).tolist()
-                                      + np.flatnonzero(a < b).tolist())
-
-    def test_unproven_exchange_is_not_split(self):
-        # A (x) B with A != B: the sector formula would take H[ab, dc] for
-        # H[ba, cd], so the solve keeps the parity blocks.
-        n = 5
-        rng = np.random.default_rng(4)
-        t = np.diag(rng.normal(size=n - 1), 1)
-        model = PairModel(((1.0, tridiagonal(n), t + t.T),), 0.3, np.linspace(0.0, 2.0, n))
-        assert _exchange_bound(model) > 0.0
-        dense = np.linalg.eigvalsh(model.operator().entries)
-
-        def solved(*split):
-            return np.sort(np.concatenate([np.linalg.eigvalsh(stack).ravel()
-                                           for _, stack in _symmetric_blocks(model, *split)]))
-
-        assert np.max(np.abs(solved(True) - dense)) > 1e-3
-        assert np.max(np.abs(solved() - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert np.array_equal(spectrum(model), solved())
+        assert sorted(seen) == sector_members(q)
 
     @pytest.mark.parametrize("q, flag, value", [(10, "alpha", 1e3), (40, "hbar", 1e2),
                                                 (10, "alpha", 1e100), (10, "alpha", 1e-100)])
@@ -484,56 +481,55 @@ class TestSpectrumSolver:
 
     def test_diagonal_input(self):
         # Without terms H is the pair diagonal e[n1] + e[n2].
-        model = PairModel((), single=np.array([3.0, -1.0, 2.0]))
+        model = PairModel(single=np.array([3.0, -1.0, 2.0]))
         assert spectrum(model) == [-2.0, 1.0, 1.0, 2.0, 2.0, 4.0, 5.0, 5.0, 6.0]
         assert spectrum(model) == sorted(np.diag(model.operator().entries))
 
     def test_two_by_two(self):
-        # A (x) I with n = 2: the 2 x 2 swap A, twice.
+        # A (x) A with n = 2, A the 2 x 2 swap: the products of its eigenvalues +-1.
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        values = spectrum(PairModel(((1.0, swap, np.eye(2)),)))
+        values = spectrum(PairModel(products=((1.0, swap),)))
         assert values == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-12)
 
     def test_residuals_on_permuted_block_diagonal(self):
-        # Polyad blocks of sizes 1, 2, ..., 6, ..., 2, 1, several of them
-        # equal, so both single and stacked LAPACK calls are exercised; each
-        # polyad is scattered across the lexicographic basis.
+        # The exchange sectors of polyad blocks of sizes 1, 2, ..., 6, ..., 2,
+        # 1, several of them equal, so both single and stacked LAPACK calls
+        # are exercised; each sector is scattered across the lexicographic basis.
         rng = np.random.default_rng(11)
         n = 6
-        model = _exchange(np.diag(rng.normal(size=n - 1), -1), 0.3).with_diagonal(
-            rng.normal(size=n))
+        model = PairModel(np.diag(rng.normal(size=n - 1), -1), scale=0.3,
+                          single=rng.normal(size=n))
         a = model.operator().entries
         norm = np.linalg.norm(a, 2)
         seen, found_sizes = [], []
         for idx, stack in _symmetric_blocks(model):
             w, v = np.linalg.eigh(stack)
-            block = a[idx[:, :, None], idx[:, None, :]]
             eye = np.eye(idx.shape[1])
-            assert np.max(np.abs(block @ v - v * w[:, None, :])) <= 1e-12 * norm
+            for rows, block, values, vectors in zip(idx, stack, w, v):
+                assert block.tobytes() in sector_bytes(a, rows)
+                assert np.max(np.abs(block @ vectors - vectors * values)) <= 1e-12 * norm
             assert np.max(np.abs(v.transpose(0, 2, 1) @ v - eye)) <= 1e-12
             assert np.all(np.diff(idx, axis=1) > 0)
             seen.extend(idx.ravel().tolist())
             found_sizes.extend([idx.shape[1]] * idx.shape[0])
-        # The blocks are the polyads and partition the basis.
-        assert sorted(seen) == list(range(n * n))
-        sizes = np.bincount(np.add.outer(np.arange(n), np.arange(n)).ravel())
-        assert sorted(found_sizes) == sorted(sizes.tolist())
+        # The sectors split the polyads: a <= b in sector +1, a < b in -1.
+        assert sorted(seen) == sector_members(n)
+        i, j = np.divmod(np.arange(n * n), n)
+        polyad = i + j
+        sizes = np.concatenate([np.bincount(polyad[i <= j]), np.bincount(polyad[i < j])])
+        assert sorted(found_sizes) == sorted(sizes[sizes > 0].tolist())
         assert np.all(np.diff(spectrum(model)) >= 0.0)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 4), terms=st.integers(1, 3), density=st.floats(0.0, 1.0),
-           diagonal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_blocked_values_match_dense(self, n, terms, density, diagonal, seed):
+    @given(n=st.integers(1, 4), terms=st.integers(1, 3), exchange=st.booleans(),
+           density=st.floats(0.0, 1.0), diagonal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_values_match_dense(self, n, terms, exchange, density, diagonal, seed):
         # The factors' nonzero patterns set the polyad steps, so the blocks
         # range from single levels through polyads and parities to one block.
         rng = np.random.default_rng(seed)
-
-        def factor():
-            a = rng.normal(size=(n, n))
-            keep = np.triu(rng.random((n, n)) < density)
-            return np.where(keep | keep.T, a + a.T, 0.0)
-
-        model = PairModel(tuple((rng.normal(), factor(), factor()) for _ in range(terms)),
+        model = PairModel(random_factor(rng, n, density) if exchange else None,
+                          tuple((rng.normal(), random_factor(rng, n, density, rng.choice([1, -1])))
+                                for _ in range(terms)),
                           rng.normal(), rng.normal(size=n) if diagonal else None)
         a = model.operator().entries
         dense = np.linalg.eigvalsh(a)
@@ -543,26 +539,18 @@ class TestSpectrumSolver:
     @given(n=st.integers(1, 4), density=st.floats(0.0, 1.0), diagonal=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_exchange_sectors_match_dense(self, n, density, diagonal, seed):
-        # A (x) B + B (x) A is proven exchange-symmetric, so its blocks, from
-        # single levels to one whole block, are solved by exchange sector.
+        # c (x) c^T + c^T (x) c for any c, its blocks ranging from single
+        # levels to one whole block, is solved by exchange sector.
         rng = np.random.default_rng(seed)
-
-        def factor():
-            a = rng.normal(size=(n, n))
-            keep = np.triu(rng.random((n, n)) < density)
-            return np.where(keep | keep.T, a + a.T, 0.0)
-
-        a, b = factor(), factor()
-        model = PairModel(((1.0, a, b), (1.0, b, a)), rng.normal(),
-                          rng.normal(size=n) if diagonal else None)
-        assert _exchange_bound(model) == 0.0
+        model = PairModel(random_factor(rng, n, density), scale=rng.normal(),
+                          single=rng.normal(size=n) if diagonal else None)
         h = model.operator().entries
         dense = np.linalg.eigvalsh(h)
         assert np.max(np.abs(np.asarray(spectrum(model)) - dense)) <= 1e-12 * np.linalg.norm(h, 2)
 
     def test_diagonal_returned_bit_for_bit(self):
         e = np.random.default_rng(3).normal(size=7)
-        model = PairModel((), single=e)
+        model = PairModel(single=e)
         d = np.add.outer(e, e).ravel()
         # Forty-nine 1 x 1 blocks in one stacked call: each eigenvector is exactly 1.
         (idx, stack), = _symmetric_blocks(model)
@@ -580,87 +568,75 @@ class TestSpectrumSolver:
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(5)
-        a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        model = PairModel(((1.0, a + a.T, b + b.T), (0.5, a @ a.T, np.eye(4))),
-                          single=rng.normal(size=4))
+        a, b, c = rng.normal(size=(3, 4, 4))
+        model = PairModel(c, ((1.0, a + a.T), (0.5, b - b.T)), single=rng.normal(size=4))
         assert np.max(np.abs(np.asarray(spectrum(model))
                              - np.linalg.eigvalsh(model.operator().entries))) < 1e-11
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(DomainError):
-            spectrum(PairModel(((1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)),)))
+        with pytest.raises(DomainError, match="transpose"):
+            PairModel(products=((1.0, np.array([[0.0, 1.0], [0.0, 0.0]])),))
 
     def test_antisymmetric_pair_rejected(self):
-        # (H + H^T) / 2 is zero there, so the labels must link the entries
-        # of H or H^T for the gate to see them.
-        model = PairModel(((1.0, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)),))
-        with pytest.raises(DomainError, match="not symmetric"):
-            spectrum(model)
+        # An antisymmetric A would make A (x) I antisymmetric, but A is
+        # taken only as A (x) A, which is symmetric; a factor with both an
+        # antisymmetric and a symmetric part is refused.
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        h = PairModel(products=((1.0, a),)).operator().entries
+        assert np.array_equal(h, h.T)
+        with pytest.raises(DomainError, match="transpose"):
+            PairModel(products=((1.0, a + np.eye(2)),))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 14, 15, 30])
-    def test_symmetrize_is_the_whole_matrix_formula(self, n):
-        # Dense factors move the polyad by odd steps, so H is one block,
-        # gathered whole however large.  A (x) B + A^T (x) B^T is symmetric
-        # bit for bit; the 1e-11 term is not.
-        rng = np.random.default_rng(n)
-        a, b, c, e = rng.normal(size=(4, n, n))
-        model = PairModel(((1.0, a, b), (1.0, a.T, b.T), (1e-11, c, e)),
-                          single=rng.normal(size=n))
-        blocks = list(_symmetric_blocks(model))
-        assert len(blocks) == (n > 0)
-        for idx, stack in blocks:
-            dense = model.operator().entries
-            assert np.array_equal(idx, np.arange(n * n)[None, :])
-            assert stack.tobytes() == ((dense + dense.T) * 0.5)[None].tobytes()
-
-    # (i, j, k, l) of E_ij (x) E_kl, which sets H only at ((i, k), (j, l)),
-    # a polyad step (i - j) + (k - l) that is even: three in the even
-    # parity block of T (x) T at n = 14, three in the odd one.
+    # (i, j, k, l): factors E_ij and E_kl whose polyad step (i - j) + (k - l)
+    # is even, so their pattern keeps the parity blocks of T (x) T.
     PLANTS = [(0, 1, 0, 1), (1, 0, 1, 0), (13, 13, 13, 11),
               (0, 1, 1, 0), (13, 12, 0, 1), (12, 13, 13, 12)]
 
     @staticmethod
-    def chunked_with(term):
-        """T (x) T at n = 14 plus ``term``, which must keep its two parity blocks.
+    def chunked_with(product):
+        """T (x) T at n = 20 plus the self-product ``product``, which must keep its parity blocks.
 
-        The stack's 196 rows are gathered _slab_entries(d) // 98 at a time,
-        so a chunk ends mid-block, and the six plants' rows (i, k) fall in
-        more than one chunk.
+        The even parity block's sector +1, its 110 pairs a <= b, is a stack
+        gathered _slab_entries(d) // 110 = 74 rows at a time, and the plants'
+        rows (i, i) fall in both of its chunks.
         """
-        n = 14
+        n = 20
         t = tridiagonal(n)
-        base = PairModel(((1.0, t, t),), single=np.arange(float(n)))
-        (idx, _), = _symmetric_blocks(base)
-        assert idx.shape == (2, 98)
-        line = np.argsort(idx.ravel())
-        chunk = line[[i * n + k for i, _, k, _ in TestSpectrumSolver.PLANTS]] // (
-            _slab_entries(n * n) // 98)
-        assert len(set(chunk.tolist())) > 1
-        model = PairModel(base.terms + (term,), single=base.single)
+        base = PairModel(products=((1.0, t),), single=np.arange(float(n)))
+        idx, = [idx for idx, _ in _symmetric_blocks(base) if idx.shape == (1, 110)]
+        rows = np.searchsorted(idx[0], [i * (n + 1) for i, *_ in TestSpectrumSolver.PLANTS])
+        assert len(set((rows // (_slab_entries(n * n) // 110)).tolist())) > 1
+        model = PairModel(products=((1.0, t), product), single=base.single)
         assert np.array_equal(model.labels(), base.labels())
         return model
 
     @pytest.mark.parametrize("i, j, k, l", PLANTS)
     def test_asymmetry_found_in_every_slab(self, i, j, k, l):
-        model = self.chunked_with((2e-9, unit(14, i, j), unit(14, k, l)))
-        with pytest.raises(DomainError, match="not symmetric"):
-            spectrum(model)
+        # E_ij with i != j equals neither its transpose nor its negative, so
+        # no model holds it, wherever its rows would be gathered.
+        t = tridiagonal(20)
+        for p, r in {(i, j), (k, l)}:
+            if p != r:
+                with pytest.raises(DomainError, match="transpose"):
+                    PairModel(products=((1.0, t), (2e-9, unit(20, p, r))),
+                              single=np.arange(20.0))
 
     @pytest.mark.parametrize("i, j, k, l", PLANTS)
     def test_overflowing_product_found_in_every_chunk(self, i, j, k, l):
-        # Finite factors pass the factor check; their product is inf.
-        model = self.chunked_with((1.0, 1e200 * unit(14, i, j), 1e200 * unit(14, k, l)))
+        # Every product and the factor magnitude are finite; the sector +1
+        # entry H[ii, jj] + H[ii, jj] of row (i, i) is inf.
+        pattern = unit(20, i, j) + unit(20, j, i) + unit(20, k, l) + unit(20, l, k)
+        model = self.chunked_with((1e308, np.minimum(pattern, 1.0)))
+        assert math.isfinite(_magnitude(model))
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
             spectrum(model)
 
     def test_inputs_are_left_unchanged(self):
-        # A (x) B + A^T (x) B^T is symmetric; symmetrizing would change the
-        # entry that the 1e-12 term sets.
         rng = np.random.default_rng(9)
-        a, b, single = rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
-        model = PairModel(((1.0, a, b), (1.0, a.T, b.T), (1e-12, unit(4, 2, 1), b)),
-                          0.7, single)
-        arrays = [a, b, single, model.terms[2][1]]
+        a, b, c = rng.normal(size=(3, 4, 4))
+        symmetric, antisymmetric, single = a + a.T, b - b.T, rng.normal(size=4)
+        model = PairModel(c, ((1.0, symmetric), (1e-12, antisymmetric)), 0.7, single)
+        arrays = [c, symmetric, antisymmetric, single]
         before = [x.tobytes() for x in arrays]
         spectrum(model)
         assert [x.tobytes() for x in arrays] == before
@@ -675,12 +651,12 @@ class TestSpectrumSolver:
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_entry_rejected(self, value, where):
         a = np.array([[0.0, 0.0], [0.0, 1.0]])
-        a[where] = value
+        a[where] = a[where[::-1]] = value
         with pytest.raises(DomainError, match="non-finite"):
-            spectrum(PairModel(((1.0, a, np.eye(2)),)))
+            spectrum(PairModel(products=((1.0, a),)))
 
     def test_degenerate_eigenvalues_ordered_stably(self):
-        model = PairModel((), single=np.array([1.0, 1.0, -0.5]))
+        model = PairModel(single=np.array([1.0, 1.0, -0.5]))
         values = spectrum(model)
         assert values == [-1.0] + [0.5] * 4 + [2.0] * 4
         # Equal values keep basis order, so their dominant indices ascend.
@@ -688,38 +664,39 @@ class TestSpectrumSolver:
 
 
 class TestFactorFormGates:
-    """``spectrum(PairModel)``: blocks proven from the factors, gates checked per block."""
+    """``PairModel`` and ``spectrum``: factors checked when built, entries per block."""
 
     @pytest.mark.parametrize("scale", [0.1, 0.0])
     def test_inf_against_a_zero_factor_rejected(self, scale):
-        # inf * 0 is NaN in the dense matrix.  At zero scale the blocks are
-        # single levels and the NaN lies between them, where no gathered
-        # block sees it.
+        # inf * 0 is NaN in the dense matrix: a (x) a sets H[00, 10] to
+        # a[0, 1] a[0, 0], between the parity blocks, where no gathered block
+        # sees it.  At zero scale the blocks are single levels.
         a = np.array([[0.0, math.inf], [math.inf, 0.0]])
-        model = PairModel(((1.0, a, np.zeros((2, 2))),), scale, np.array([0.0, 1.0]))
+        model = PairModel(products=((1.0, a),), scale=scale, single=np.array([0.0, 1.0]))
         with pytest.raises(DomainError, match="non-finite"):
             spectrum(model)
 
     def test_nan_in_the_pair_diagonal_rejected(self):
-        c = _creation(3)
-        model = _exchange(c, 0.05).with_diagonal(np.array([0.0, math.nan, 2.0]))
+        model = PairModel(_creation(3), scale=0.05, single=np.array([0.0, math.nan, 2.0]))
         with pytest.raises(DomainError, match="non-finite"):
             spectrum(model)
 
     def test_asymmetric_factor_rejected(self):
         a = tridiagonal(4)
         a[0, 1] += 2e-9
-        model = PairModel(((1.0, a, np.eye(4)),), single=np.arange(4.0))
-        with pytest.raises(DomainError, match="not symmetric"):
-            spectrum(model)
+        with pytest.raises(DomainError, match="transpose"):
+            PairModel(products=((1.0, a),), single=np.arange(4.0))
 
     def test_odd_steps_make_one_block(self):
-        # A (x) I moves the polyad by -1, 0 and +1: gcd 1, a single block.
+        # T + I moves a level by -1, 0 and +1, so (T + I) (x) (T + I) moves
+        # the polyad by -2 to 2: gcd 1, a single block, in its two sectors.
         n = 5
-        model = PairModel(((1.0, tridiagonal(n), np.eye(n)),), 0.3,
-                          np.linspace(0.0, 2.0, n))
-        (idx, _), = _symmetric_blocks(model)
-        assert np.array_equal(idx, np.arange(n * n)[None, :])
+        a = tridiagonal(n) + np.eye(n)
+        model = PairModel(products=((1.0, a),), scale=0.3, single=np.linspace(0.0, 2.0, n))
+        assert not model.labels().any()
+        first, second = np.divmod(np.arange(n * n), n)
+        assert [idx.tolist() for idx, _ in _symmetric_blocks(model)] == [
+            [np.flatnonzero(first < second).tolist()], [np.flatnonzero(first <= second).tolist()]]
         dense = np.linalg.eigvalsh(model.operator().entries)
         values = np.asarray(spectrum(model))
         assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -778,14 +755,17 @@ class TestCompareModels:
     @pytest.mark.parametrize("q", [10, 17])
     def test_polyads_are_those_of_the_parity_block_eigenvectors(self, q, lam):
         # The exact model is solved by exchange sector; its labels are read
-        # as eigh of its whole parity blocks gives them.
+        # as eigh of its whole parity blocks, cut from the dense matrix, gives them.
         spec = PotentialSpec.for_integer_q(q)
+        form = coupled_model(spec, "exact", lam)
+        h, label = form.operator().entries, form.labels()
         values = np.empty(q * q)
         dominant = np.empty(q * q, dtype=int)
-        for idx, stack in _symmetric_blocks(coupled_model(spec, "exact", lam)):
-            w, v = np.linalg.eigh(stack)
-            values[idx] = w
-            dominant[idx] = np.take_along_axis(idx, np.argmax(np.abs(v), axis=1), axis=1)
+        for first in np.unique(label):
+            rows = np.flatnonzero(label == first)
+            w, v = np.linalg.eigh(h[rows[:, None], rows])
+            values[rows] = w
+            dominant[rows] = rows[np.argmax(np.abs(v), axis=0)]
         dominant = dominant[np.argsort(values, kind="stable")]
         assert compare_models(spec, lam).polyads == tuple((dominant // q + dominant % q).tolist())
 
@@ -927,10 +907,16 @@ class TestResourceUse:
         # Each stack is gathered _slab_entries(d) entries at a time, so besides
         # the largest stack nothing holds more than a few chunks.  At lambda = 0
         # each of the d = q^2 pairs is a 1 x 1 block read off the pair
-        # diagonal, so the stacked blocks themselves are d doubles.
+        # diagonal, so the stacked blocks themselves are d doubles.  Each
+        # stack is dropped before the next is gathered, as the solver does.
         form = coupled_model(PotentialSpec.for_integer_q(q), model, lam)
         largest = max(stack.nbytes for _, stack in _symmetric_blocks(form))
-        peak = traced_peak(lambda: sum(len(idx) for idx, _ in _symmetric_blocks(form)))
+
+        def gather():
+            for idx, stack in _symmetric_blocks(form):
+                del stack
+
+        peak = traced_peak(gather)
         assert peak - largest <= 20 * _slab_entries(q * q) * 8
         if lam == 0.0:
             assert peak <= 8 * q * q * 8
