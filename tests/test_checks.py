@@ -73,6 +73,26 @@ class TestCouplingBounds:
         rows = {r.name: r.measured for r in vibron_checks(well, lam)}
         assert rows["models invariant under oscillator exchange"] == 0.0
 
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_exact_symmetry_row_is_near_the_dense_defect(self, well, lam):
+        # The row reads the construction invariant, and the dense defect of
+        # the matrix as computed is exactly that.
+        exact = coupling(well, "exact", lam)
+        assert checks._by_construction(exact) == dense_defects(exact)["symmetry"] == 0.0
+
+    def test_many_terms_stay_exactly_swap_invariant(self):
+        # Past its first two terms a sum rounds by its order, so A (x) B,
+        # C (x) C, B (x) A once rounded apart under the swap.  Every term
+        # after the exchange pair maps onto itself, so any number of them
+        # keeps H symmetric and swap-invariant bit for bit.
+        rng = np.random.default_rng(5)
+        c, a, b, e = rng.normal(size=(4, 6, 6))
+        form = PairModel(c, ((1.0, a + a.T), (0.7, b - b.T), (-1.3, e + e.T)), 0.3)
+        assert len(form.terms) == 5
+        dense = dense_defects(form)
+        assert dense["symmetry"] == dense["exchange"] == 0.0
+        assert checks._by_construction(form) == 0.0
+
     def test_rows_are_the_bounds(self, well):
         rows = {r.name: r.measured for r in vibron_checks(well, 0.037)}
         unit = (well.alpha * well.hbar) ** 2 / well.mu  # the rows' unit, 1.0 at unit scales
@@ -109,6 +129,18 @@ class TestPlantedDefects:
         dense = dense_defects(form)["polyad"]
         assert dense > 1e-12
         assert _polyad_bound(form) >= dense
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("model", ["exact", "crude"])
+    def test_planted_self_product_keeps_both_symmetries(self, model, sign):
+        # A generic A = +-A^T changes H, but A (x) A maps onto itself under
+        # the transpose and the swap, so both dense defects stay exactly 0.
+        m = np.random.default_rng(7).normal(size=(10, 10))
+        form = self.planted(model, 2e-9, m + sign * m.T)
+        base = coupling(self.Q10, model, 0.037).operator().entries
+        assert not np.array_equal(form.operator().entries, base)
+        dense = dense_defects(form)
+        assert dense["symmetry"] == dense["exchange"] == 0.0
 
 
 class TestOverflow:
@@ -238,6 +270,16 @@ class TestUnitFreeRows:
         "crude interaction commutes with polyad":
             ("coupling", coupling_plus("crude", unit(10, 1, 0) + unit(10, 0, 1))),
     }
+
+    @pytest.mark.parametrize("model", ["exact", "crude", "zA-zB"])
+    def test_planted_asymmetric_factor_is_refused_at_any_scale(self, monkeypatch, model):
+        # The factor E_01 that once planted a defect in the symmetry and
+        # exchange rows is refused when the coupling is built.
+        monkeypatch.setattr(checks, "coupling",
+                            coupling_plus(model, unit(10, 0, 1))(checks.coupling))
+        for alpha in (1.0, 1e3):
+            with pytest.raises(DomainError, match="transpose"):
+                checks.suite_for("all", PotentialSpec.for_integer_q(10, alpha=alpha), None, 0.037)
 
     @pytest.mark.parametrize("q", [10, 30])
     @pytest.mark.parametrize("scale", SCALES, ids=lambda d: "-".join(

@@ -587,6 +587,27 @@ class TestSpectrumSolver:
         with pytest.raises(DomainError, match="transpose"):
             PairModel(products=((1.0, a + np.eye(2)),))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 14, 15, 30])
+    def test_one_block_gathers_as_two_exactly_symmetric_sectors(self, n):
+        # Dense factors move the polyad by odd steps, so H is one block,
+        # gathered whole however large, in its two exchange sectors.  Each
+        # is symmetric bit for bit as gathered, with nothing symmetrized,
+        # and is the dense sector formula; the 1e-11 term is antisymmetric.
+        rng = np.random.default_rng(n)
+        c, a, b = rng.normal(size=(3, n, n))
+        model = PairModel(c, ((1.0, a + a.T), (1e-11, b - b.T)), single=rng.normal(size=n))
+        blocks = list(_symmetric_blocks(model))
+        assert len(blocks) == (n > 0) + (n > 1)
+        for idx, stack in blocks:
+            dense = model.operator().entries
+            assert np.array_equal(dense, dense.T)
+            assert idx.shape[0] == 1
+            assert np.array_equal(stack, stack.transpose(0, 2, 1))
+            first, second = np.divmod(idx[0], n)
+            sign = 1 if (first == second).any() else -1
+            assert stack[0].tobytes() == sector(dense, idx[0], sign).tobytes()
+        assert sorted(i for idx, _ in blocks for i in idx.ravel().tolist()) == sector_members(n)
+
     # (i, j, k, l): factors E_ij and E_kl whose polyad step (i - j) + (k - l)
     # is even, so their pattern keeps the parity blocks of T (x) T.
     PLANTS = [(0, 1, 0, 1), (1, 0, 1, 0), (13, 13, 13, 11),
