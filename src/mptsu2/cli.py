@@ -40,8 +40,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per ``_TABLE`` command, with its options in table order."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A subparser per ``_TABLE`` command, or only ``command``'s, its options in table order."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -50,9 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix elements, generator expansions, and coupled-model "
                     "comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _TABLE.items():
-        p = sub.add_parser(name, help=command.help)
-        for flag, keywords in command.options:
+    for name, entry in _TABLE.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=entry.help)
+        for flag, keywords in entry.options:
             p.add_argument(flag, **{k: v for k, v in keywords.items()
                                     if k not in ("default", "required")})
     return parser
@@ -431,10 +433,17 @@ def main(argv: list[str] | None = None) -> int:
     # transient heap, and doing that on top of the parser's state raised the
     # peak RSS of verify and vibron processes by 0.2-0.3 MB.  Each handler
     # still imports what it uses; this only orders the compiles.
-    library = _TABLE[argv[0]].library if argv and argv[0] in _TABLE else None
+    command = argv[0] if argv and argv[0] in _TABLE else None
+    library = command and _TABLE[command].library
     if library:
         import_module(f".{library}", __package__)
-    args = build_parser().parse_args(argv)
+    # Only the named command's subparser is built: its help and errors are
+    # the full parser's.  An argv that names no command, or leaves an
+    # argument over, is parsed again by the full parser, whose usage line
+    # lists every command.
+    args, extra = build_parser(command).parse_known_args(argv) if command else (None, argv)
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
         return _TABLE[args.command].handler(args)
@@ -453,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Entry point of ``mptsu2``, ``python -m mptsu2`` and ``python -m mptsu2.cli``.
+    """End of every entry point: ``python -m mptsu2.cli``, and ``__main__.start``.
 
     Runs :func:`main`, flushes stderr (``_emit`` flushed stdout) and ends the
     process with ``os._exit``, skipping 20-30 ms of interpreter teardown, so

@@ -271,8 +271,9 @@ def _gathered(model: PairModel, rows: np.ndarray, sign: np.ndarray) -> np.ndarra
         swapped = model._products(ra + d, rb + c)
         swapped[here, column] += partner_diagonal[line]
         swapped *= sign[block]
-        h += swapped
-        h *= np.sqrt(half.ravel()[line, None] * half[block])
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            h += swapped
+            h *= np.sqrt(half.ravel()[line, None] * half[block])
         _check_finite(h)
         stack.reshape(k * s, s)[start:start + lines] = h
     return stack

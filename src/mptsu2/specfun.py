@@ -8,6 +8,7 @@ composite fixed-panel integrator built on those rules.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import Callable
@@ -153,11 +154,17 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
     Nodes are found by Newton iteration from the Chebyshev-like initial
     guesses, polished until the update falls below 1e-15, then mirrored so
-    the rule is exactly symmetric.
+    the rule is exactly symmetric.  The rules of the last 32 orders asked
+    for are kept, so each is solved once; a rule holds tuples, so a kept
+    one cannot be changed.
     """
     if order < 1 or order != int(order):
         raise DomainError(f"quadrature order must be a positive integer, got {order}")
-    order = int(order)
+    return _newton_rule(int(order))
+
+
+@functools.lru_cache(maxsize=32)
+def _newton_rule(order: int) -> QuadratureRule:
     k = np.arange(1, order + 1)
     x = np.cos(math.pi * (k - 0.25) / (order + 0.5))
     for _ in range(100):

@@ -14,6 +14,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert len(rows) > 15
 
+    def test_each_quadrature_order_is_solved_once(self, capsys):
+        # The oracle asks for 3 rules of order 1 and 3 of order q + 2; a warm
+        # run solves none and prints the same bytes.
+        from mptsu2.specfun import _newton_rule
+
+        _newton_rule.cache_clear()
+        cold = run_cli(capsys, "verify", "--q", "30", "--suite", "all", "--format", "json")
+        assert _newton_rule.cache_info()[:2] == (4, 2)
+        warm = run_cli(capsys, "verify", "--q", "30", "--suite", "all", "--format", "json")
+        assert _newton_rule.cache_info()[:2] == (10, 2)
+        assert cold == warm
+        assert cold[0] == 0
+
     def test_suite_choices_are_the_names_suite_for_accepts(self):
         from mptsu2 import checks
 
@@ -447,6 +461,14 @@ class TestNonFiniteCoupling:
         assert code == 2
         assert out == ""
         assert "--lambda must be finite" in err
+
+    def test_overflowing_sector_sum_is_one_error_line(self):
+        # The two terms of a zA-zB sector entry are finite and their sum is
+        # not; numpy's overflow warning once came before the error line.
+        proc = run_child("-m", "mptsu2", "vibron", "--q", "30", "--lambda", "1e305",
+                         "--model", "zA-zB")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: matrix has a non-finite entry\n"
 
 
 class TestParams:
@@ -912,6 +934,101 @@ class TestStartUp:
             mptsu2.no_such_name
 
 
+    def test_the_module_entry_imports_with_the_collector_paused(self):
+        # Collections are recorded from before the package is imported until
+        # cli.main is called; today's parent start-up ran about 31 of them.
+        script = textwrap.dedent("""
+            import gc, json, os, runpy, sys
+            gc.collect()
+            collections = []
+            gc.callbacks.append(lambda phase, info: phase == "start"
+                                and collections.append(info["generation"]))
+            def at_main(frame, event, arg):
+                if (event == "call" and frame.f_code.co_name == "main"
+                        and frame.f_globals["__name__"] == "mptsu2.cli"):
+                    sys.setprofile(None)
+                    print(json.dumps([collections, gc.isenabled(), gc.get_freeze_count()]),
+                          flush=True)
+            sys.argv = ["mptsu2", "spectrum", "--q", "3", "--out", os.devnull]
+            sys.setprofile(at_main)
+            runpy.run_module("mptsu2", run_name="__main__")
+        """)
+        proc = run_child("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        collections, enabled, frozen = json.loads(proc.stdout)
+        assert collections == []
+        assert enabled
+        assert frozen > 1000  # numpy's import graph
+
+    def test_importing_and_calling_main_leave_the_collector_alone(self, capsys, monkeypatch):
+        import gc
+
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                frozen = gc.get_freeze_count()
+                monkeypatch.delitem(sys.modules, "mptsu2.__main__", raising=False)
+                importlib.import_module("mptsu2.__main__")
+                assert run_cli(capsys, "spectrum", "--q", "3")[0] == 0
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+            finally:
+                gc.enable()
+
+    def test_a_fresh_import_of_the_cli_leaves_the_collector_alone(self):
+        proc = run_child("-c", "import gc; import mptsu2, mptsu2.cli, mptsu2.__main__; "
+                               "print(gc.isenabled(), gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True 0\n"
+
+    @pytest.mark.parametrize("argv", [
+        *[(name, "-h") for name in cli._TABLE],
+        ("--help",),
+        (),
+        ("nonsense", "--q", "3"),
+        ("-h", "matelem"),
+        ("--q", "3", "spectrum"),
+        ("matelem", "--q", "3", "--op", "nonsense", "--method", "closed"),
+        ("matelem", "--q", "three", "--op", "sinh", "--method", "closed"),
+        ("matelem", "--q", "3", "--op", "sinh"),
+        ("matelem", "--q"),
+        ("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "extra"),
+        ("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "--bogus", "1"),
+        ("matelem", "--q", "3", "--op", "sinh", "--meth", "closed"),
+        ("spectrum", "--q", "3", "spectrum"),
+        ("verify", "--q", "3", "--suite", "algebras"),
+        ("vibron", "--q", "3", "--lambda", "0.05", "--model", "zA-zB", "--format", "json"),
+        ("params", "--q", "3", "--", "--q"),
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_the_command_parser_answers_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+        def answer():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse: --help and usage errors
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build(command))
+        one = answer()
+        named = argv[0] if argv and argv[0] in cli._TABLE else None
+        assert built[0] == named
+        # What main did before: the full parser's parse_args on the whole argv.
+        full = SimpleNamespace(parse_args=lambda argv: build().parse_args(argv))
+        full.parse_known_args = lambda argv: (full.parse_args(argv), [])
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+        assert one == answer()
+        assert one[0] in (0, 2)
+
+    def test_a_named_command_builds_only_its_subparser(self):
+        for name in cli._TABLE:
+            command, = [a for a in cli.build_parser(name)._actions if a.dest == "command"]
+            assert list(command.choices) == [name]
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert run_cli(capsys, "spectrum", "--q", "2")[0] == 0
@@ -994,15 +1111,25 @@ class TestEntryPoints:
         root = Path(__file__).resolve().parent.parent
         with open(root / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
-        assert scripts == {"mptsu2": "mptsu2.cli:run"}
+        assert scripts == {"mptsu2": "mptsu2.__main__:start"}
 
-        def main_block_calls(path):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+        def parse(path):
+            return ast.parse(path.read_text(encoding="utf-8"))
+
+        def main_block_calls(tree):
             block = next(node for node in tree.body if isinstance(node, ast.If)
                          and ast.unparse(node.test) == "__name__ == '__main__'")
             return [ast.unparse(node) for node in block.body]
 
         package = root / "src" / "mptsu2"
-        assert main_block_calls(package / "cli.py") == ["run()"]
-        assert main_block_calls(package / "__main__.py") == ["run()"]
-        assert "from .cli import run" in (package / "__main__.py").read_text(encoding="utf-8")
+        assert main_block_calls(parse(package / "cli.py")) == ["run()"]
+        entry = parse(package / "__main__.py")
+        assert main_block_calls(entry) == ["start()"]
+        # start imports cli.run, ends by calling it, and nothing else imports it.
+        start = next(node for node in entry.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "start")
+        imports = [ast.unparse(node) for node in ast.walk(entry)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert imports == ["import gc", "from .cli import run"]
+        assert "from .cli import run" in ast.unparse(start)
+        assert ast.unparse(start.body[-1]) == "run()"

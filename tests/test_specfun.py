@@ -11,6 +11,7 @@ from mptsu2.errors import DomainError, EvaluationError
 from mptsu2.specfun import (
     QuadratureRule,
     _log_half_gamma_ratio,
+    _newton_rule,
     gauss_legendre,
     integrate,
     log_gamma,
@@ -134,6 +135,28 @@ class TestGaussLegendre:
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
             gauss_legendre(0)
+
+    @pytest.mark.parametrize("order", [1, 7, 32])
+    def test_a_rule_is_solved_once_and_kept(self, order):
+        _newton_rule.cache_clear()
+        rule = gauss_legendre(order)
+        assert gauss_legendre(order) is rule
+        assert gauss_legendre(float(order)) is rule
+        assert _newton_rule.cache_info().misses == 1
+        assert isinstance(rule.nodes, tuple) and isinstance(rule.weights, tuple)
+
+    def test_kept_rules_are_bounded(self):
+        _newton_rule.cache_clear()
+        for order in range(1, 100):
+            gauss_legendre(order)
+        assert _newton_rule.cache_info().currsize == _newton_rule.cache_info().maxsize == 32
+
+    @pytest.mark.parametrize("order", [0, 2.5, -3])
+    def test_a_rejected_order_is_not_kept(self, order):
+        _newton_rule.cache_clear()
+        with pytest.raises(DomainError):
+            gauss_legendre(order)
+        assert _newton_rule.cache_info().currsize == 0
 
     def test_rule_validation(self):
         with pytest.raises(DomainError):
