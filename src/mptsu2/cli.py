@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
@@ -40,8 +41,13 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """A subparser per ``_TABLE`` command, or only ``command``'s, its options in table order."""
+def build_parser() -> argparse.ArgumentParser:
+    """A subparser per ``_TABLE`` command, its options in table order.
+
+    ``main`` reads a well-formed argv without it (``_parse_exact``); this
+    parser takes every other argv, and its help, usage and error text are
+    the CLI's.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -51,13 +57,46 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "comparison.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, entry in _TABLE.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=entry.help)
         for flag, keywords in entry.options:
             p.add_argument(flag, **{k: v for k, v in keywords.items()
                                     if k not in ("default", "required")})
     return parser
+
+
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives an argv of a command name and exact ``--flag value`` pairs.
+
+    Each flag is one of the command's ``_TABLE`` options, spelled out; each
+    value passes its option's ``type`` and ``choices`` (``_converted``) and
+    does not start with ``-``.  As with argparse, the last of a repeated
+    flag wins and an option not given is None.  Any other argv (help,
+    abbreviations, ``--flag=value``, leftover tokens, a value that fails)
+    is None: it is left to ``build_parser``.
+    """
+    entry = _TABLE.get(argv[0]) if argv else None
+    if entry is None or len(argv) % 2 == 0:
+        return None
+    options = dict(entry.options)
+    args = SimpleNamespace(command=argv[0],
+                           **{_dest(flag, keywords): None for flag, keywords in entry.options})
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or text.startswith("-"):
+            return None
+        try:
+            setattr(args, _dest(flag, keywords), _converted(keywords, text))
+        except ValueError:
+            return None
+    return args
+
+
+def _converted(keywords: dict, text: str) -> Any:
+    """``text`` through an option's ``type`` and ``choices``; ValueError where argparse errs."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(text)
+    return value
 
 
 def _dest(flag: str, keywords: dict) -> str:
@@ -97,13 +136,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if getattr(args, dest) is not None:
             continue
         try:
-            converted = keywords.get("type", str)(str(value))
-            if "choices" in keywords and converted not in keywords["choices"]:
-                raise ValueError
+            setattr(args, dest, _converted(keywords, str(value)))
         except ValueError:
             raise DomainError(f"config value {key} = {value!r} is not a valid "
                               f"{flag} argument") from None
-        setattr(args, dest, converted)
     for flag, keywords in options:
         if getattr(args, _dest(flag, keywords)) is None:
             setattr(args, _dest(flag, keywords), keywords.get("default"))
@@ -428,22 +464,16 @@ _TABLE = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command's library is imported before argparse: without cached
-    # bytecode each module is compiled at import, with up to about 1 MB of
-    # transient heap, and doing that on top of the parser's state raised the
-    # peak RSS of verify and vibron processes by 0.2-0.3 MB.  Each handler
-    # still imports what it uses; this only orders the compiles.
-    command = argv[0] if argv and argv[0] in _TABLE else None
-    library = command and _TABLE[command].library
-    if library:
-        import_module(f".{library}", __package__)
-    # Only the named command's subparser is built: its help and errors are
-    # the full parser's.  An argv that names no command, or leaves an
-    # argument over, is parsed again by the full parser, whose usage line
-    # lists every command.
-    args, extra = build_parser(command).parse_known_args(argv) if command else (None, argv)
-    if args is None or extra:
-        args = build_parser().parse_args(argv)
+    # A command's library is imported before its argv is parsed: an argv
+    # that ``_parse_exact`` leaves to argparse loads argparse, and without
+    # cached bytecode each module is compiled at import, with up to about
+    # 1 MB of transient heap; doing that on top of the parser's state raised
+    # the peak RSS of verify and vibron processes by 0.2-0.3 MB.  Each
+    # handler still imports what it uses; this only orders the compiles.
+    entry = _TABLE.get(argv[0]) if argv else None
+    if entry and entry.library:
+        import_module(f".{entry.library}", __package__)
+    args = _parse_exact(argv) or build_parser().parse_args(argv)
     try:
         _apply_config(args)
         return _TABLE[args.command].handler(args)

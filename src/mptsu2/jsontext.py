@@ -2,33 +2,72 @@
 
 An indent turns json's C encoder off, and its pure-Python encoder took
 about 20 ms for the 2601 rows of a q = 50 matrix.  Here each row whose keys
-are str and whose values are float, int or str fills a template made once
-per key tuple; any other row, and the payload around the rows, is written
-by ``json.dumps`` itself.  The text is the same byte for byte.  Rows are
-drawn from any iterable ``_BATCH`` at a time (``batches``, which the CSV
-writer uses too), so a generator's rows are formed one batch at a time.
+are str and whose values are float, int, bool, None or str fills a template
+made once per key tuple, and the payload around the rows (command, well and
+meta) is written by ``_dumps``.  Plain strings (printable ASCII without
+``"`` or ``\\``) are written here too; any other string, row or value is
+handed to json's encoder, which is imported only then, so a payload of
+plain strings, numbers, lists and str-keyed dicts loads no ``json``.  The
+text is the same byte for byte.  Rows are drawn from any iterable
+``_BATCH`` at a time (``batches``, which the CSV writer uses too), so a
+generator's rows are formed one batch at a time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 __all__ = ["batches", "chunks"]
 
 
+def _text(text: str) -> str:
+    """A str as json writes it with ``ensure_ascii``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
 # How json.dumps writes a value of exactly these types.
 _SCALARS = {
-    float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+    float: _float,
     int: int.__repr__,
-    str: encode_basestring_ascii,
+    str: _text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
 }
 
 # Rows per chunk.
 _BATCH = 128
+
+
+def _dumps(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` with each line after the first led by ``indent``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + ",".join(f"\n{inner}{_dumps(v, inner)}" for v in value) + f"\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        return "{" + ",".join(f"\n{inner}{_text(k)}: {_dumps(v, inner)}"
+                              for k, v in value.items()) + f"\n{indent}}}"
+    import json
+
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _row(row: Any, templates: dict) -> str:
@@ -36,12 +75,12 @@ def _row(row: Any, templates: dict) -> str:
     keys = tuple(row) if type(row) is dict else None
     if keys is not None and keys not in templates and all(type(k) is str for k in keys):
         templates[keys] = "    {" + ",".join(
-            f"\n      {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys
+            f"\n      {_text(k).replace('%', '%%')}: %s" for k in keys
         ) + ("\n    }" if keys else "}")
     try:
         return templates[keys] % tuple([_SCALARS[type(v)](v) for v in row.values()])
     except KeyError:  # not a dict of str keys, or a value of another type
-        return "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+        return "    " + _dumps(row, "    ")
 
 
 def batches(rows: Iterable) -> Iterator[list]:
@@ -57,11 +96,11 @@ def chunks(command: str, well: dict, rows: Iterable, meta: dict) -> Iterator[str
     Only one batch of rows is held at a time when ``rows`` forms them on
     demand; 1024-row batches added about 0.2 MB to a q = 50 process.
     """
-    yield json.dumps({"command": command, "well": well}, indent=2)[:-2] + ',\n  "rows": ['
+    yield f'{{\n  "command": {_dumps(command, "  ")},\n  "well": {_dumps(well, "  ")},\n  "rows": ['
     templates: dict = {}
     separator = "\n"
     for batch in batches(rows):
         yield separator + ",\n".join([_row(row, templates) for row in batch])
         separator = ",\n"
     close = "\n  ]," if separator != "\n" else "],"
-    yield close + json.dumps({"meta": meta}, indent=2)[1:] + "\n"
+    yield f'{close}\n  "meta": {_dumps(meta, "  ")}\n}}\n'

@@ -14,7 +14,7 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -506,21 +506,24 @@ def emit_json(well, rows, meta, out=None):
     return buffer.getvalue()
 
 
+# The last six sit on either side of the writer's plain-string boundary:
+# printable ASCII is written as it is, anything else is escaped by json.
 SPECIAL_TEXT = st.sampled_from(["%", "%s", "%%", "%(row)s", "{}", "{0}", '"', "\\",
-                                "\u00e9", "\u2603", "\x00", "\n", "\ud83d\ude00", ""])
+                                "\u00e9", "\u2603", "\x00", "\n", "\ud83d\ude00", "",
+                                "\x1f", "\x20", "~", "\x7f", "\u2028", "\ud800"])
 TEXT = st.one_of(SPECIAL_TEXT, st.text(max_size=6))
+KEYS = st.one_of(TEXT, st.integers(-5, 5), st.booleans(), st.none())
 SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf,
                      1e16, 1.7976931348623157e308]),
     st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(), TEXT)
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
-                      | st.dictionaries(TEXT, inner, max_size=3), max_leaves=6)
+                      | st.dictionaries(KEYS, inner, max_size=3), max_leaves=6)
 ROWS = st.lists(st.one_of(
     st.dictionaries(st.sampled_from(["row", "col", "value", "%s", "{}"]), SCALARS, max_size=4),
     st.dictionaries(TEXT, SCALARS, max_size=4),
-    st.dictionaries(st.one_of(TEXT, st.integers(-5, 5), st.booleans(), st.none()),
-                    VALUES, max_size=3),
+    st.dictionaries(KEYS, VALUES, max_size=3),
 ), max_size=8)
 
 
@@ -555,8 +558,8 @@ class TestJsonWriter:
     """
 
     @settings(max_examples=300, deadline=None)
-    @given(well=st.dictionaries(TEXT, SCALARS, max_size=3), rows=ROWS,
-           meta=st.dictionaries(TEXT, VALUES, max_size=3))
+    @given(well=st.dictionaries(KEYS, SCALARS, max_size=3), rows=ROWS,
+           meta=st.dictionaries(KEYS, VALUES, max_size=3))
     def test_text_is_json_dumps(self, well, rows, meta):
         # Rows come as a list or as a one-shot generator, which is read once.
         payload = {"command": "cmd", "well": well, "rows": rows, "meta": meta}
@@ -867,6 +870,41 @@ class TestOutputContract:
             assert missing in err
 
 
+# Value texts for the table parse: numbers of either type, non-finite and
+# signed values, texts argparse reads as options, and any short text.
+VALUE_TEXT = st.one_of(st.sampled_from([
+    "3", "50", "0", "-1", "5.0", "0.05", "-0.02", "1e3", "nan", "inf", "-inf", "", " 7",
+    "1_0", "\u0663", "x", "a b", "-", "--", "-h", "--q", "--q=3", "=3"]), st.text(max_size=4))
+
+
+def valid_text(keywords):
+    """A text that passes the option's type and choices."""
+    kind = keywords.get("type", str)
+    return (st.sampled_from(keywords["choices"]) if "choices" in keywords
+            else st.integers(0, 60).map(str) if kind is int
+            else st.floats().map(repr) if kind is float else st.text(max_size=4))
+
+
+@st.composite
+def exact_argvs(draw):
+    """A command name and ``--flag value`` pairs of its options, repeats allowed.
+
+    Half the argvs draw only valid values (most of which the table parse
+    takes), the rest also draw from VALUE_TEXT.
+    """
+    name = draw(st.sampled_from(list(cli._TABLE)))
+    mixed = draw(st.booleans())
+    argv = [name]
+    for flag, keywords in draw(st.lists(st.sampled_from(cli._TABLE[name].options),
+                                        max_size=6)):
+        valid = valid_text(keywords)
+        argv += [flag, draw(st.one_of(valid, VALUE_TEXT) if mixed else valid)]
+    return argv
+
+
+EXACT_ARGVS = exact_argvs()
+
+
 class TestStartUp:
     def test_cli_runs_leave_numpy_ma_unimported(self):
         # Importing numpy.ma costs ~10 ms of a CLI process; a flagless
@@ -906,23 +944,62 @@ class TestStartUp:
     ], ids=["matelem-oracle", "spectrum", "matelem-expansion", "params", "vibron", "verify"])
     def test_a_command_imports_only_its_libraries(self, argv, libraries):
         # The oracle path is always imported; the rest only by the commands
-        # that run it, and, except matelem's expansion branch, before argparse.
+        # that run it.  A well-formed argv never loads argparse.
         script = textwrap.dedent("""
             import contextlib, io, sys
             from mptsu2 import cli
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main() == 0
-            loaded = list(sys.modules)  # in the order the imports began
             names = [m for m in ("checks", "expansion", "pairs", "vibron")
-                     if f"mptsu2.{m}" in loaded]
-            late = [m for m in names
-                    if loaded.index(f"mptsu2.{m}") > loaded.index("argparse")]
-            print(names, late)
+                     if f"mptsu2.{m}" in sys.modules]
+            print(names, "argparse" in sys.modules)
         """)
         proc = run_child("-c", script, *argv, "--q", "5")
         assert proc.returncode == 0, proc.stderr
-        late = libraries if argv[0] == "matelem" else []
-        assert proc.stdout == f"{libraries} {late}\n"
+        assert proc.stdout == f"{libraries} False\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ("matelem", "--q", "10", "--op", "coshd", "--method", "oracle"),
+        ("spectrum", "--q", "10"),
+        ("params", "--q", "10"),
+        ("verify", "--q", "5", "--suite", "all", "--oracle-panels", "128"),
+        ("vibron", "--q", "4", "--model", "compare", "--lambda", "0.05"),
+    ], ids=lambda argv: argv[0])
+    def test_a_well_formed_run_loads_no_parser_or_json(self, argv, fmt):
+        # The module entry runs as ``python -m mptsu2`` runs it, up to
+        # cli.run's os._exit, which reports the modules loaded by then.
+        script = textwrap.dedent("""
+            import os, runpy, sys
+            def report(code, _exit=os._exit):
+                sys.stderr.write(repr([m for m in ("argparse", "gettext", "locale", "json")
+                                       if m in sys.modules]))
+                sys.stderr.flush()
+                _exit(code)
+            os._exit = report
+            runpy.run_module("mptsu2", run_name="__main__", alter_sys=True)
+        """)
+        proc = run_child("-c", script, *argv, "--format", fmt)
+        assert (proc.returncode, proc.stderr) == (0, "[]")
+        if fmt == "json":
+            assert json.loads(proc.stdout)["command"] == argv[0]
+        else:
+            assert parse_csv(proc.stdout)[1]
+
+    def test_help_usage_errors_and_config_run_in_a_child(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"q": 3, "op": "sinh", "method": "closed"}))
+        helped = run_child("-m", "mptsu2", "matelem", "-h")
+        refused = run_child("-m", "mptsu2", "matelem", "--q", "3", "--op", "nonsense")
+        configured = run_child("-m", "mptsu2", "matelem", "--config", str(config))
+        flagged = run_child("-m", "mptsu2", "matelem", "--q", "3", "--op", "sinh",
+                            "--method", "closed")
+        assert (helped.returncode, helped.stderr) == (0, "")
+        assert helped.stdout.startswith("usage: mptsu2 matelem [-h]")
+        assert (refused.returncode, refused.stdout) == (2, "")
+        assert "argument --op: invalid choice: 'nonsense'" in refused.stderr
+        assert (configured.returncode, configured.stderr) == (0, "")
+        assert configured.stdout == flagged.stdout != ""
 
     def test_package_names_resolve_to_their_home_modules(self):
         assert len(mptsu2._HOME) == 70
@@ -980,26 +1057,36 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True 0\n"
 
-    @pytest.mark.parametrize("argv", [
-        *[(name, "-h") for name in cli._TABLE],
-        ("--help",),
-        (),
-        ("nonsense", "--q", "3"),
-        ("-h", "matelem"),
-        ("--q", "3", "spectrum"),
-        ("matelem", "--q", "3", "--op", "nonsense", "--method", "closed"),
-        ("matelem", "--q", "three", "--op", "sinh", "--method", "closed"),
-        ("matelem", "--q", "3", "--op", "sinh"),
-        ("matelem", "--q"),
-        ("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "extra"),
-        ("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "--bogus", "1"),
-        ("matelem", "--q", "3", "--op", "sinh", "--meth", "closed"),
-        ("spectrum", "--q", "3", "spectrum"),
-        ("verify", "--q", "3", "--suite", "algebras"),
-        ("vibron", "--q", "3", "--lambda", "0.05", "--model", "zA-zB", "--format", "json"),
-        ("params", "--q", "3", "--", "--q"),
-    ], ids=lambda argv: " ".join(argv) or "no-arguments")
-    def test_the_command_parser_answers_as_the_full_parser(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, exact", [
+        pytest.param(argv, exact, id=" ".join(argv) or "no-arguments") for argv, exact in [
+            *[((name, "-h"), False) for name in cli._TABLE],
+            (("--help",), False),
+            ((), False),
+            (("nonsense", "--q", "3"), False),
+            (("-h", "matelem"), False),
+            (("--q", "3", "spectrum"), False),
+            (("matelem", "--q", "3", "--op", "nonsense", "--method", "closed"), False),
+            (("matelem", "--q", "three", "--op", "sinh", "--method", "closed"), False),
+            (("matelem", "--q", "3", "--op", "sinh"), True),
+            (("matelem", "--q"), False),
+            (("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "extra"), False),
+            (("matelem", "--q", "3", "--op", "sinh", "--method", "closed", "--bogus", "1"), False),
+            (("matelem", "--q", "3", "--op", "sinh", "--meth", "closed"), False),
+            (("spectrum", "--q", "3", "spectrum"), False),
+            (("verify", "--q", "3", "--suite", "algebras"), False),
+            (("vibron", "--q", "3", "--lambda", "0.05", "--model", "zA-zB", "--format", "json"),
+             True),
+            (("params", "--q", "3", "--", "--q"), False),
+            (("spectrum", "--q", "30", "--format", "json", "--q", "3"), True),
+            (("spectrum", "--q", "3", "--out", ""), True),
+            (("verify", "--q", "3", "--suite", "algebra", "--lambda", "nan"), True),
+            (("vibron", "--q", "3", "--model", "su2", "--lambda", "-0.02"), False),
+            (("spectrum", "--q=5"), False),
+            (("vibron", "--q", "3", "--model", "su2", "--lam", "0.05"), False),
+            (("spectrum", "--q", "5.0"), False),
+        ]])
+    def test_the_command_parser_answers_as_the_full_parser(self, capsys, monkeypatch, argv,
+                                                          exact):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
 
         def answer():
@@ -1009,24 +1096,41 @@ class TestStartUp:
                 code = exc.code
             return (code, *capsys.readouterr())
 
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command) or build(command))
+        assert (cli._parse_exact(list(argv)) is not None) == exact
         one = answer()
-        named = argv[0] if argv and argv[0] in cli._TABLE else None
-        assert built[0] == named
         # What main did before: the full parser's parse_args on the whole argv.
-        full = SimpleNamespace(parse_args=lambda argv: build().parse_args(argv))
-        full.parse_known_args = lambda argv: (full.parse_args(argv), [])
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+        monkeypatch.setattr(cli, "_parse_exact", lambda argv: None)
         assert one == answer()
         assert one[0] in (0, 2)
 
-    def test_a_named_command_builds_only_its_subparser(self):
-        for name in cli._TABLE:
-            command, = [a for a in cli.build_parser(name)._actions if a.dest == "command"]
-            assert list(command.choices) == [name]
+    @settings(max_examples=300, deadline=None)
+    @given(argv=EXACT_ARGVS)
+    def test_the_table_parse_is_argparse(self, argv):
+        # Handlers are replaced by one that reports the merged namespace, so
+        # that each argv costs a parse, not a computation.
+        def answer():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse: --help and usage errors
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        def report(args):
+            print(sorted(vars(args).items()))
+            return 0
+
+        args = cli._parse_exact(list(argv))
+        if args is not None:
+            full = cli.build_parser().parse_args(list(argv))
+            # repr tells -0.0 from 0.0 and 5 from 5.0, and equates nan with nan.
+            assert repr(sorted(vars(args).items())) == repr(sorted(vars(full).items()))
+        stubs = {name: entry._replace(handler=report) for name, entry in cli._TABLE.items()}
+        with mock.patch.dict(cli._TABLE, stubs):
+            one = answer()
+            with mock.patch.object(cli, "_parse_exact", lambda argv: None):
+                assert one == answer()
 
 
 class TestExitCodes:
